@@ -43,6 +43,7 @@ __all__ = [
     "RunConfig",
     "UnknownCheckError",
     "check_uses_m",
+    "expand_checks",
     "minimum_n",
     "run_verification",
 ]
@@ -184,17 +185,8 @@ def _run_dn(_: int | None, n: int) -> CheckResult:
     """Root substitutions and the leading-coefficient recursion for D_n."""
     start = time.perf_counter()
     report = dn_checks(n)
-    d_n = weyl_denominator(n, "determinant")
-    lead = d_n.coefficient_of("x1", 2 * n - 1)
-    tail = LaurentPoly.one()
-    for i in range(2, n + 1):
-        tail = tail * LaurentPoly.variable(f"x{i}")
-    # D_{n-1} over x2..xn, built by shifting the variables of D_{n-1}(x1..x_{n-1})
-    expected = -tail * weyl_denominator(n - 1, "determinant").substitute(
-        {f"x{i}": f"x{i + 1}" for i in range(1, n)}
-    )
     elapsed = (time.perf_counter() - start) * 1000.0
-    return CheckResult("dn", None, n, lead, expected, report.all_pass, elapsed)
+    return CheckResult("dn", None, n, report.lead, report.expected, report.all_pass, elapsed)
 
 
 @dataclass(frozen=True)
@@ -230,17 +222,18 @@ def minimum_n(check_id: str) -> int:
     return _REGISTRY[check_id].min_n
 
 
-def _expand_checks(requested: Iterable[str]) -> list[str]:
-    ids = list(requested)
-    if ids == ["all"]:
-        return list(CHECK_IDS)
+def expand_checks(requested: Iterable[str]) -> list[str]:
+    """Check ids in first-seen order, with ``all`` expanded and repeats dropped."""
+    ids: dict[str, None] = {}
+    for check_id in requested:
+        ids.update(dict.fromkeys(CHECK_IDS if check_id == "all" else (check_id,)))
     unknown = [c for c in ids if c not in _REGISTRY]
     if unknown:
         raise UnknownCheckError(
             f"unknown check(s) {', '.join(map(repr, unknown))}; "
             f"expected one of: {', '.join(CHECK_IDS)} (or 'all')"
         )
-    return ids
+    return list(ids)
 
 
 def _validate_range(name: str, rng: tuple[int, int]) -> None:
@@ -257,7 +250,7 @@ def run_verification(config: RunConfig) -> list[CheckResult]:
     Unknown checks and bad ranges are rejected before any work starts.
     Grid points below a check's minimum n (dn needs n >= 2) are skipped.
     """
-    ids = _expand_checks(config.checks)
+    ids = expand_checks(config.checks)
     _validate_range("m", config.m_range)
     _validate_range("n", config.n_range)
     if config.parallel < 1:

@@ -15,6 +15,7 @@ from .checks import (
     InvalidRangeError,
     RunConfig,
     UnknownCheckError,
+    expand_checks,
     minimum_n,
     run_verification,
 )
@@ -88,9 +89,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    requested = CHECK_IDS if config.checks == ("all",) else config.checks
-    for check_id in requested:
-        if check_id in CHECK_IDS and minimum_n(check_id) > args.n[0]:
+    for check_id in expand_checks(config.checks):
+        if minimum_n(check_id) > args.n[0]:
             skipped = [n for n in range(args.n[0], args.n[1] + 1) if n < minimum_n(check_id)]
             if skipped:
                 print(

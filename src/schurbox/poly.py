@@ -13,10 +13,17 @@ The canonical term order is graded lexicographic: total degree first, then
 the exponent vector compared variable by variable.  Canonical text output
 lists terms in ascending order, so q-series read naturally:
 ``1 + q + q^3 + q^4``.
+
+Exact division (:func:`exact_div`) has its own local encoding: it packs each
+shifted exponent vector into one int with base ``2**bits`` digits
+``(total degree, e_1, ..., e_k)``, so integer order is graded-lex order, and
+finds leading terms with a heap that shares its int keys with the remainder
+dict.  Its docstring gives the digit-width bound.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
@@ -607,6 +614,21 @@ def exact_div(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
     non-negative, divided by multivariate long division under the graded-lex
     order, and the quotient is shifted back (so quotients may carry negative
     exponents).  Raises NotDivisibleError as soon as divisibility fails.
+
+    Each shifted exponent vector is packed into one int whose base
+    ``2**bits`` digits are ``(total degree, e_1, ..., e_k)``, most significant
+    first, so integer order is graded-lex order and multiplying monomials is
+    adding keys.  Every remainder term has total degree at most the larger
+    total degree of the shifted operands (each step replaces the leading
+    term by terms below it), and every digit is at most that bound, so with
+    ``bits`` one more than its bit length no digit can carry.
+
+    The remainder is a dict from negated key to coefficient, and a heap
+    holds the same int objects, so ``heapq``'s minimum is the graded-lex
+    leading term (Johnson 1974; Monagan & Pearce 2011).  A key is pushed
+    once, when it first enters the dict, and popped from both at once; a key
+    whose coefficient cancelled to 0 stays in both until it is popped and
+    skipped.  Sharing the objects keeps one copy of each key in memory.
     """
     if den.is_zero():
         raise ZeroDivisionError("exact_div: divisor is the zero polynomial")
@@ -623,32 +645,54 @@ def exact_div(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
             out[tuple(exps.get(v, 0) - mins[v] for v in universe)] = coeff
         return out
 
-    def grlex(vec: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
-        return (sum(vec), vec)
-
+    num_vecs = to_vectors(num, num_min)
     den_vecs = to_vectors(den, den_min)
-    den_lead = max(den_vecs, key=grlex)
-    den_lead_coeff = den_vecs[den_lead]
+    bits = max(sum(vec) for vec in itertools.chain(num_vecs, den_vecs)).bit_length() + 1
+    mask = (1 << bits) - 1
+    low_shifts = [bits * (len(universe) - 1 - i) for i in range(len(universe))]
 
-    remainder = to_vectors(num, num_min)
+    def neg_key(vec: tuple[int, ...]) -> int:
+        key = sum(vec)
+        for e in vec:
+            key = (key << bits) | e
+        return -key
+
+    def unpack(key: int) -> tuple[int, ...]:
+        return tuple((key >> s) & mask for s in low_shifts)
+
+    den_rest = {neg_key(vec): c for vec, c in den_vecs.items()}
+    neg_den_lead = min(den_rest)
+    den_lead = unpack(-neg_den_lead)
+    # The divisor's leading term cancels the remainder's by construction.
+    den_lead_coeff = den_rest.pop(neg_den_lead)
+
+    remainder = {neg_key(vec): c for vec, c in num_vecs.items()}
+    del num_vecs, den_vecs  # from here on only the packed keys are held
+    heap = list(remainder)
+    heapq.heapify(heap)
     quotient: dict[tuple[int, ...], int] = {}
-    while remainder:
-        lead = max(remainder, key=grlex)
-        lead_coeff = remainder[lead]
+    while heap:
+        neg_lead = heapq.heappop(heap)
+        lead_coeff = remainder.pop(neg_lead)
+        if not lead_coeff:
+            continue
+        lead = unpack(-neg_lead)
         q_vec = tuple(a - b for a, b in zip(lead, den_lead))
         if any(e < 0 for e in q_vec) or lead_coeff % den_lead_coeff:
             raise NotDivisibleError(
                 f"nonzero remainder: leading term has exponents {dict(zip(universe, lead))}"
             )
         q_coeff = lead_coeff // den_lead_coeff
-        quotient[q_vec] = quotient.get(q_vec, 0) + q_coeff
-        for d_vec, d_coeff in den_vecs.items():
-            t_vec = tuple(a + b for a, b in zip(q_vec, d_vec))
-            c = remainder.get(t_vec, 0) - q_coeff * d_coeff
-            if c:
-                remainder[t_vec] = c
+        quotient[q_vec] = q_coeff
+        neg_q = neg_lead - neg_den_lead
+        for neg_d, d_coeff in den_rest.items():
+            t_key = neg_q + neg_d
+            c = remainder.get(t_key)
+            if c is None:
+                remainder[t_key] = -q_coeff * d_coeff
+                heapq.heappush(heap, t_key)
             else:
-                remainder.pop(t_vec, None)
+                remainder[t_key] = c - q_coeff * d_coeff
 
     shift = [num_min[v] - den_min[v] for v in universe]
     out: dict[Monomial, int] = {}

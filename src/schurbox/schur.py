@@ -159,11 +159,19 @@ def weyl_denominator(n: int, form: str = "determinant") -> LaurentPoly:
 
 @dataclass(frozen=True)
 class DnReport:
-    """Root and leading-coefficient checks for the Weyl determinant D_n."""
+    """Root and leading-coefficient checks for the Weyl determinant D_n.
+
+    ``lead`` is [x1^{2n-1}] D_n and ``expected`` is -x2...xn * D_{n-1}(x2..xn).
+    """
 
     n: int
     root_checks: tuple[tuple[str, bool], ...]
-    leading_coefficient_ok: bool
+    lead: LaurentPoly
+    expected: LaurentPoly
+
+    @property
+    def leading_coefficient_ok(self) -> bool:
+        return self.lead == self.expected
 
     @property
     def all_pass(self) -> bool:
@@ -191,7 +199,7 @@ def dn_checks(n: int) -> DnReport:
     lead = d_n.coefficient_of("x1", 2 * n - 1)
     tail = LaurentPoly.term(Monomial({f"x{i}": 1 for i in range(2, n + 1)}))
     expected = -tail * _weyl_det([f"x{i}" for i in range(2, n + 1)])
-    return DnReport(n, tuple(roots), lead == expected)
+    return DnReport(n, tuple(roots), lead, expected)
 
 
 def _q_factor_product(exponents: Sequence[int]) -> LaurentPoly:

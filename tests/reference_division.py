@@ -1,0 +1,75 @@
+"""The quadratic long division that ``schurbox.poly.exact_div`` replaced.
+
+Kept only as a reference for differential tests: it finds each leading term
+with a linear ``max`` over the remainder, so it costs
+O(|quotient| * |remainder|) key builds, but its logic is the plain textbook
+algorithm.  The body is the earlier ``exact_div`` verbatim.
+"""
+
+from __future__ import annotations
+
+from schurbox.poly import (
+    LaurentPoly,
+    Monomial,
+    NotDivisibleError,
+    _min_exponents,
+    _var_key,
+)
+
+
+def reference_exact_div(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
+    """Exact division in the Laurent ring: returns q with num == q * den.
+
+    Both operands are shifted by per-variable monomials so all exponents are
+    non-negative, divided by multivariate long division under the graded-lex
+    order, and the quotient is shifted back (so quotients may carry negative
+    exponents).  Raises NotDivisibleError as soon as divisibility fails.
+    """
+    if den.is_zero():
+        raise ZeroDivisionError("exact_div: divisor is the zero polynomial")
+    if num.is_zero():
+        return LaurentPoly.zero()
+    universe = sorted(num.variables() | den.variables(), key=_var_key)
+    num_min = _min_exponents(num, universe)
+    den_min = _min_exponents(den, universe)
+
+    def to_vectors(poly: LaurentPoly, mins: dict[str, int]) -> dict[tuple[int, ...], int]:
+        out: dict[tuple[int, ...], int] = {}
+        for mono, coeff in poly._terms.items():
+            exps = dict(mono.pairs)
+            out[tuple(exps.get(v, 0) - mins[v] for v in universe)] = coeff
+        return out
+
+    def grlex(vec: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
+        return (sum(vec), vec)
+
+    den_vecs = to_vectors(den, den_min)
+    den_lead = max(den_vecs, key=grlex)
+    den_lead_coeff = den_vecs[den_lead]
+
+    remainder = to_vectors(num, num_min)
+    quotient: dict[tuple[int, ...], int] = {}
+    while remainder:
+        lead = max(remainder, key=grlex)
+        lead_coeff = remainder[lead]
+        q_vec = tuple(a - b for a, b in zip(lead, den_lead))
+        if any(e < 0 for e in q_vec) or lead_coeff % den_lead_coeff:
+            raise NotDivisibleError(
+                f"nonzero remainder: leading term has exponents {dict(zip(universe, lead))}"
+            )
+        q_coeff = lead_coeff // den_lead_coeff
+        quotient[q_vec] = quotient.get(q_vec, 0) + q_coeff
+        for d_vec, d_coeff in den_vecs.items():
+            t_vec = tuple(a + b for a, b in zip(q_vec, d_vec))
+            c = remainder.get(t_vec, 0) - q_coeff * d_coeff
+            if c:
+                remainder[t_vec] = c
+            else:
+                remainder.pop(t_vec, None)
+
+    shift = [num_min[v] - den_min[v] for v in universe]
+    out: dict[Monomial, int] = {}
+    for vec, coeff in quotient.items():
+        pairs = tuple((v, e + s) for v, e, s in zip(universe, vec, shift) if e + s)
+        out[Monomial._make(pairs)] = coeff
+    return LaurentPoly._make(out)

@@ -11,6 +11,7 @@ from schurbox.checks import (
     InvalidRangeError,
     RunConfig,
     UnknownCheckError,
+    expand_checks,
     run_verification,
 )
 
@@ -67,6 +68,13 @@ def test_parallel_matches_serial():
     assert sorted(map(key, serial)) == sorted(map(key, threaded))
 
 
+def test_all_expands_anywhere_and_repeats_drop():
+    assert expand_checks(["dn", "all", "dn"]) == ["dn", *(c for c in CHECK_IDS if c != "dn")]
+    assert expand_checks(["all", "theorem"]) == list(CHECK_IDS)
+    with pytest.raises(UnknownCheckError):
+        expand_checks(["all", "nonsense"])
+
+
 def test_dn_skips_n_below_two():
     results = run_verification(RunConfig(("dn",), (1, 1), (1, 2)))
     assert [(r.identity, r.n) for r in results] == [("dn", 2)]
@@ -87,6 +95,15 @@ def test_cli_verify_vanishing_single_point():
     proc = run_cli("verify", "--checks", "vanishing", "--n", "1..1")
     assert proc.returncode == 0
     assert proc.stdout.count("PASS") == 1
+
+
+def test_cli_verify_all_with_repeated_id():
+    proc = run_cli("verify", "--checks", "all,theorem", "--n", "1..2", "--m", "1")
+    assert proc.returncode == 0
+    lines = proc.stdout.strip().splitlines()
+    assert len(lines) == 2 * len(CHECK_IDS) - 1  # dn needs n >= 2
+    assert sum(line.startswith("theorem ") for line in lines) == 2
+    assert "note: dn needs n >= 2; skipped n = 1" in proc.stderr
 
 
 def test_cli_unknown_check_is_usage_error():

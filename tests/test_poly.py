@@ -152,6 +152,41 @@ def test_exact_div_laurent_quotient():
     assert exact_div(x1**2, x1**3) == P.variable("x1", -1)
 
 
+@pytest.mark.parametrize("d", [255, 256, 300])
+def test_exact_div_one_variable_carries_the_whole_degree(d):
+    # a digit equal to the largest total degree still fits its packed field
+    num = x1**d * q - q ** (d + 1)
+    den = x1**d - q**d
+    assert exact_div(num, den) == q
+    assert exact_div(num, q) == den
+
+
+def test_exact_div_divisor_of_higher_degree_raises():
+    with pytest.raises(NotDivisibleError):
+        exact_div(1 + x1, 1 + x1 + x1**2)
+    with pytest.raises(NotDivisibleError):
+        exact_div(q * x1 - 1, x1**3 - q**2 * x2)
+
+
+def test_exact_div_leading_coefficient_must_divide():
+    with pytest.raises(NotDivisibleError, match=r"leading term has exponents \{'x1': 1\}"):
+        exact_div(2 * x1 + 1, 3 * x1 + 1)
+    assert exact_div(6 * x1 + 2, 3 * x1 + 1) == 2
+
+
+def test_exact_div_eleven_variables():
+    names = ["q"] + [f"t{i}" for i in range(1, 6)] + [f"x{i}" for i in range(1, 6)]
+    v = [P.variable(name) for name in names]
+    a = 1 + sum((k + 1) * var for k, var in enumerate(v)) - P.variable("t5", -2) * v[0]
+    b = v[0] * P.variable("t1", -1) - v[10] ** 2 + 3 * v[3] * v[7] - 1
+    num = a * b
+    assert len(num.variables()) == 11
+    assert exact_div(num, b) == a
+    assert exact_div(num, a) == b
+    with pytest.raises(NotDivisibleError):
+        exact_div(num + v[6], b)
+
+
 @given(polys, polys)
 def test_exact_div_round_trip(a, b):
     if b.is_zero():

@@ -137,6 +137,8 @@ def test_dn_checks_order_three():
     report = dn_checks(3)
     assert len(report.root_checks) == 5
     assert report.all_pass
+    assert report.lead == weyl_denominator(3, "determinant").coefficient_of("x1", 5)
+    assert report.expected == report.lead
 
 
 def test_dn_checks_requires_two():
