@@ -23,7 +23,7 @@ from .combinat import (
     unfold,
 )
 from .identity import CheckResult, eq4_sides, eq5_sides, eq6_sides, lemma_sides, vanishing_det
-from .poly import LaurentPoly
+from .poly import DEFAULT_MAX_ORDER, LaurentPoly
 from .schur import (
     BoxParams,
     box_det_ratio,
@@ -44,6 +44,7 @@ __all__ = [
     "UnknownCheckError",
     "check_uses_m",
     "expand_checks",
+    "expands_order_n",
     "minimum_n",
     "run_verification",
 ]
@@ -194,19 +195,20 @@ class _CheckSpec:
     uses_m: bool
     min_n: int
     run: Callable[[int | None, int], CheckResult] = field(compare=False)
+    expands_order_n: bool = True
 
 
 _REGISTRY: dict[str, _CheckSpec] = {
     "theorem": _CheckSpec(True, 1, _run_theorem),
     "weyl": _CheckSpec(False, 1, _run_weyl),
-    "lemma": _CheckSpec(False, 1, _run_lemma),
+    "lemma": _CheckSpec(False, 1, _run_lemma, expands_order_n=False),
     "eq4": _CheckSpec(True, 1, _run_eq4),
     "eq5": _CheckSpec(True, 1, _run_eq5),
     "eq6": _CheckSpec(False, 1, _run_eq6),
     "vanishing": _CheckSpec(False, 1, _run_vanishing),
-    "macmahon": _CheckSpec(True, 1, _run_macmahon),
-    "gordon": _CheckSpec(True, 1, _run_gordon),
-    "bijection": _CheckSpec(True, 1, _run_bijection),
+    "macmahon": _CheckSpec(True, 1, _run_macmahon, expands_order_n=False),
+    "gordon": _CheckSpec(True, 1, _run_gordon, expands_order_n=False),
+    "bijection": _CheckSpec(True, 1, _run_bijection, expands_order_n=False),
     "schur-agree": _CheckSpec(True, 1, _run_schur_agree),
     "dn": _CheckSpec(False, 2, _run_dn),
 }
@@ -220,6 +222,11 @@ def check_uses_m(check_id: str) -> bool:
 
 def minimum_n(check_id: str) -> int:
     return _REGISTRY[check_id].min_n
+
+
+def expands_order_n(check_id: str) -> bool:
+    """Whether the check expands an order-n determinant, so n <= DEFAULT_MAX_ORDER."""
+    return _REGISTRY[check_id].expands_order_n
 
 
 def expand_checks(requested: Iterable[str]) -> list[str]:
@@ -247,12 +254,19 @@ def _validate_range(name: str, rng: tuple[int, int]) -> None:
 def run_verification(config: RunConfig) -> list[CheckResult]:
     """Run every requested check over the (m, n) grid; see RunConfig.
 
-    Unknown checks and bad ranges are rejected before any work starts.
+    Unknown checks, bad ranges and an n above DEFAULT_MAX_ORDER for a check
+    that expands an order-n determinant are rejected before any work starts.
     Grid points below a check's minimum n (dn needs n >= 2) are skipped.
     """
     ids = expand_checks(config.checks)
     _validate_range("m", config.m_range)
     _validate_range("n", config.n_range)
+    bounded = [c for c in ids if expands_order_n(c)]
+    if bounded and config.n_range[1] > DEFAULT_MAX_ORDER:
+        raise InvalidRangeError(
+            f"n = {config.n_range[1]} exceeds the order bound {DEFAULT_MAX_ORDER} "
+            f"of {', '.join(bounded)}"
+        )
     if config.parallel < 1:
         raise InvalidRangeError(f"parallel worker count must be >= 1, got {config.parallel}")
 

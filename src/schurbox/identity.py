@@ -18,6 +18,10 @@ Laurent polynomials, so a check is literal equality:
 
 Orientation bookkeeping: the lemma uses later-minus-earlier differences
 prod_{i<j}(x_j - x_i); Schur alternants use prod_{i<j}(x_i - x_j).
+
+The eq4 and eq5 right sides take the Weyl factors (1 - x_i) and
+(x_i x_j - 1) from one builder, :func:`~schurbox.schur.times_bn_factors`,
+which multiplies the alternant sum by them one binomial at a time.
 """
 
 from __future__ import annotations
@@ -37,7 +41,7 @@ from .poly import (
     inversion_count,
 )
 from .combinat import partitions_in_box
-from .schur import BoxParams
+from .schur import BoxParams, times_bn_factors
 
 __all__ = [
     "CheckResult",
@@ -197,23 +201,19 @@ def f_function(n: int) -> LaurentPoly:
     return exact_div(_lemma_lhs(n), _diff_product_reversed(range(1, n + 1)))
 
 
-def _one_minus_x_product(n: int) -> LaurentPoly:
-    out = LaurentPoly.one()
-    for i in range(1, n + 1):
-        out = out * (1 - _x(i))
-    return out
+def _signed_perms(n: int) -> list[tuple[tuple[int, ...], int]]:
+    """(images, sign) for every permutation of 1..n, in lexicographic order."""
+    return [(sigma.images, sigma.sign) for sigma in Permutation.all_perms(n)]
 
 
-def _xx_minus_one_product(n: int) -> LaurentPoly:
-    out = LaurentPoly.one()
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            out = out * (_x(i) * _x(j) - 1)
-    return out
+def _signed_subsets(n: int) -> list[tuple[frozenset[int], int]]:
+    """(members, sign) for every subset of 1..n, in mask order."""
+    return [(subset.members, subset.sign) for subset in SignedSubset.all_subsets(n)]
 
 
 def eq4_sides(box: BoxParams, max_order: int = DEFAULT_MAX_ORDER) -> tuple[LaurentPoly, LaurentPoly]:
-    """Determinant form of the theorem with the Weyl denominator cleared."""
+    """Determinant form of the theorem with the Weyl denominator cleared, one
+    binomial at a time by :func:`~schurbox.schur.times_bn_factors`."""
     m, n = box.m, box.n
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -230,13 +230,13 @@ def eq4_sides(box: BoxParams, max_order: int = DEFAULT_MAX_ORDER) -> tuple[Laure
             for i in range(1, n + 1)
         ]
         alternant_sum = alternant_sum + determinant(PolyMatrix(tuple(tuple(r) for r in rows)), max_order)
-    rhs = alternant_sum * _one_minus_x_product(n) * _xx_minus_one_product(n)
-    return lhs, rhs
+    return lhs, times_bn_factors(alternant_sum, n)
 
 
 def eq5_sides(box: BoxParams, max_order: int = DEFAULT_MAX_ORDER) -> tuple[LaurentPoly, LaurentPoly]:
     """Fully expanded form: sums over permutations and subsets on the left,
-    over partitions and permutations on the right.
+    over partitions and permutations on the right, where the Weyl factors are
+    applied one binomial at a time by :func:`~schurbox.schur.times_bn_factors`.
     """
     m, n = box.m, box.n
     if n < 1:
@@ -244,39 +244,24 @@ def eq5_sides(box: BoxParams, max_order: int = DEFAULT_MAX_ORDER) -> tuple[Laure
     if n > max_order:
         raise OrderTooLargeError(f"n = {n} exceeds bound {max_order}")
 
-    lhs_terms: dict[Monomial, int] = {}
-    for sigma in Permutation.all_perms(n):
-        for subset in SignedSubset.all_subsets(n):
-            exps = {}
-            for i in range(1, n + 1):
-                e = m + 2 * n - sigma(i) if i in subset.members else sigma(i) - 1
-                if e:
-                    exps[f"x{i}"] = e
-            mono = Monomial(exps)
-            c = lhs_terms.get(mono, 0) + sigma.sign * subset.sign
-            if c:
-                lhs_terms[mono] = c
-            elif mono in lhs_terms:
-                del lhs_terms[mono]
-    lhs = LaurentPoly(lhs_terms)
-
-    inner_terms: dict[Monomial, int] = {}
-    for lam in partitions_in_box(m, n):
-        padded = lam.padded(n)
-        for sigma in Permutation.all_perms(n):
-            exps = {}
-            for i in range(1, n + 1):
-                e = padded[sigma(i) - 1] + n - sigma(i)
-                if e:
-                    exps[f"x{i}"] = e
-            mono = Monomial(exps)
-            c = inner_terms.get(mono, 0) + sigma.sign
-            if c:
-                inner_terms[mono] = c
-            elif mono in inner_terms:
-                del inner_terms[mono]
-    rhs = LaurentPoly(inner_terms) * _one_minus_x_product(n) * _xx_minus_one_product(n)
-    return lhs, rhs
+    perms = _signed_perms(n)
+    subsets = _signed_subsets(n)
+    lhs = LaurentPoly(
+        (
+            Monomial(
+                {f"x{i}": m + 2 * n - s if i in members else s - 1 for i, s in enumerate(images, 1)}
+            ),
+            sign * subset_sign,
+        )
+        for images, sign in perms
+        for members, subset_sign in subsets
+    )
+    inner = LaurentPoly(
+        (Monomial({f"x{i}": padded[s - 1] + n - s for i, s in enumerate(images, 1)}), sign)
+        for padded in (lam.padded(n) for lam in partitions_in_box(m, n))
+        for images, sign in perms
+    )
+    return lhs, times_bn_factors(inner, n)
 
 
 def eq6_sides(n: int, max_order: int = DEFAULT_MAX_ORDER) -> tuple[LaurentPoly, LaurentPoly]:
@@ -299,26 +284,20 @@ def eq6_sides(n: int, max_order: int = DEFAULT_MAX_ORDER) -> tuple[LaurentPoly, 
     if n > max_order:
         raise OrderTooLargeError(f"n = {n} exceeds bound {max_order}")
 
-    lhs_terms: dict[Monomial, int] = {}
-    for sigma in Permutation.all_perms(n):
-        for subset in SignedSubset.all_subsets(n):
-            exps: dict[str, int] = {}
-            for i in range(1, n + 1):
-                if i in subset.members:
-                    exps[f"t{i}"] = 1
-                    e = 1 - sigma(i)
-                else:
-                    e = sigma(i) - 1
-                if e:
-                    exps[f"x{i}"] = e
-            mono = Monomial(exps)
-            c = lhs_terms.get(mono, 0) + sigma.sign * subset.sign
-            if c:
-                lhs_terms[mono] = c
-            elif mono in lhs_terms:
-                del lhs_terms[mono]
-    lhs = LaurentPoly(lhs_terms)
+    subsets = _signed_subsets(n)
+    lhs = LaurentPoly(
+        (
+            Monomial(
+                [(f"t{i}", 1) for i in members]
+                + [(f"x{i}", 1 - s if i in members else s - 1) for i, s in enumerate(images, 1)]
+            ),
+            sign * subset_sign,
+        )
+        for images, sign in _signed_perms(n)
+        for members, subset_sign in subsets
+    )
 
+    sub_perms = _signed_perms(n - 1)
     rhs = LaurentPoly.zero()
     for subset in SignedSubset.all_subsets(n):
         if not subset.is_proper:
@@ -337,23 +316,18 @@ def eq6_sides(n: int, max_order: int = DEFAULT_MAX_ORDER) -> tuple[LaurentPoly, 
                 if i != k:
                     prefactor = prefactor * (_x(i) * _x(k) - 1)
             domain = [i for i in range(1, n + 1) if i != k]
-            inner_terms: dict[Monomial, int] = {}
-            for images in itertools.permutations(range(1, n)):
-                sgn = -1 if inversion_count(images) & 1 else 1
-                exps = {}
-                for i, j in zip(domain, images):
-                    if i in subset.members:
-                        exps[f"t{i}"] = 1
-                        exps[f"x{i}"] = -j
-                    else:
-                        exps[f"x{i}"] = j
-                mono = Monomial(exps)
-                c = inner_terms.get(mono, 0) + sgn
-                if c:
-                    inner_terms[mono] = c
-                elif mono in inner_terms:
-                    del inner_terms[mono]
-            ksum = ksum + prefactor * LaurentPoly(inner_terms)
+            inner = LaurentPoly(
+                (
+                    Monomial(
+                        [(f"t{i}", 1) for i in domain if i in subset.members]
+                        + [(f"x{i}", -j if i in subset.members else j)
+                           for i, j in zip(domain, images)]
+                    ),
+                    sign,
+                )
+                for images, sign in sub_perms
+            )
+            ksum = ksum + prefactor * inner
         rhs = rhs + subset.sign * exact_div(ksum, denom) * t_numerator
     return lhs, rhs
 

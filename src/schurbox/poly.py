@@ -613,7 +613,9 @@ def exact_div(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
     Both operands are shifted by per-variable monomials so all exponents are
     non-negative, divided by multivariate long division under the graded-lex
     order, and the quotient is shifted back (so quotients may carry negative
-    exponents).  Raises NotDivisibleError as soon as divisibility fails.
+    exponents).  Raises NotDivisibleError as soon as divisibility fails; its
+    message gives the remainder's leading exponents in the dividend's
+    (unshifted) Laurent coordinates.
 
     Each shifted exponent vector is packed into one int whose base
     ``2**bits`` digits are ``(total degree, e_1, ..., e_k)``, most significant
@@ -679,9 +681,8 @@ def exact_div(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
         lead = unpack(-neg_lead)
         q_vec = tuple(a - b for a, b in zip(lead, den_lead))
         if any(e < 0 for e in q_vec) or lead_coeff % den_lead_coeff:
-            raise NotDivisibleError(
-                f"nonzero remainder: leading term has exponents {dict(zip(universe, lead))}"
-            )
+            exps = {v: e + num_min[v] for v, e in zip(universe, lead)}
+            raise NotDivisibleError(f"nonzero remainder: leading term has exponents {exps}")
         q_coeff = lead_coeff // den_lead_coeff
         quotient[q_vec] = q_coeff
         neg_q = neg_lead - neg_den_lead

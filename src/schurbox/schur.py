@@ -38,6 +38,7 @@ __all__ = [
     "schur_box_sum",
     "schur_via_bialternant",
     "schur_via_tableaux",
+    "times_bn_factors",
     "vandermonde",
     "weyl_denominator",
     "xvars",
@@ -136,10 +137,26 @@ def _weyl_det(names: Sequence[str], max_order: int = DEFAULT_MAX_ORDER) -> Laure
     return determinant(PolyMatrix.from_rows(rows), max_order)
 
 
+def times_bn_factors(poly: LaurentPoly, n: int) -> LaurentPoly:
+    """poly * prod_i (1 - x_i) * prod_{i<j} (x_i x_j - 1), one binomial at a time.
+
+    These are the type-B_n Weyl factors other than prod_{i<j}(x_i - x_j).
+    Each step multiplies the running product by one two-term factor, so it
+    costs 2 * len(running product) term products.
+    """
+    xs = [LaurentPoly.variable(v) for v in xvars(n)]
+    for xi in xs:
+        poly = poly * (1 - xi)
+    for i, xi in enumerate(xs):
+        for xj in xs[i + 1:]:
+            poly = poly * (xi * xj - 1)
+    return poly
+
+
 def weyl_denominator(n: int, form: str = "determinant") -> LaurentPoly:
     """Type-B_n Weyl denominator, as a determinant or as the product
 
-    prod_i (1 - x_i) * prod_{i<j} (x_i - x_j)(x_i x_j - 1).
+    prod_i (1 - x_i) * prod_{i<j} (x_i - x_j)(x_i x_j - 1), built one binomial at a time.
     """
     if n < 1:
         raise ValueError("order must be at least 1")
@@ -147,14 +164,7 @@ def weyl_denominator(n: int, form: str = "determinant") -> LaurentPoly:
         return _weyl_det(xvars(n))
     if form != "product":
         raise ValueError(f"unknown form {form!r}")
-    out = LaurentPoly.one()
-    for i in range(1, n + 1):
-        out = out * (1 - LaurentPoly.variable(f"x{i}"))
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            xi, xj = LaurentPoly.variable(f"x{i}"), LaurentPoly.variable(f"x{j}")
-            out = out * (xi - xj) * (xi * xj - 1)
-    return out
+    return times_bn_factors(vandermonde(xvars(n)), n)
 
 
 @dataclass(frozen=True)

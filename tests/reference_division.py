@@ -3,7 +3,9 @@
 Kept only as a reference for differential tests: it finds each leading term
 with a linear ``max`` over the remainder, so it costs
 O(|quotient| * |remainder|) key builds, but its logic is the plain textbook
-algorithm.  The body is the earlier ``exact_div`` verbatim.
+algorithm.  The body is the earlier ``exact_div`` verbatim, except that the
+NotDivisibleError message gives the remainder's leading exponents in the
+dividend's Laurent coordinates, as ``exact_div`` does.
 """
 
 from __future__ import annotations
@@ -54,9 +56,8 @@ def reference_exact_div(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
         lead_coeff = remainder[lead]
         q_vec = tuple(a - b for a, b in zip(lead, den_lead))
         if any(e < 0 for e in q_vec) or lead_coeff % den_lead_coeff:
-            raise NotDivisibleError(
-                f"nonzero remainder: leading term has exponents {dict(zip(universe, lead))}"
-            )
+            exps = {v: e + num_min[v] for v, e in zip(universe, lead)}
+            raise NotDivisibleError(f"nonzero remainder: leading term has exponents {exps}")
         q_coeff = lead_coeff // den_lead_coeff
         quotient[q_vec] = quotient.get(q_vec, 0) + q_coeff
         for d_vec, d_coeff in den_vecs.items():

@@ -12,6 +12,7 @@ from schurbox.checks import (
     RunConfig,
     UnknownCheckError,
     expand_checks,
+    expands_order_n,
     run_verification,
 )
 
@@ -75,6 +76,18 @@ def test_all_expands_anywhere_and_repeats_drop():
         expand_checks(["all", "nonsense"])
 
 
+def test_order_bound_covers_the_determinant_checks():
+    assert [c for c in CHECK_IDS if not expands_order_n(c)] == [
+        "lemma", "macmahon", "gordon", "bijection",
+    ]
+
+
+def test_n_over_order_bound_rejected_before_work():
+    for check_id in ("theorem", "eq5", "all"):
+        with pytest.raises(InvalidRangeError, match="order bound 8"):
+            run_verification(RunConfig((check_id,), (1, 1), (1, 9)))
+
+
 def test_dn_skips_n_below_two():
     results = run_verification(RunConfig(("dn",), (1, 1), (1, 2)))
     assert [(r.identity, r.n) for r in results] == [("dn", 2)]
@@ -117,6 +130,15 @@ def test_cli_bad_range_is_usage_error():
     assert proc.returncode == 2
     proc = run_cli("verify", "--checks", "theorem", "--n", "x..1")
     assert proc.returncode == 2
+
+
+@pytest.mark.parametrize("check_id", ["eq5", "theorem"])
+def test_cli_n_over_order_bound_is_usage_error(check_id):
+    proc = run_cli("verify", "--checks", check_id, "--n", "9")
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: n = 9 exceeds the order bound 8")
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
 
 
 def test_cli_json_output_is_valid_and_deterministic():

@@ -16,7 +16,15 @@ from schurbox.identity import (
     vanishing_det,
 )
 from schurbox.poly import LaurentPoly, Monomial, OrderTooLargeError
-from schurbox.schur import BoxParams, box_det_ratio, weyl_denominator
+from schurbox.schur import (
+    BoxParams,
+    box_det_ratio,
+    schur_box_sum,
+    times_bn_factors,
+    vandermonde,
+    weyl_denominator,
+    xvars,
+)
 
 P = LaurentPoly
 x1, x2 = P.variable("x1"), P.variable("x2")
@@ -130,6 +138,38 @@ def test_eq5_sides_equal_and_match_eq4(m, n):
     assert lhs5 == rhs5
     assert lhs5 == lhs4
     assert rhs5 == rhs4
+
+
+def whole_product_rhs(inner, n):
+    """inner * prod_i (1 - x_i) * prod_{i<j} (x_i x_j - 1), each product built whole.
+
+    The form the eq4/eq5 right sides had before ``times_bn_factors``; kept
+    only as the reference for the binomial-at-a-time path.
+    """
+    xs = [P.variable(v) for v in xvars(n)]
+    one_minus_x = P.one()
+    for xi in xs:
+        one_minus_x = one_minus_x * (1 - xi)
+    xx_minus_one = P.one()
+    for i in range(n):
+        for j in range(i + 1, n):
+            xx_minus_one = xx_minus_one * (xs[i] * xs[j] - 1)
+    return inner * one_minus_x * xx_minus_one
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_eq4_eq5_rhs_match_whole_product_reference(m, n):
+    # the alternant sum comes from the tableau box sum, not from a determinant
+    box = BoxParams(m, n)
+    expected = whole_product_rhs(schur_box_sum(box) * vandermonde(xvars(n)), n)
+    assert eq4_sides(box)[1] == expected
+    assert eq5_sides(box)[1] == expected
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_bn_factor_builder_gives_the_weyl_determinant(n):
+    assert times_bn_factors(vandermonde(xvars(n)), n) == weyl_denominator(n, "determinant")
 
 
 @pytest.mark.parametrize("m", [1, 2])

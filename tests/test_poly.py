@@ -174,6 +174,12 @@ def test_exact_div_leading_coefficient_must_divide():
     assert exact_div(6 * x1 + 2, 3 * x1 + 1) == 2
 
 
+def test_exact_div_error_reports_laurent_exponents():
+    # the remainder is 1 + x1^-3, whose leading term is 1, not the shifted x1^3
+    with pytest.raises(NotDivisibleError, match=r"exponents \{'q': 0, 'x1': 0\}\Z"):
+        exact_div(P.variable("x1", -3) + q, 1 - q)
+
+
 def test_exact_div_eleven_variables():
     names = ["q"] + [f"t{i}" for i in range(1, 6)] + [f"x{i}" for i in range(1, 6)]
     v = [P.variable(name) for name in names]
