@@ -17,6 +17,7 @@ The package splits into:
 
 from .poly import (
     DEFAULT_MAX_ORDER,
+    ExponentRangeError,
     LaurentPoly,
     Monomial,
     NotDivisibleError,
@@ -84,6 +85,7 @@ __all__ = [
     "ColumnStrictPP",
     "DEFAULT_MAX_ORDER",
     "DnReport",
+    "ExponentRangeError",
     "InvalidRangeError",
     "LaurentPoly",
     "MalformedInputError",

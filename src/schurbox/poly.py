@@ -4,35 +4,51 @@ Every identity this package verifies is an equality in the ring
 Z[q, q^-1, t1, t1^-1, ..., x1, x1^-1, ...], so all arithmetic here is exact
 and "equal" means literal equality of canonical term maps.
 
-Representation: a polynomial is a map {Monomial: nonzero int}; a monomial is
-a sorted tuple of (variable, exponent) pairs with no zero exponents, and
-exponents may be negative.  Variable names come from the fixed namespace
-``q``, ``t1, t2, ...``, ``x1, x2, ...`` (in that order).
+Representation: a polynomial is a map {key: nonzero int}.  A key packs a
+monomial's exponents into one Python int as signed digits of
+``DIGIT_BITS`` bits: variable v at fixed position p(v) contributes
+``e_v * 2**(DIGIT_BITS * p(v))``, with p(q) = 0, p(t_i) = 2i - 1 and
+p(x_i) = 2i.  The monomial 1 is the key 0, and since every digit stays in
+``[-MAX_EXPONENT, MAX_EXPONENT]`` no digit carries into the next, so
+multiplying monomials is adding keys.  Each polynomial carries a bound on
+the absolute value of its exponents; a product whose operand bounds sum past
+``MAX_EXPONENT`` raises :class:`ExponentRangeError` before any key is built.
+:class:`Monomial` is the boundary type that wraps one key.  Keys are
+decoded only at the boundary (canonical text, ``Monomial.pairs``,
+``variables()``, substitution and the entry and exit of :func:`exact_div`),
+in bulk: every digit is biased to an unsigned value, and all keys of one
+polynomial are read through one ``memoryview``.
 
-The canonical term order is graded lexicographic: total degree first, then
-the exponent vector compared variable by variable.  Canonical text output
-lists terms in ascending order, so q-series read naturally:
-``1 + q + q^3 + q^4``.
+Variable names come from the fixed namespace ``q``, ``t1, t2, ...``,
+``x1, x2, ...`` (in that order).  The canonical term order is graded
+lexicographic: total degree first, then the exponent vector compared
+variable by variable in that order.  Canonical text output lists terms in
+ascending order, so q-series read naturally: ``1 + q + q^3 + q^4``.
 
-Exact division (:func:`exact_div`) has its own local encoding: it packs each
-shifted exponent vector into one int with base ``2**bits`` digits
-``(total degree, e_1, ..., e_k)``, so integer order is graded-lex order, and
-finds leading terms with a heap that shares its int keys with the remainder
-dict.  Its docstring gives the digit-width bound.
+Exact division (:func:`exact_div`) packs each shifted exponent vector once
+more, into base ``2**bits`` digits ``(total degree, e_1, ..., e_k)`` with
+non-negative digits, so integer order is graded-lex order, and finds leading
+terms with a heap that shares its int keys with the remainder dict.  Its
+docstring gives the digit-width bound.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
+import struct
+import sys
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
-from functools import lru_cache, total_ordering
+from functools import lru_cache
 import re
 
 __all__ = [
     "DEFAULT_MAX_ORDER",
+    "DIGIT_BITS",
+    "ExponentRangeError",
     "LaurentPoly",
+    "MAX_EXPONENT",
     "Monomial",
     "NotDivisibleError",
     "OrderTooLargeError",
@@ -47,9 +63,22 @@ __all__ = [
 # keeps accidental blow-ups out of verification sweeps.
 DEFAULT_MAX_ORDER = 8
 
+# Width of one exponent digit in a packed key, and the largest |exponent|.
+DIGIT_BITS = 32
+MAX_EXPONENT = (1 << (DIGIT_BITS - 1)) - 1
+_BASE = 1 << DIGIT_BITS
+_HALF = 1 << (DIGIT_BITS - 1)  # added to each digit to make it unsigned
+_DIGIT_FORMAT = "I"
+if struct.calcsize(_DIGIT_FORMAT) * 8 != DIGIT_BITS:
+    raise ImportError(f"memoryview format {_DIGIT_FORMAT!r} is not {DIGIT_BITS} bits here")
+
 
 class NotDivisibleError(ArithmeticError):
     """Exact polynomial division left a nonzero remainder."""
+
+
+class ExponentRangeError(ArithmeticError):
+    """An exponent does not fit the packed digit range ``±MAX_EXPONENT``."""
 
 
 class OrderTooLargeError(ValueError):
@@ -59,38 +88,120 @@ class OrderTooLargeError(ValueError):
 _VAR_RE = re.compile(r"(?:q|[tx][1-9][0-9]*)\Z")
 
 
-@lru_cache(maxsize=None)
-def _var_key(name: str) -> tuple[str, int]:
-    """Sort key fixing the variable order q < t1 < t2 < ... < x1 < x2 < ..."""
+@lru_cache(maxsize=256)
+def _position(name: str) -> int:
+    """Digit position of a variable: q -> 0, t_i -> 2i - 1, x_i -> 2i."""
     if not _VAR_RE.match(name):
         raise ValueError(f"unknown variable {name!r}: expected q, tN, or xN")
     if name == "q":
-        return ("q", 0)
-    return (name[0], int(name[1:]))
+        return 0
+    return 2 * int(name[1:]) - (name[0] == "t")
 
 
-def _sorted_pairs(exponents: Iterable[tuple[str, int]]) -> tuple[tuple[str, int], ...]:
-    return tuple(sorted(exponents, key=lambda p: _var_key(p[0])))
+def _name(pos: int) -> str:
+    return "q" if pos == 0 else f"{'tx'[(pos + 1) % 2]}{(pos + 1) // 2}"
 
 
-@total_ordering
+def _canonical_positions(npos: int) -> list[int]:
+    """Positions 0..npos-1 in variable order q < t1 < t2 < ... < x1 < x2 < ..."""
+    return [0, *range(1, npos, 2), *range(2, npos, 2)]
+
+
+def _checked_exponent(exp: int, pos: int) -> int:
+    if not -MAX_EXPONENT <= exp <= MAX_EXPONENT:
+        raise ExponentRangeError(
+            f"exponent {exp} of {_name(pos)} is outside the packed range ±{MAX_EXPONENT}"
+        )
+    return exp
+
+
+def _checked_bound(bound: int) -> int:
+    """``bound`` if every exponent up to it in absolute value fits a digit."""
+    if bound > MAX_EXPONENT:
+        raise ExponentRangeError(
+            f"exponents may reach {bound} in absolute value, outside the packed "
+            f"range ±{MAX_EXPONENT}"
+        )
+    return bound
+
+
+def _span(keys: Iterable[int]) -> int:
+    """Number of digit positions up to the highest nonzero digit of any key (at least 1)."""
+    return max(map(abs, keys), default=0).bit_length() // DIGIT_BITS + 1
+
+
+def _digits(keys: Iterable[int], npos: int = 0) -> tuple[int, memoryview]:
+    """All keys' digits as one flat buffer, each digit biased by ``_HALF``.
+
+    Returns ``(npos, flat)`` with ``flat[t * npos + p] - _HALF`` the exponent
+    at position p of the t-th key; ``npos`` covers every key and is at least
+    the ``npos`` given.  Adding ``_HALF`` to every digit makes each digit
+    unsigned without a carry, so the bytes of one int hold them all.
+    """
+    npos = max(npos, _span(keys))
+    bias = _HALF * ((_BASE**npos - 1) // (_BASE - 1))
+    nbytes = npos * DIGIT_BITS // 8
+    order = sys.byteorder
+    buf = b"".join([(k + bias).to_bytes(nbytes, order) for k in keys])
+    return npos, memoryview(buf).cast(_DIGIT_FORMAT)
+
+
+def _bound(keys: Iterable[int]) -> int:
+    """Largest absolute exponent over the keys (0 for none)."""
+    _, flat = _digits(keys)
+    if not flat:
+        return 0
+    return max(max(flat) - _HALF, _HALF - min(flat))
+
+
+def _used_positions(flat: memoryview, npos: int) -> list[int]:
+    """Positions, in variable order, where some key has a nonzero digit."""
+    out = []
+    for p in _canonical_positions(npos):
+        col = flat[p::npos]
+        if col and (min(col) != _HALF or max(col) != _HALF):
+            out.append(p)
+    return out
+
+
+def _factors_text(pairs: Iterable[tuple[str, int]]) -> str:
+    return "*".join(v if e == 1 else f"{v}^{e}" for v, e in pairs) or "1"
+
+
+def _accumulate(out: dict[int, int], items: Iterable[tuple[int, int]]) -> dict[int, int]:
+    """Add (key, coefficient) pairs into ``out``, dropping keys that sum to 0."""
+    get = out.get
+    for key, coeff in items:
+        coeff += get(key, 0)
+        if coeff:
+            out[key] = coeff
+        else:
+            out.pop(key, None)
+    return out
+
+
 class Monomial:
-    """A product of variable powers; absent variables have exponent 0."""
+    """A product of variable powers; absent variables have exponent 0.
 
-    __slots__ = ("pairs",)
+    ``key`` is the packed exponent int described in the module docstring.
+    """
+
+    __slots__ = ("key",)
 
     def __init__(self, exponents: Mapping[str, int] | Iterable[tuple[str, int]] = ()):
         items = exponents.items() if isinstance(exponents, Mapping) else exponents
-        merged: dict[str, int] = {}
+        merged: dict[int, int] = {}
         for var, exp in items:
-            _var_key(var)
-            merged[var] = merged.get(var, 0) + int(exp)
-        self.pairs = _sorted_pairs((v, e) for v, e in merged.items() if e)
+            pos = _position(var)
+            merged[pos] = merged.get(pos, 0) + int(exp)
+        self.key = sum(
+            _checked_exponent(e, p) << (DIGIT_BITS * p) for p, e in merged.items()
+        )
 
     @classmethod
-    def _make(cls, pairs: tuple[tuple[str, int], ...]) -> Monomial:
+    def _make(cls, key: int) -> Monomial:
         mono = object.__new__(cls)
-        mono.pairs = pairs
+        mono.key = key
         return mono
 
     @classmethod
@@ -99,19 +210,22 @@ class Monomial:
 
     @classmethod
     def variable(cls, name: str, exp: int = 1) -> Monomial:
-        _var_key(name)
-        if exp == 0:
-            return _MONO_ONE
-        return cls._make(((name, int(exp)),))
+        pos = _position(name)
+        return cls._make(_checked_exponent(int(exp), pos) << (DIGIT_BITS * pos))
+
+    @property
+    def pairs(self) -> tuple[tuple[str, int], ...]:
+        """(variable, exponent) pairs with nonzero exponent, in variable order."""
+        npos, flat = _digits((self.key,))
+        return tuple(
+            (_name(p), flat[p] - _HALF) for p in _canonical_positions(npos) if flat[p] != _HALF
+        )
 
     def exponents(self) -> dict[str, int]:
         return dict(self.pairs)
 
     def exponent(self, var: str) -> int:
-        for v, e in self.pairs:
-            if v == var:
-                return e
-        return 0
+        return self.exponents().get(var, 0)
 
     @property
     def degree(self) -> int:
@@ -121,28 +235,17 @@ class Monomial:
         return {v for v, _ in self.pairs}
 
     def is_one(self) -> bool:
-        return not self.pairs
+        return not self.key
 
     def __mul__(self, other: Monomial) -> Monomial:
         if not isinstance(other, Monomial):
             return NotImplemented
-        if not self.pairs:
-            return other
-        if not other.pairs:
-            return self
-        merged = dict(self.pairs)
-        for v, e in other.pairs:
-            ne = merged.get(v, 0) + e
-            if ne:
-                merged[v] = ne
-            else:
-                del merged[v]
-        return Monomial._make(_sorted_pairs(merged.items()))
+        _checked_bound(_bound((self.key,)) + _bound((other.key,)))
+        return Monomial._make(self.key + other.key)
 
     def __pow__(self, exp: int) -> Monomial:
-        if exp == 0:
-            return _MONO_ONE
-        return Monomial._make(tuple((v, e * exp) for v, e in self.pairs))
+        _checked_bound(_bound((self.key,)) * abs(exp))
+        return Monomial._make(self.key * exp)
 
     def __truediv__(self, other: Monomial) -> Monomial:
         if not isinstance(other, Monomial):
@@ -150,89 +253,50 @@ class Monomial:
         return self * other**-1
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, Monomial) and self.pairs == other.pairs
+        return isinstance(other, Monomial) and self.key == other.key
 
     def __hash__(self) -> int:
-        return hash(self.pairs)
-
-    def _cmp(self, other: Monomial) -> int:
-        """Graded-lex comparison; earlier variables dominate the lex step."""
-        if self.pairs == other.pairs:
-            return 0
-        da, db = self.degree, other.degree
-        if da != db:
-            return 1 if da > db else -1
-        ia = ib = 0
-        pa, pb = self.pairs, other.pairs
-        while ia < len(pa) or ib < len(pb):
-            ka = _var_key(pa[ia][0]) if ia < len(pa) else None
-            kb = _var_key(pb[ib][0]) if ib < len(pb) else None
-            if kb is None or (ka is not None and ka < kb):
-                ea, eb = pa[ia][1], 0
-                ia += 1
-            elif ka is None or kb < ka:
-                ea, eb = 0, pb[ib][1]
-                ib += 1
-            else:
-                ea, eb = pa[ia][1], pb[ib][1]
-                ia += 1
-                ib += 1
-            if ea != eb:
-                return 1 if ea > eb else -1
-        return 0
-
-    def __lt__(self, other: Monomial) -> bool:
-        if not isinstance(other, Monomial):
-            return NotImplemented
-        return self._cmp(other) < 0
+        return hash(self.key)
 
     def factors_text(self) -> str:
         """Render as ``q^2*x1`` (or ``1`` for the empty monomial)."""
-        if not self.pairs:
-            return "1"
-        return "*".join(v if e == 1 else f"{v}^{e}" for v, e in self.pairs)
+        return _factors_text(self.pairs)
 
     def __repr__(self) -> str:
         return f"Monomial({self.factors_text()})"
 
 
-_MONO_ONE = Monomial._make(())
+_MONO_ONE = Monomial._make(0)
 
 
 class LaurentPoly:
     """Sparse Laurent polynomial with exact integer coefficients.
 
     Instances are immutable by convention; all operations return new values,
-    so they are safe to share across threads.
+    so they are safe to share across threads.  ``_bound`` is at least the
+    largest absolute exponent of any term.
     """
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_terms", "_bound")
 
     def __init__(
         self,
         terms: Mapping[Monomial, int] | Iterable[tuple[Monomial, int]] = (),
     ):
         items = terms.items() if isinstance(terms, Mapping) else terms
-        data: dict[Monomial, int] = {}
-        for mono, coeff in items:
-            if not isinstance(mono, Monomial):
-                raise TypeError(f"term key must be a Monomial, got {type(mono).__name__}")
-            c = data.get(mono, 0) + int(coeff)
-            if c:
-                data[mono] = c
-            elif mono in data:
-                del data[mono]
-        self._terms = data
+        self._terms = _accumulate({}, ((_key_of(mono), int(coeff)) for mono, coeff in items))
+        self._bound = _bound(self._terms)
 
     @classmethod
-    def _make(cls, data: dict[Monomial, int]) -> LaurentPoly:
+    def _make(cls, data: dict[int, int], bound: int) -> LaurentPoly:
         poly = object.__new__(cls)
         poly._terms = data
+        poly._bound = bound
         return poly
 
     @classmethod
     def zero(cls) -> LaurentPoly:
-        return cls._make({})
+        return cls._make({}, 0)
 
     @classmethod
     def one(cls) -> LaurentPoly:
@@ -240,15 +304,15 @@ class LaurentPoly:
 
     @classmethod
     def constant(cls, value: int) -> LaurentPoly:
-        return cls._make({_MONO_ONE: int(value)} if value else {})
+        return cls._make({0: int(value)} if value else {}, 0)
 
     @classmethod
     def variable(cls, name: str, exp: int = 1) -> LaurentPoly:
-        return cls._make({Monomial.variable(name, exp): 1})
+        return cls._make({Monomial.variable(name, exp).key: 1}, abs(int(exp)))
 
     @classmethod
     def term(cls, mono: Monomial, coeff: int = 1) -> LaurentPoly:
-        return cls._make({mono: int(coeff)} if coeff else {})
+        return cls._make({mono.key: int(coeff)} if coeff else {}, _bound((mono.key,)))
 
     # -- queries ----------------------------------------------------------
 
@@ -262,29 +326,42 @@ class LaurentPoly:
         return len(self._terms)
 
     def terms(self) -> tuple[tuple[Monomial, int], ...]:
-        return tuple(self._terms.items())
+        return tuple((Monomial._make(k), c) for k, c in self._terms.items())
+
+    def _grlex_rows(self) -> tuple[list[str], list[tuple[int, list[int], int, int]]]:
+        """Variable names in canonical order, and one row per term in ascending
+        graded-lex order: (biased degree, biased exponents by name, key, coeff).
+
+        The bias adds the same constant to every row's degree and to every
+        entry, so it does not change the order.
+        """
+        npos, flat = _digits(self._terms)
+        names = [_name(p) for p in _canonical_positions(npos)]
+        digits = flat.tolist()
+        rows = []
+        for t, (key, coeff) in enumerate(self._terms.items()):
+            d = digits[t * npos:(t + 1) * npos]
+            rows.append((sum(d), d[:1] + d[1::2] + d[2::2], key, coeff))
+        rows.sort()
+        return names, rows
 
     def sorted_terms(self) -> list[tuple[Monomial, int]]:
         """Terms in ascending canonical (graded-lex) order."""
-        return sorted(self._terms.items(), key=lambda item: _GrlexKey(item[0]))
+        return [(Monomial._make(key), coeff) for _, _, key, coeff in self._grlex_rows()[1]]
 
     def coefficient(self, mono: Monomial) -> int:
-        return self._terms.get(mono, 0)
+        return self._terms.get(mono.key, 0)
 
     def variables(self) -> set[str]:
-        out: set[str] = set()
-        for mono in self._terms:
-            out.update(v for v, _ in mono.pairs)
-        return out
+        npos, flat = _digits(self._terms)
+        return {_name(p) for p in _used_positions(flat, npos)}
 
     def constant_value(self) -> int:
         """The value of a constant polynomial; error if any variable remains."""
         if not self._terms:
             return 0
-        if len(self._terms) == 1:
-            mono, coeff = next(iter(self._terms.items()))
-            if not mono.pairs:
-                return coeff
+        if len(self._terms) == 1 and 0 in self._terms:
+            return self._terms[0]
         raise ValueError(f"polynomial is not constant: {self.to_text()}")
 
     # -- ring operations --------------------------------------------------
@@ -298,14 +375,12 @@ class LaurentPoly:
         return None
 
     def _add_scaled(self, other: LaurentPoly, scale: int) -> LaurentPoly:
-        out = dict(self._terms)
-        for mono, coeff in other._terms.items():
-            c = out.get(mono, 0) + scale * coeff
-            if c:
-                out[mono] = c
-            elif mono in out:
-                del out[mono]
-        return LaurentPoly._make(out)
+        items = other._terms.items()
+        if scale != 1:
+            items = ((k, scale * c) for k, c in items)
+        return LaurentPoly._make(
+            _accumulate(dict(self._terms), items), max(self._bound, other._bound)
+        )
 
     def __add__(self, other: object) -> LaurentPoly:
         rhs = self._coerce(other)
@@ -328,7 +403,7 @@ class LaurentPoly:
         return lhs._add_scaled(self, -1)
 
     def __neg__(self) -> LaurentPoly:
-        return LaurentPoly._make({m: -c for m, c in self._terms.items()})
+        return LaurentPoly._make({k: -c for k, c in self._terms.items()}, self._bound)
 
     def __mul__(self, other: object) -> LaurentPoly:
         rhs = self._coerce(other)
@@ -336,16 +411,18 @@ class LaurentPoly:
             return NotImplemented
         if not self._terms or not rhs._terms:
             return LaurentPoly.zero()
-        out: dict[Monomial, int] = {}
-        for m1, c1 in self._terms.items():
-            for m2, c2 in rhs._terms.items():
-                mono = m1 * m2
-                c = out.get(mono, 0) + c1 * c2
+        bound = _checked_bound(self._bound + rhs._bound)
+        out: dict[int, int] = {}
+        get = out.get
+        for k1, c1 in self._terms.items():
+            for k2, c2 in rhs._terms.items():
+                key = k1 + k2
+                c = get(key, 0) + c1 * c2
                 if c:
-                    out[mono] = c
-                elif mono in out:
-                    del out[mono]
-        return LaurentPoly._make(out)
+                    out[key] = c
+                else:
+                    del out[key]
+        return LaurentPoly._make(out, bound)
 
     __rmul__ = __mul__
 
@@ -380,58 +457,68 @@ class LaurentPoly:
         1 (erase the variable) and 0 (kill every term where it appears with
         positive exponent; negative exponents raise ZeroDivisionError).
         Unassigned variables pass through.
+
+        A term's new key is its key plus, for each assigned position p with
+        exponent e_p, ``e_p * (image key - key of the variable)``.
         """
-        norm: dict[str, Monomial | int] = {}
+        images: list[tuple[int, int]] = []  # (position, image key - variable key)
+        zeros: list[int] = []
+        image_bound = 0
         for var, target in assignments.items():
-            _var_key(var)
+            pos = _position(var)
             if isinstance(target, Monomial):
-                norm[var] = target
+                image = target.key
             elif isinstance(target, str):
-                norm[var] = Monomial.variable(target)
+                image = Monomial.variable(target).key
             elif isinstance(target, int) and target in (0, 1):
-                norm[var] = target
+                if target == 0:
+                    zeros.append(pos)
+                    continue
+                image = 0
             else:
                 raise ValueError(f"unsupported substitution target for {var!r}: {target!r}")
+            images.append((pos, image - (1 << (DIGIT_BITS * pos))))
+            image_bound += _bound((image,))
+        # |new exponent of v| <= bound * ([v unassigned] + sum of |image exponents of v|)
+        bound = _checked_bound(self._bound * (1 + image_bound))
 
-        out: dict[Monomial, int] = {}
-        for mono, coeff in self._terms.items():
-            exps: dict[str, int] = {}
-            killed = False
-            for v, e in mono.pairs:
-                target = norm.get(v)
-                if target is None:
-                    exps[v] = exps.get(v, 0) + e
-                elif isinstance(target, int):
-                    if target == 0:
-                        if e < 0:
-                            raise ZeroDivisionError(
-                                f"cannot substitute 0 for {v} with exponent {e}"
-                            )
-                        killed = True
+        npos, flat = _digits(self._terms)
+        keys = list(self._terms)
+        for pos, delta in images:
+            if pos < npos and delta:
+                keys = [k + (d - _HALF) * delta for k, d in zip(keys, flat[pos::npos])]
+        items = zip(keys, self._terms.values())
+        if zeros:
+            # A term's fate is set by its first zero-target variable (in
+            # variable order) that it contains.
+            cols = [(p, flat[p::npos]) for p in _canonical_positions(npos) if p in zeros]
+            alive = []
+            for t in range(len(keys)):
+                for p, col in cols:
+                    e = col[t] - _HALF
+                    if e < 0:
+                        raise ZeroDivisionError(
+                            f"cannot substitute 0 for {_name(p)} with exponent {e}"
+                        )
+                    if e:
+                        alive.append(False)
                         break
-                    # target == 1: variable disappears
                 else:
-                    for tv, te in target.pairs:
-                        exps[tv] = exps.get(tv, 0) + te * e
-            if killed:
-                continue
-            new_mono = Monomial._make(_sorted_pairs((v, e) for v, e in exps.items() if e))
-            c = out.get(new_mono, 0) + coeff
-            if c:
-                out[new_mono] = c
-            elif new_mono in out:
-                del out[new_mono]
-        return LaurentPoly._make(out)
+                    alive.append(True)
+            items = itertools.compress(items, alive)
+        return LaurentPoly._make(_accumulate({}, items), bound)
 
     def coefficient_of(self, var: str, exp: int) -> LaurentPoly:
         """The polynomial coefficient of ``var**exp`` (a poly in the rest)."""
-        _var_key(var)
-        out: dict[Monomial, int] = {}
-        for mono, coeff in self._terms.items():
-            if mono.exponent(var) == exp:
-                rest = Monomial._make(tuple((v, e) for v, e in mono.pairs if v != var))
-                out[rest] = coeff
-        return LaurentPoly._make(out)
+        pos = _position(var)
+        npos, flat = _digits(self._terms, pos + 1)
+        shift = exp << (DIGIT_BITS * pos)
+        out = {
+            k - shift: c
+            for (k, c), d in zip(self._terms.items(), flat[pos::npos])
+            if d - _HALF == exp
+        }
+        return LaurentPoly._make(out, self._bound)
 
     # -- canonical text format ---------------------------------------------
 
@@ -439,11 +526,13 @@ class LaurentPoly:
         """Canonical text: ascending graded-lex terms, e.g. ``1 - q^2``."""
         if not self._terms:
             return "0"
+        names, rows = self._grlex_rows()
         chunks: list[str] = []
-        for k, (mono, coeff) in enumerate(self.sorted_terms()):
+        for k, (_, exps, _, coeff) in enumerate(rows):
             mag = abs(coeff)
-            if mono.pairs:
-                body = mono.factors_text() if mag == 1 else f"{mag}*{mono.factors_text()}"
+            pairs = [(v, d - _HALF) for v, d in zip(names, exps) if d != _HALF]
+            if pairs:
+                body = _factors_text(pairs) if mag == 1 else f"{mag}*{_factors_text(pairs)}"
             else:
                 body = str(mag)
             if k == 0:
@@ -463,16 +552,10 @@ class LaurentPoly:
         return f"<LaurentPoly {self.to_text()}>"
 
 
-class _GrlexKey:
-    """Sort adapter so Monomial's graded-lex comparison drives sorted()."""
-
-    __slots__ = ("mono",)
-
-    def __init__(self, mono: Monomial):
-        self.mono = mono
-
-    def __lt__(self, other: _GrlexKey) -> bool:
-        return self.mono._cmp(other.mono) < 0
+def _key_of(mono: object) -> int:
+    if not isinstance(mono, Monomial):
+        raise TypeError(f"term key must be a Monomial, got {type(mono).__name__}")
+    return mono.key
 
 
 # -- parsing ----------------------------------------------------------------
@@ -493,7 +576,7 @@ def parse_poly(text: str) -> LaurentPoly:
         if s[idx] in "+-" and s[idx - 1] not in "^*+-":
             boundaries.append(idx)
     boundaries.append(len(s))
-    data: dict[Monomial, int] = {}
+    terms: list[tuple[Monomial, int]] = []
     for lo, hi in zip(boundaries, boundaries[1:]):
         chunk = s[lo:hi]
         sign = 1
@@ -513,13 +596,8 @@ def parse_poly(text: str) -> LaurentPoly:
                 coeff *= int(digits)
             else:
                 exps[var] = exps.get(var, 0) + (int(exp) if exp is not None else 1)
-        mono = Monomial(exps)
-        c = data.get(mono, 0) + coeff
-        if c:
-            data[mono] = c
-        elif mono in data:
-            del data[mono]
-    return LaurentPoly._make(data)
+        terms.append((Monomial(exps), coeff))
+    return LaurentPoly(terms)
 
 
 # -- matrices and determinants ----------------------------------------------
@@ -570,41 +648,21 @@ def determinant(matrix: PolyMatrix, max_order: int = DEFAULT_MAX_ORDER) -> Laure
     if n > max_order:
         raise OrderTooLargeError(f"determinant order {n} exceeds bound {max_order}")
     rows = matrix.entries
-    total: dict[Monomial, int] = {}
+    total: dict[int, int] = {}
+    bound = 0
     for perm in itertools.permutations(range(n)):
-        sign = -1 if inversion_count(perm) & 1 else 1
         prod = rows[0][perm[0]]
         for i in range(1, n):
             prod = prod * rows[i][perm[i]]
-        for mono, coeff in prod._terms.items():
-            c = total.get(mono, 0) + sign * coeff
-            if c:
-                total[mono] = c
-            elif mono in total:
-                del total[mono]
-    return LaurentPoly._make(total)
+        items = prod._terms.items()
+        if inversion_count(perm) & 1:
+            items = ((k, -c) for k, c in items)
+        _accumulate(total, items)
+        bound = max(bound, prod._bound)
+    return LaurentPoly._make(total, bound)
 
 
 # -- exact division -----------------------------------------------------------
-
-
-def _min_exponents(poly: LaurentPoly, universe: Sequence[str]) -> dict[str, int]:
-    """Per-variable minimum exponent across terms, counting absence as 0."""
-    mins: dict[str, int] = {}
-    seen: dict[str, int] = {}
-    n_terms = len(poly._terms)
-    for mono in poly._terms:
-        for v, e in mono.pairs:
-            seen[v] = seen.get(v, 0) + 1
-            if v not in mins or e < mins[v]:
-                mins[v] = e
-    out = {}
-    for v in universe:
-        m = mins.get(v, 0)
-        if seen.get(v, 0) < n_terms:
-            m = min(m, 0)
-        out[v] = m
-    return out
 
 
 def exact_div(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
@@ -617,13 +675,15 @@ def exact_div(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
     message gives the remainder's leading exponents in the dividend's
     (unshifted) Laurent coordinates.
 
-    Each shifted exponent vector is packed into one int whose base
-    ``2**bits`` digits are ``(total degree, e_1, ..., e_k)``, most significant
-    first, so integer order is graded-lex order and multiplying monomials is
-    adding keys.  Every remainder term has total degree at most the larger
-    total degree of the shifted operands (each step replaces the leading
-    term by terms below it), and every digit is at most that bound, so with
-    ``bits`` one more than its bit length no digit can carry.
+    The operands' keys are decoded once, and each shifted exponent vector
+    (over the variables either operand uses, in variable order) is packed
+    into one int whose base ``2**bits`` digits are
+    ``(total degree, e_1, ..., e_k)``, most significant first, so integer
+    order is graded-lex order and multiplying monomials is adding keys.
+    Every remainder term has total degree at most the larger total degree of
+    the shifted operands (each step replaces the leading term by terms below
+    it), and every digit is at most that bound, so with ``bits`` one more
+    than its bit length no digit can carry.
 
     The remainder is a dict from negated key to coefficient, and a heap
     holds the same int objects, so ``heapq``'s minimum is the graded-lex
@@ -636,19 +696,23 @@ def exact_div(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
         raise ZeroDivisionError("exact_div: divisor is the zero polynomial")
     if num.is_zero():
         return LaurentPoly.zero()
-    universe = sorted(num.variables() | den.variables(), key=_var_key)
-    num_min = _min_exponents(num, universe)
-    den_min = _min_exponents(den, universe)
+    npos = max(_span(num._terms), _span(den._terms))
+    _, num_flat = _digits(num._terms, npos)
+    _, den_flat = _digits(den._terms, npos)
+    used = set(_used_positions(num_flat, npos)) | set(_used_positions(den_flat, npos))
+    universe = [p for p in _canonical_positions(npos) if p in used]
 
-    def to_vectors(poly: LaurentPoly, mins: dict[str, int]) -> dict[tuple[int, ...], int]:
-        out: dict[tuple[int, ...], int] = {}
-        for mono, coeff in poly._terms.items():
-            exps = dict(mono.pairs)
-            out[tuple(exps.get(v, 0) - mins[v] for v in universe)] = coeff
-        return out
+    def to_vectors(poly: LaurentPoly, flat: memoryview):
+        """{shifted exponent vector over the universe: coeff}, and the
+        per-variable minimum exponent (absence counting as 0) subtracted."""
+        cols = [flat[p::npos] for p in universe]
+        lows = [min(col) for col in cols]
+        rows = zip(*cols) if cols else [()] * len(poly)
+        vecs = (tuple(d - lo for d, lo in zip(row, lows)) for row in rows)
+        return dict(zip(vecs, poly._terms.values())), [lo - _HALF for lo in lows]
 
-    num_vecs = to_vectors(num, num_min)
-    den_vecs = to_vectors(den, den_min)
+    num_vecs, num_min = to_vectors(num, num_flat)
+    den_vecs, den_min = to_vectors(den, den_flat)
     bits = max(sum(vec) for vec in itertools.chain(num_vecs, den_vecs)).bit_length() + 1
     mask = (1 << bits) - 1
     low_shifts = [bits * (len(universe) - 1 - i) for i in range(len(universe))]
@@ -681,7 +745,7 @@ def exact_div(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
         lead = unpack(-neg_lead)
         q_vec = tuple(a - b for a, b in zip(lead, den_lead))
         if any(e < 0 for e in q_vec) or lead_coeff % den_lead_coeff:
-            exps = {v: e + num_min[v] for v, e in zip(universe, lead)}
+            exps = {_name(p): e + lo for p, e, lo in zip(universe, lead, num_min)}
             raise NotDivisibleError(f"nonzero remainder: leading term has exponents {exps}")
         q_coeff = lead_coeff // den_lead_coeff
         quotient[q_vec] = q_coeff
@@ -695,9 +759,17 @@ def exact_div(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
             else:
                 remainder[t_key] = c - q_coeff * d_coeff
 
-    shift = [num_min[v] - den_min[v] for v in universe]
-    out: dict[Monomial, int] = {}
-    for vec, coeff in quotient.items():
-        pairs = tuple((v, e + s) for v, e, s in zip(universe, vec, shift) if e + s)
-        out[Monomial._make(pairs)] = coeff
-    return LaurentPoly._make(out)
+    shift = [a - b for a, b in zip(num_min, den_min)]
+    bound = _checked_bound(
+        max(
+            (max(abs(min(col) + s), abs(max(col) + s)) for col, s in zip(zip(*quotient), shift)),
+            default=0,
+        )
+    )
+    units = [1 << (DIGIT_BITS * p) for p in universe]
+    shift_key = sum(s * u for s, u in zip(shift, units))
+    out = {
+        shift_key + sum(e * u for e, u in zip(vec, units)): coeff
+        for vec, coeff in quotient.items()
+    }
+    return LaurentPoly._make(out, bound)

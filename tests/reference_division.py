@@ -3,20 +3,16 @@
 Kept only as a reference for differential tests: it finds each leading term
 with a linear ``max`` over the remainder, so it costs
 O(|quotient| * |remainder|) key builds, but its logic is the plain textbook
-algorithm.  The body is the earlier ``exact_div`` verbatim, except that the
+algorithm.  It reads and builds polynomials through the public API only
+(``terms()``, ``Monomial.exponent`` and the ``LaurentPoly`` constructor).  Its
 NotDivisibleError message gives the remainder's leading exponents in the
 dividend's Laurent coordinates, as ``exact_div`` does.
 """
 
 from __future__ import annotations
 
-from schurbox.poly import (
-    LaurentPoly,
-    Monomial,
-    NotDivisibleError,
-    _min_exponents,
-    _var_key,
-)
+from reference_poly import var_key
+from schurbox.poly import LaurentPoly, Monomial, NotDivisibleError
 
 
 def reference_exact_div(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
@@ -31,15 +27,19 @@ def reference_exact_div(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
         raise ZeroDivisionError("exact_div: divisor is the zero polynomial")
     if num.is_zero():
         return LaurentPoly.zero()
-    universe = sorted(num.variables() | den.variables(), key=_var_key)
-    num_min = _min_exponents(num, universe)
-    den_min = _min_exponents(den, universe)
+    universe = sorted(num.variables() | den.variables(), key=var_key)
+
+    def min_exponents(poly: LaurentPoly) -> dict[str, int]:
+        # Monomial.exponent is 0 for an absent variable, so absence counts as 0.
+        return {v: min(mono.exponent(v) for mono, _ in poly.terms()) for v in universe}
+
+    num_min = min_exponents(num)
+    den_min = min_exponents(den)
 
     def to_vectors(poly: LaurentPoly, mins: dict[str, int]) -> dict[tuple[int, ...], int]:
         out: dict[tuple[int, ...], int] = {}
-        for mono, coeff in poly._terms.items():
-            exps = dict(mono.pairs)
-            out[tuple(exps.get(v, 0) - mins[v] for v in universe)] = coeff
+        for mono, coeff in poly.terms():
+            out[tuple(mono.exponent(v) - mins[v] for v in universe)] = coeff
         return out
 
     def grlex(vec: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
@@ -69,8 +69,7 @@ def reference_exact_div(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
                 remainder.pop(t_vec, None)
 
     shift = [num_min[v] - den_min[v] for v in universe]
-    out: dict[Monomial, int] = {}
-    for vec, coeff in quotient.items():
-        pairs = tuple((v, e + s) for v, e, s in zip(universe, vec, shift) if e + s)
-        out[Monomial._make(pairs)] = coeff
-    return LaurentPoly._make(out)
+    return LaurentPoly(
+        (Monomial({v: e + s for v, e, s in zip(universe, vec, shift)}), coeff)
+        for vec, coeff in quotient.items()
+    )

@@ -5,6 +5,8 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from schurbox.poly import (
+    MAX_EXPONENT,
+    ExponentRangeError,
     LaurentPoly,
     Monomial,
     NotDivisibleError,
@@ -43,6 +45,59 @@ def test_unknown_variable_rejected():
         Monomial.variable("y1")
     with pytest.raises(ValueError):
         Monomial.variable("x0")
+
+
+# -- packed exponent range -----------------------------------------------------
+
+
+def test_largest_exponent_fits_beside_its_neighbours():
+    top = MAX_EXPONENT
+    mono = Monomial({"q": top, "t1": -top, "x1": top, "t2": -1})
+    assert mono.pairs == (("q", top), ("t1", -top), ("t2", -1), ("x1", top))
+    text = f"-x2^-{top} + q^{top}*x1"
+    poly = parse_poly(text)
+    assert poly == P({Monomial({"q": top, "x1": 1}): 1, Monomial({"x2": -top}): -1})
+    assert poly.to_text() == text
+    assert Monomial.variable("x1", top) ** -1 == Monomial.variable("x1", -top)
+
+
+@pytest.mark.parametrize("exp", [MAX_EXPONENT + 1, -MAX_EXPONENT - 1, 2**40])
+def test_exponent_one_past_the_range_raises(exp):
+    assert issubclass(ExponentRangeError, ArithmeticError)
+    with pytest.raises(ExponentRangeError, match=f"exponent {exp} of x1 is outside"):
+        Monomial.variable("x1", exp)
+    with pytest.raises(ExponentRangeError):
+        Monomial({"q": exp})
+    with pytest.raises(ExponentRangeError):
+        P.variable("t3", exp)
+    with pytest.raises(ExponentRangeError):
+        parse_poly(f"1 + x2*x1^{exp}")
+    with pytest.raises(ExponentRangeError):
+        Monomial([("q", exp - 1 if exp > 0 else exp + 1), ("q", 1 if exp > 0 else -1)])
+
+
+def test_product_of_in_range_operands_past_the_range_raises():
+    half = P.variable("x1", 2**30)
+    assert half * P.variable("x1", 2**30 - 1) == P.variable("x1", MAX_EXPONENT)
+    assert x1**MAX_EXPONENT == P.variable("x1", MAX_EXPONENT)
+    with pytest.raises(ExponentRangeError, match="may reach 2147483648"):
+        half * half
+    with pytest.raises(ExponentRangeError):
+        half**2
+    with pytest.raises(ExponentRangeError):
+        P.variable("x1", -MAX_EXPONENT) * (1 + P.variable("x1", -1))
+    # The check adds the operands' bounds, so it also refuses a product
+    # whose exponents would all fit.
+    with pytest.raises(ExponentRangeError):
+        P.variable("q", MAX_EXPONENT) * x1
+    with pytest.raises(ExponentRangeError):
+        Monomial.variable("x1", MAX_EXPONENT) * Monomial.variable("x1")
+    with pytest.raises(ExponentRangeError):
+        Monomial.variable("x1", 2**30) ** 2
+    with pytest.raises(ExponentRangeError):
+        P.variable("q", 2**16).substitute({"q": Monomial.variable("x1", 2**15)})
+    with pytest.raises(ExponentRangeError):
+        exact_div(P.variable("x1", MAX_EXPONENT), P.variable("x1", -1))
 
 
 # -- arithmetic examples -------------------------------------------------------
@@ -100,6 +155,10 @@ def test_substitute_zero_and_one():
     assert p.substitute({"x1": 1}) == 2 + x2
     with pytest.raises(ZeroDivisionError):
         P.variable("x1", -1).substitute({"x1": 0})
+    # the first zero-target variable in variable order decides: t2 before x1
+    with pytest.raises(ZeroDivisionError, match="for t2 with exponent -1"):
+        (x1 * P.variable("t2", -1)).substitute({"x1": 0, "t2": 0})
+    assert (P.variable("x1", -1) * P.variable("t2")).substitute({"x1": 0, "t2": 0}) == 0
 
 
 assignments = st.dictionaries(

@@ -1,0 +1,76 @@
+"""The packed-int ring against the sorted-pairs arithmetic it replaced (``reference_poly``)."""
+
+import hypothesis.strategies as st
+from hypothesis import given, settings
+
+import reference_poly as ref
+from schurbox.poly import LaurentPoly, Monomial, parse_poly
+
+# Digit positions interleave t_i and x_i, and t10 sorts before t2 as a string,
+# so these names catch a canonical order taken from positions or from text.
+NAMES = ["q", "t1", "t2", "t10", "x1", "x2", "x10", "x12"]
+
+variables = st.sampled_from(NAMES)
+monomials = st.dictionaries(variables, st.integers(-3, 3), max_size=4).map(Monomial)
+polys = st.dictionaries(monomials, st.integers(-9, 9), max_size=8).map(LaurentPoly)
+small_polys = st.dictionaries(monomials, st.integers(-4, 4), max_size=4).map(LaurentPoly)
+targets = st.one_of(
+    st.tuples(variables, st.integers(-3, 3)).map(lambda t: Monomial.variable(*t)),
+    variables,
+    st.sampled_from([0, 1]),
+)
+assignments = st.dictionaries(variables, targets, max_size=3)
+
+
+def outcome(fn, *args):
+    """The result, or the type and message of the error raised."""
+    try:
+        return fn(*args)
+    except ArithmeticError as exc:
+        return (type(exc), str(exc))
+
+
+@given(monomials, monomials)
+def test_monomial_product_matches_reference(a, b):
+    assert (a * b).pairs == ref.mono_mul(a.pairs, b.pairs)
+    assert a.pairs == ref.sorted_pairs(a.exponents().items())
+
+
+@given(polys, polys)
+def test_ring_operations_match_reference(a, b):
+    ra, rb = ref.from_poly(a), ref.from_poly(b)
+    assert ref.from_poly(a * b) == ref.mul(ra, rb)
+    assert ref.from_poly(a + b) == ref.add(ra, rb)
+    assert ref.from_poly(a - b) == ref.add(ra, rb, -1)
+    assert ref.to_poly(ref.mul(ra, rb)) == a * b
+
+
+@given(small_polys, st.integers(0, 4))
+def test_power_matches_reference(a, exp):
+    assert ref.from_poly(a**exp) == ref.power(ref.from_poly(a), exp)
+
+
+@given(polys, assignments)
+@settings(max_examples=300)
+def test_substitute_matches_reference(a, sub):
+    got = outcome(lambda: ref.from_poly(a.substitute(sub)))
+    assert got == outcome(ref.substitute, ref.from_poly(a), sub)
+
+
+@given(polys, variables, st.integers(-3, 3))
+def test_coefficient_of_matches_reference(a, var, exp):
+    assert ref.from_poly(a.coefficient_of(var, exp)) == ref.coefficient_of(
+        ref.from_poly(a), var, exp
+    )
+
+
+@given(polys)
+@settings(max_examples=300)
+def test_canonical_order_and_text_match_reference(a):
+    ra = ref.from_poly(a)
+    assert [(m.pairs, c) for m, c in a.sorted_terms()] == ref.sorted_terms(ra)
+    text = a.to_text()
+    assert text == ref.to_text(ra)
+    assert parse_poly(text) == a
+    assert ref.from_poly(parse_poly(text)) == ra
+    assert a.variables() == {v for mono in ra for v, _ in mono}
