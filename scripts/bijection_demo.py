@@ -22,9 +22,9 @@ def main() -> None:
     objects = list(symmetric_plane_partitions(args.n, args.m))
     for sp in objects:
         cs = fold(sp)
+        # Level y of the image holds the principal hooks of the slice z >= y.
         slices = " | ".join(
-            f"z>={level}: hooks {list(sp.slice_partition(level).principal_hooks())}"
-            for level in range(1, sp.max_height + 1)
+            f"z>={level}: hooks {list(hooks)}" for level, hooks in enumerate(cs.levels, 1)
         ) or "empty"
         print(f"heights {sp.to_json()}  ->  {cs.to_json_dict()}   [{slices}]")
         assert cs.weight == sp.weight

@@ -13,10 +13,19 @@ from one level to the next, so the image is precisely an odd-column-strict
 array; the map preserves the number of lattice points.  ``unfold`` inverts
 it.  These enumerators are the brute-force oracle side of every identity in
 this package.
+
+The kernels work on plain int tuples and lists.  ``fold`` reads each level's
+hooks straight off the height matrix: the hook at diagonal cell c of the
+slice at height y is ``2 * #{j >= c : h[c][j] >= y} - 1``.  ``unfold`` adds
+each hook's cells (the diagonal cell, its arm and its mirrored leg) into the
+height matrix.  The enumerators and ``ssyt`` walk a flat cursor instead of a
+chain of nested generators.  Objects they build are already canonical, so
+they skip the normalizing constructors.
 """
 
 from __future__ import annotations
 
+import operator
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
@@ -142,13 +151,20 @@ class PlanePartition:
             rows = [r[:-1] for r in rows[:-1]]
         object.__setattr__(self, "heights", tuple(rows))
 
+    @classmethod
+    def _make(cls, heights: tuple[tuple[int, ...], ...]) -> PlanePartition:
+        """Wrap a height matrix that is already int tuples in its minimal square."""
+        pp = object.__new__(cls)
+        object.__setattr__(pp, "heights", heights)
+        return pp
+
     @property
     def n(self) -> int:
         return len(self.heights)
 
     @property
     def weight(self) -> int:
-        return sum(sum(row) for row in self.heights)
+        return sum(map(sum, self.heights))
 
     @property
     def max_height(self) -> int:
@@ -212,9 +228,16 @@ class ColumnStrictPP:
             levels.pop()
         object.__setattr__(self, "levels", tuple(levels))
 
+    @classmethod
+    def _make(cls, levels: tuple[tuple[int, ...], ...]) -> ColumnStrictPP:
+        """Wrap levels that are already int tuples with no trailing empty level."""
+        cs = object.__new__(cls)
+        object.__setattr__(cs, "levels", levels)
+        return cs
+
     @property
     def weight(self) -> int:
-        return sum(sum(lvl) for lvl in self.levels)
+        return sum(map(sum, self.levels))
 
     @property
     def num_levels(self) -> int:
@@ -235,18 +258,20 @@ class ColumnStrictPP:
 
     def validate(self, height_bound: int | None = None) -> None:
         """Check odd/strict/nesting invariants; raises MalformedInputError."""
-        for j, lvl in enumerate(self.levels):
-            for i, h in enumerate(lvl):
-                if h < 1 or h % 2 == 0:
-                    raise MalformedInputError(f"height {h} at level {j + 1} is not a positive odd value")
-                if i > 0 and lvl[i - 1] <= h:
-                    raise MalformedInputError(f"level {j + 1} is not strictly decreasing")
+        prev: tuple[int, ...] | None = None
+        for j, lvl in enumerate(self.levels, 1):
+            above = None  # the previous height in this level
+            for h in lvl:
+                if h < 1 or not h & 1:
+                    raise MalformedInputError(f"height {h} at level {j} is not a positive odd value")
+                if above is not None and above <= h:
+                    raise MalformedInputError(f"level {j} is not strictly decreasing")
                 if height_bound is not None and h > height_bound:
                     raise MalformedInputError(f"height {h} exceeds bound {height_bound}")
-            if j > 0:
-                prev = self.levels[j - 1]
-                if len(lvl) > len(prev) or any(h > p for h, p in zip(lvl, prev)):
-                    raise MalformedInputError(f"level {j + 1} does not nest inside level {j}")
+                above = h
+            if prev is not None and (len(lvl) > len(prev) or any(map(operator.gt, lvl, prev))):
+                raise MalformedInputError(f"level {j} does not nest inside level {j - 1}")
+            prev = lvl
 
     def to_json_dict(self) -> dict[str, int]:
         return {f"{i},{j}": h for (i, j), h in sorted(self.positions().items(), key=lambda kv: (kv[0][1], kv[0][0]))}
@@ -326,36 +351,45 @@ def partitions_in_box(m: int, n: int) -> list[Partition]:
 def symmetric_plane_partitions(n: int, m: int) -> Iterator[PlanePartition]:
     """All symmetric plane partitions in the n x n x m box, streamed.
 
-    Backtracks over the upper triangle in row-major order (the mirror cell
-    carries the lower triangle), pruning with the row/column monotonicity
-    bounds, so nothing is materialized beyond the current matrix.
+    Walks the upper triangle in row-major order with a cursor (the mirror
+    cell carries the lower triangle), each cell trying 0 up to the bound
+    that row/column monotonicity leaves it and handing back to the cell
+    before when it runs out, so nothing is materialized beyond the current
+    matrix.
     """
     if n < 0 or m < 0:
         raise ValueError("box dimensions must be non-negative")
+    if n == 0:
+        yield PlanePartition._make(())
+        return
     cells = [(i, j) for i in range(n) for j in range(i, n)]
     h = [[0] * n for _ in range(n)]
-
-    def rec(k: int) -> Iterator[PlanePartition]:
-        if k == len(cells):
-            yield PlanePartition(tuple(tuple(row) for row in h))
-            return
+    bounds = [m] * len(cells)
+    last = len(cells) - 1
+    k = 0
+    h[0][0] = -1
+    while k >= 0:
         i, j = cells[k]
-        if i == 0 and j == 0:
-            bound = m
-        elif i == 0:
-            bound = h[0][j - 1]
+        v = h[i][j] + 1
+        if v > bounds[k]:
+            k -= 1
+            continue
+        h[i][j] = h[j][i] = v
+        if k == last:
+            # The minimal square: rows and columns past the last positive
+            # entry of row 0 are all zero.
+            side = n - h[0].count(0)
+            yield PlanePartition._make(tuple([tuple(row[:side]) for row in h[:side]]))
+            continue
+        k += 1
+        i, j = cells[k]
+        if i == 0:
+            bounds[k] = h[0][j - 1]
         elif i == j:
-            bound = h[i - 1][j]
+            bounds[k] = h[i - 1][j]
         else:
-            bound = min(h[i - 1][j], h[i][j - 1])
-        for v in range(bound + 1):
-            h[i][j] = v
-            h[j][i] = v
-            yield from rec(k + 1)
-        h[i][j] = 0
-        h[j][i] = 0
-
-    yield from rec(0)
+            bounds[k] = min(h[i - 1][j], h[i][j - 1])
+        h[i][j] = -1
 
 
 def _levels_under(prev: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
@@ -385,7 +419,7 @@ def column_strict_odd_pps(n: int, m: int) -> Iterator[ColumnStrictPP]:
     stack: list[tuple[int, ...]] = []
 
     def rec(depth: int, prev: tuple[int, ...]) -> Iterator[ColumnStrictPP]:
-        yield ColumnStrictPP(tuple(stack))
+        yield ColumnStrictPP._make(tuple(stack))
         if depth == m:
             return
         for lvl in _levels_under(prev):
@@ -397,31 +431,48 @@ def column_strict_odd_pps(n: int, m: int) -> Iterator[ColumnStrictPP]:
 
 
 def ssyt(shape: Partition, n: int) -> Iterator[Tableau]:
-    """All semistandard tableaux of the given shape with entries in 1..n."""
+    """All semistandard tableaux of the given shape with entries in 1..n.
+
+    Cells are filled in row-major order, each trying its values in
+    ascending order, so tableaux come out in lexicographic order of their
+    row-major reading.  One flat list holds the entries and a cursor walks
+    it: each cell's smallest value is read from its left and upper
+    neighbours, and a cell that runs past n hands back to the one before.
+    """
     parts = shape.parts
     if len(parts) > n:
         return
-    if not parts:
+    size = sum(parts)
+    if not size:
         yield Tableau(shape, ())
         return
-    rows = [[0] * p for p in parts]
-    order = [(r, c) for r in range(len(parts)) for c in range(parts[r])]
-
-    def rec(k: int) -> Iterator[Tableau]:
-        if k == len(order):
-            yield Tableau(shape, tuple(tuple(row) for row in rows))
-            return
-        r, c = order[k]
-        lo = 1
-        if c > 0:
-            lo = max(lo, rows[r][c - 1])
-        if r > 0:
-            lo = max(lo, rows[r - 1][c] + 1)
-        for v in range(lo, n + 1):
-            rows[r][c] = v
-            yield from rec(k + 1)
-
-    yield from rec(0)
+    # Flat index of each cell's left and upper neighbour; -1 reads the
+    # sentinel 0 at the end of ``vals``, so a missing neighbour bounds nothing.
+    left: list[int] = []
+    up: list[int] = []
+    spans: list[tuple[int, int]] = []
+    start = 0
+    for r, p in enumerate(parts):
+        for c in range(p):
+            left.append(start + c - 1 if c else -1)
+            up.append(start - parts[r - 1] + c if r else -1)
+        spans.append((start, start + p))
+        start += p
+    vals = [0] * (size + 1)
+    last = size - 1
+    k = 0
+    while k >= 0:
+        v = vals[k]
+        if v < n:
+            vals[k] = v + 1
+            if k == last:
+                yield Tableau(shape, tuple([tuple(vals[a:b]) for a, b in spans]))
+            else:
+                k += 1
+                lo = vals[up[k]] + 1
+                vals[k] = (lo if lo > vals[left[k]] else vals[left[k]]) - 1
+        else:
+            k -= 1
 
 
 # -- the fold bijection --------------------------------------------------------
@@ -431,35 +482,56 @@ def fold(sp: PlanePartition) -> ColumnStrictPP:
     """Symmetric plane partition -> odd-column-strict array, weight-preserving.
 
     Level y of the image records the principal hook lengths of the y-th
-    horizontal slice of ``sp`` (a self-conjugate diagram).
+    horizontal slice of ``sp``.  That slice is self-conjugate with row
+    lengths ``#{j : h[i][j] >= y}``, so its hook at diagonal cell c is
+    ``2 * #{j >= c : h[c][j] >= y} - 1`` whenever ``h[c][c] >= y``; each row
+    is read once, from its diagonal outwards.  Raises NotSymmetricError for
+    an asymmetric matrix and ValueError for one that is not a plane
+    partition (not square, a row that increases, a negative height).
     """
-    if not sp.is_symmetric():
+    h = sp.heights
+    side = len(h)
+    if h != tuple(zip(*h)):
+        if any(len(row) != side for row in h):
+            raise ValueError("fold requires a square height matrix")
         raise NotSymmetricError("fold requires a symmetric plane partition")
-    levels = tuple(
-        sp.slice_partition(level).principal_hooks()
-        for level in range(1, sp.max_height + 1)
-    )
-    return ColumnStrictPP(levels)
+    levels: list[list[int]] = [[] for _ in range(h[0][0])] if h else []
+    for c, row in enumerate(h):
+        # Rows decrease and the matrix is symmetric, so columns decrease too.
+        if list(row) != sorted(row, reverse=True):
+            raise ValueError(f"row {c} of the height matrix is not weakly decreasing")
+        if row[-1] < 0:
+            raise ValueError("heights must be non-negative")
+        k = side  # row[c:k] are the entries >= the current level
+        for y in range(row[c]):
+            while row[k - 1] <= y:
+                k -= 1
+            levels[y].append(2 * (k - c) - 1)
+    return ColumnStrictPP._make(tuple(map(tuple, levels)))
 
 
 def unfold(cs: ColumnStrictPP) -> PlanePartition:
     """Inverse of :func:`fold`: rebuild the symmetric plane partition.
 
-    Level y's heights are read as principal hooks of a self-conjugate
-    diagram; stacking the diagrams gives the height matrix.  Raises
-    MalformedInputError if any level is not strictly decreasing positive odd
-    values (or levels fail to nest).
+    Each hook 2a + 1 at diagonal cell c of a level covers (c, c) and its arm
+    and leg (c, c + 1..c + a), (c + 1..c + a, c); adding 1 over every hook
+    of every level gives the height matrix.  Raises MalformedInputError if
+    any level is not strictly decreasing positive odd values (or levels fail
+    to nest).
     """
     cs.validate()
     if not cs.levels:
-        return PlanePartition()
-    diagrams = [Partition.from_principal_hooks(lvl) for lvl in cs.levels]
-    side = diagrams[0].parts[0]  # self-conjugate, so widest = tallest
-    heights = [
-        [sum(1 for d in diagrams if i < len(d.parts) and d.parts[i] > j) for j in range(side)]
-        for i in range(side)
-    ]
-    return PlanePartition(tuple(tuple(row) for row in heights))
+        return PlanePartition._make(())
+    side = (cs.levels[0][0] + 1) // 2  # arm of the largest hook, plus 1
+    h = [[0] * side for _ in range(side)]
+    for lvl in cs.levels:
+        for c, hook in enumerate(lvl):
+            row = h[c]
+            row[c] += 1
+            for j in range(c + 1, c + (hook + 1) // 2):
+                row[j] += 1
+                h[j][c] += 1
+    return PlanePartition._make(tuple(map(tuple, h)))
 
 
 def generating_function(objects: Iterable[object]) -> LaurentPoly:

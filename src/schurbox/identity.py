@@ -39,6 +39,7 @@ from .poly import (
     determinant,
     exact_div,
     inversion_count,
+    unit_keys,
 )
 from .combinat import partitions_in_box
 from .schur import BoxParams, times_bn_factors
@@ -244,20 +245,22 @@ def eq5_sides(box: BoxParams, max_order: int = DEFAULT_MAX_ORDER) -> tuple[Laure
     if n > max_order:
         raise OrderTooLargeError(f"n = {n} exceeds bound {max_order}")
 
+    xs = unit_keys("x", n)
     perms = _signed_perms(n)
     subsets = _signed_subsets(n)
-    lhs = LaurentPoly(
+    lhs = LaurentPoly.from_keys(
         (
-            Monomial(
-                {f"x{i}": m + 2 * n - s if i in members else s - 1 for i, s in enumerate(images, 1)}
+            sum(
+                (m + 2 * n - s if i in members else s - 1) * x
+                for i, (s, x) in enumerate(zip(images, xs), 1)
             ),
             sign * subset_sign,
         )
         for images, sign in perms
         for members, subset_sign in subsets
     )
-    inner = LaurentPoly(
-        (Monomial({f"x{i}": padded[s - 1] + n - s for i, s in enumerate(images, 1)}), sign)
+    inner = LaurentPoly.from_keys(
+        (sum((padded[s - 1] + n - s) * x for s, x in zip(images, xs)), sign)
         for padded in (lam.padded(n) for lam in partitions_in_box(m, n))
         for images, sign in perms
     )
@@ -284,12 +287,14 @@ def eq6_sides(n: int, max_order: int = DEFAULT_MAX_ORDER) -> tuple[LaurentPoly, 
     if n > max_order:
         raise OrderTooLargeError(f"n = {n} exceeds bound {max_order}")
 
+    ts = unit_keys("t", n)
+    xs = unit_keys("x", n)
     subsets = _signed_subsets(n)
-    lhs = LaurentPoly(
+    lhs = LaurentPoly.from_keys(
         (
-            Monomial(
-                [(f"t{i}", 1) for i in members]
-                + [(f"x{i}", 1 - s if i in members else s - 1) for i, s in enumerate(images, 1)]
+            sum(
+                ts[i - 1] + (1 - s) * x if i in members else (s - 1) * x
+                for i, (s, x) in enumerate(zip(images, xs), 1)
             ),
             sign * subset_sign,
         )
@@ -303,10 +308,8 @@ def eq6_sides(n: int, max_order: int = DEFAULT_MAX_ORDER) -> tuple[LaurentPoly, 
         if not subset.is_proper:
             continue
         comp = sorted(subset.complement)
-        t_numerator = 1 - LaurentPoly.term(
-            Monomial(
-                [(f"t{i}", 1) for i in comp] + [(f"x{i}", 2 - 2 * n) for i in comp]
-            )
+        t_numerator = 1 - LaurentPoly.from_keys(
+            [(sum(ts[i - 1] + (2 - 2 * n) * xs[i - 1] for i in comp), 1)]
         )
         denom = 1 - _x_product(comp)
         ksum = LaurentPoly.zero()
@@ -316,12 +319,11 @@ def eq6_sides(n: int, max_order: int = DEFAULT_MAX_ORDER) -> tuple[LaurentPoly, 
                 if i != k:
                     prefactor = prefactor * (_x(i) * _x(k) - 1)
             domain = [i for i in range(1, n + 1) if i != k]
-            inner = LaurentPoly(
+            inner = LaurentPoly.from_keys(
                 (
-                    Monomial(
-                        [(f"t{i}", 1) for i in domain if i in subset.members]
-                        + [(f"x{i}", -j if i in subset.members else j)
-                           for i, j in zip(domain, images)]
+                    sum(
+                        ts[i - 1] - j * xs[i - 1] if i in subset.members else j * xs[i - 1]
+                        for i, j in zip(domain, images)
                     ),
                     sign,
                 )

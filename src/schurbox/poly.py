@@ -11,8 +11,12 @@ monomial's exponents into one Python int as signed digits of
 p(x_i) = 2i.  The monomial 1 is the key 0, and since every digit stays in
 ``[-MAX_EXPONENT, MAX_EXPONENT]`` no digit carries into the next, so
 multiplying monomials is adding keys.  Each polynomial carries a bound on
-the absolute value of its exponents; a product whose operand bounds sum past
-``MAX_EXPONENT`` raises :class:`ExponentRangeError` before any key is built.
+the absolute value of its exponents.  A product whose operand bounds sum
+past ``MAX_EXPONENT`` is checked exactly, from each position's smallest and
+largest digit, and raises :class:`ExponentRangeError` before any key is
+built if some exponent of the product would leave the range.
+:func:`unit_keys` gives the keys of t_i and x_i by index, so callers can
+build terms from exponents without naming variables.
 :class:`Monomial` is the boundary type that wraps one key.  Keys are
 decoded only at the boundary (canonical text, ``Monomial.pairs``,
 ``variables()``, substitution and the entry and exit of :func:`exact_div`),
@@ -57,6 +61,7 @@ __all__ = [
     "exact_div",
     "inversion_count",
     "parse_poly",
+    "unit_keys",
 ]
 
 # Permutation expansion of an n x n determinant costs n! products; this bound
@@ -154,6 +159,40 @@ def _bound(keys: Iterable[int]) -> int:
     return max(max(flat) - _HALF, _HALF - min(flat))
 
 
+def _product_bound(a_keys: Iterable[int], a_bound: int, b_keys: Iterable[int], b_bound: int) -> int:
+    """A bound on |exponent| over all products of an a key and a b key.
+
+    The sum of the operands' bounds when it fits the digit range (O(1));
+    otherwise the exact bound from each position's smallest and largest
+    digit, which raises :class:`ExponentRangeError` only if some product
+    really leaves the range.
+    """
+    bound = a_bound + b_bound
+    if bound <= MAX_EXPONENT:
+        return bound
+    npos = max(_span(a_keys), _span(b_keys))
+    _, a_flat = _digits(a_keys, npos)
+    _, b_flat = _digits(b_keys, npos)
+    bound = 0
+    for p in range(npos):
+        a_col, b_col = a_flat[p::npos], b_flat[p::npos]
+        hi = max(a_col) + max(b_col) - 2 * _HALF
+        lo = min(a_col) + min(b_col) - 2 * _HALF
+        bound = max(bound, hi, -lo)
+    return _checked_bound(bound)
+
+
+def unit_keys(letter: str, count: int) -> tuple[int, ...]:
+    """Packed keys of the monomials ``letter1, ..., letter<count>``.
+
+    ``letter`` is ``"t"`` or ``"x"``; entry i - 1 is the key of the i-th
+    variable, so ``e * unit_keys("x", n)[i - 1]`` is the key of x_i^e.
+    """
+    if letter not in ("t", "x"):
+        raise ValueError(f"unit_keys takes 't' or 'x', not {letter!r}")
+    return tuple(1 << (DIGIT_BITS * _position(f"{letter}{i}")) for i in range(1, count + 1))
+
+
 def _used_positions(flat: memoryview, npos: int) -> list[int]:
     """Positions, in variable order, where some key has a nonzero digit."""
     out = []
@@ -240,7 +279,8 @@ class Monomial:
     def __mul__(self, other: Monomial) -> Monomial:
         if not isinstance(other, Monomial):
             return NotImplemented
-        _checked_bound(_bound((self.key,)) + _bound((other.key,)))
+        a, b = (self.key,), (other.key,)
+        _product_bound(a, _bound(a), b, _bound(b))
         return Monomial._make(self.key + other.key)
 
     def __pow__(self, exp: int) -> Monomial:
@@ -309,6 +349,17 @@ class LaurentPoly:
     @classmethod
     def variable(cls, name: str, exp: int = 1) -> LaurentPoly:
         return cls._make({Monomial.variable(name, exp).key: 1}, abs(int(exp)))
+
+    @classmethod
+    def from_keys(cls, items: Iterable[tuple[int, int]]) -> LaurentPoly:
+        """Sum of ``(packed key, coefficient)`` pairs.
+
+        Each key must hold every exponent within ``±MAX_EXPONENT``, as a sum
+        of :func:`unit_keys` entries times such exponents (one per variable)
+        does; this builds terms without naming their variables.
+        """
+        terms = _accumulate({}, items)
+        return cls._make(terms, _bound(terms))
 
     @classmethod
     def term(cls, mono: Monomial, coeff: int = 1) -> LaurentPoly:
@@ -411,7 +462,7 @@ class LaurentPoly:
             return NotImplemented
         if not self._terms or not rhs._terms:
             return LaurentPoly.zero()
-        bound = _checked_bound(self._bound + rhs._bound)
+        bound = _product_bound(self._terms, self._bound, rhs._terms, rhs._bound)
         out: dict[int, int] = {}
         get = out.get
         for k1, c1 in self._terms.items():

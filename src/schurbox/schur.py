@@ -25,6 +25,7 @@ from .poly import (
     PolyMatrix,
     determinant,
     exact_div,
+    unit_keys,
 )
 
 __all__ = [
@@ -71,12 +72,18 @@ def vandermonde(names: Sequence[str]) -> LaurentPoly:
 
 
 def schur_via_tableaux(shape: Partition, n: int) -> LaurentPoly:
-    """Sum over semistandard tableaux of shape ``shape`` of prod x_entry."""
-    acc: dict[Monomial, int] = {}
+    """Sum over semistandard tableaux of shape ``shape`` of prod x_entry.
+
+    A tableau's content monomial is the sum of the packed keys of x_v over
+    its entries v.
+    """
+    units = (0, *unit_keys("x", n))  # units[v] is the key of x_v
+    counts: dict[int, int] = {}
+    get = counts.get
     for tab in ssyt(shape, n):
-        mono = tab.content_monomial()
-        acc[mono] = acc.get(mono, 0) + 1
-    return LaurentPoly(acc)
+        key = sum([units[v] for row in tab.rows for v in row])
+        counts[key] = get(key, 0) + 1
+    return LaurentPoly.from_keys(counts.items())
 
 
 def schur_via_bialternant(shape: Partition, n: int) -> LaurentPoly:

@@ -162,6 +162,26 @@ def test_fold_requires_symmetry():
         fold(PlanePartition(((1, 1), (0, 0))))
 
 
+@pytest.mark.parametrize(
+    "heights,message",
+    [
+        (((0, 1), (1, 0)), "row 0 of the height matrix is not weakly decreasing"),
+        (((1, 2), (2, 1)), "row 0 of the height matrix is not weakly decreasing"),
+        (((1, 1), (1,)), "square"),
+        (((2, 1, 1), (1, 1, 1), (1, 1, 2)), "row 2 of the height matrix is not weakly decreasing"),
+        (((-1,),), "non-negative"),
+        (((1, 0), (0, -1)), "non-negative"),
+    ],
+)
+def test_fold_rejects_symmetric_arrays_that_are_not_plane_partitions(heights, message):
+    """Symmetric (or ragged) arrays outside the domain used to fold to arrays
+    with even heights, e.g. ((0, 1), (1, 0)) to [[2]]."""
+    sp = PlanePartition(heights)
+    with pytest.raises(ValueError, match=message) as info:
+        fold(sp)
+    assert not isinstance(info.value, NotSymmetricError)
+
+
 def test_unfold_single_hook():
     assert unfold(ColumnStrictPP(((3,),))) == PlanePartition(((1, 1), (1, 0)))
 

@@ -16,6 +16,7 @@ from schurbox.poly import (
     exact_div,
     inversion_count,
     parse_poly,
+    unit_keys,
 )
 
 P = LaurentPoly
@@ -45,6 +46,29 @@ def test_unknown_variable_rejected():
         Monomial.variable("y1")
     with pytest.raises(ValueError):
         Monomial.variable("x0")
+
+
+def test_unit_keys_are_the_keys_of_single_variables():
+    assert unit_keys("x", 0) == ()
+    for letter in "tx":
+        keys = unit_keys(letter, 12)
+        assert keys == tuple(Monomial.variable(f"{letter}{i}").key for i in range(1, 13))
+    with pytest.raises(ValueError):
+        unit_keys("q", 1)
+
+
+def test_from_keys_sums_terms_built_from_unit_keys():
+    ts, xs = unit_keys("t", 2), unit_keys("x", 10)
+    poly = P.from_keys(
+        [(3 * xs[0] - 2 * xs[9] + ts[1], 4), (xs[1], 1), (xs[1], -1), (0, 5), (-xs[0], 2)]
+    )
+    x_t_term = P.variable("x1", 3) * P.variable("x10", -2) * P.variable("t2")
+    assert poly == 4 * x_t_term + 5 + 2 * P.variable("x1", -1)
+    assert P.from_keys([]) == 0
+    big = P.from_keys([(MAX_EXPONENT * xs[0], 1)])
+    assert big == P.variable("x1", MAX_EXPONENT)
+    with pytest.raises(ExponentRangeError):
+        big * x1
 
 
 # -- packed exponent range -----------------------------------------------------
@@ -86,12 +110,25 @@ def test_product_of_in_range_operands_past_the_range_raises():
         half**2
     with pytest.raises(ExponentRangeError):
         P.variable("x1", -MAX_EXPONENT) * (1 + P.variable("x1", -1))
-    # The check adds the operands' bounds, so it also refuses a product
-    # whose exponents would all fit.
-    with pytest.raises(ExponentRangeError):
-        P.variable("q", MAX_EXPONENT) * x1
+    # The operands' bounds sum past the range, but every exponent of the
+    # product fits, so the exact per-position check lets it through.
+    big_q = P.variable("q", MAX_EXPONENT)
+    assert big_q * x1 == P.term(Monomial({"q": MAX_EXPONENT, "x1": 1}))
+    assert (big_q * x1).to_text() == f"q^{MAX_EXPONENT}*x1"
+    assert Monomial.variable("q", MAX_EXPONENT) * Monomial.variable("x1") == Monomial(
+        {"q": MAX_EXPONENT, "x1": 1}
+    )
+    assert big_q * P.variable("q", -MAX_EXPONENT) == 1
+    assert (big_q + x1) * (x1 - 1) == big_q * x1 - big_q + x1**2 - x1
+    # ... and refuses one where a single position leaves it.
+    with pytest.raises(ExponentRangeError, match="may reach 2147483648"):
+        big_q * (x1 + P.variable("q"))
+    with pytest.raises(ExponentRangeError, match="may reach 2147483648"):
+        P.variable("q", -MAX_EXPONENT) * (x1 + P.variable("q", -1))
     with pytest.raises(ExponentRangeError):
         Monomial.variable("x1", MAX_EXPONENT) * Monomial.variable("x1")
+    with pytest.raises(ExponentRangeError):
+        Monomial.variable("x1", -MAX_EXPONENT) * Monomial.variable("x1", -1)
     with pytest.raises(ExponentRangeError):
         Monomial.variable("x1", 2**30) ** 2
     with pytest.raises(ExponentRangeError):
