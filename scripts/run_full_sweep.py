@@ -16,12 +16,9 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--m-max", type=int, default=3)
     parser.add_argument("--n-max", type=int, default=3)
-    parser.add_argument("--parallel", type=int, default=1)
     args = parser.parse_args()
 
-    results = run_verification(
-        RunConfig(("all",), (1, args.m_max), (1, args.n_max), parallel=args.parallel)
-    )
+    results = run_verification(RunConfig(("all",), (1, args.m_max), (1, args.n_max)))
     by_identity: dict[str, float] = {}
     for r in results:
         m_text = "-" if r.m is None else str(r.m)

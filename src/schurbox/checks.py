@@ -1,9 +1,12 @@
-"""Named verification checks and the sweep runner used by the CLI.
+"""Named verification checks and the serial sweep runner used by the CLI.
 
-Each check builds both sides of one identity at concrete (m, n) and records
-the outcome as a :class:`~schurbox.identity.CheckResult`.  Checks that do not
-depend on m run once per n.  Sweeps may run on a bounded thread pool; results
-are sorted into a fixed order afterwards so output is deterministic.
+Each check is one table row: whether it depends on m (if not, it runs once
+per n), its minimum n, whether it expands an order-n determinant, and
+``sides(m, n)``, which builds both sides of one identity and returns
+``(lhs, rhs)`` or ``(lhs, rhs, ok)`` with ``ok`` a structural verdict (fold
+inverses, D_n roots).  Multi-stage checks return their first disagreeing
+pair.  The runner records ``passed = lhs == rhs and ok``; a ``sides`` call
+that raises becomes a failed result with the error text, and the sweep goes on.
 """
 
 from __future__ import annotations
@@ -11,8 +14,7 @@ from __future__ import annotations
 import time
 from collections import Counter
 from collections.abc import Callable, Iterable
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .combinat import (
     column_strict_odd_pps,
@@ -42,7 +44,6 @@ __all__ = [
     "InvalidRangeError",
     "RunConfig",
     "UnknownCheckError",
-    "check_uses_m",
     "expand_checks",
     "expands_order_n",
     "minimum_n",
@@ -65,168 +66,96 @@ class RunConfig:
     checks: tuple[str, ...] = ("all",)
     m_range: tuple[int, int] = (1, 3)
     n_range: tuple[int, int] = (1, 3)
-    output: str = "text"
-    parallel: int = 1
 
 
-def _timed_sides(
-    identity: str,
-    m: int | None,
-    n: int,
-    sides: Callable[[], tuple[LaurentPoly, LaurentPoly]],
-) -> CheckResult:
-    start = time.perf_counter()
-    lhs, rhs = sides()
-    elapsed = (time.perf_counter() - start) * 1000.0
-    return CheckResult(identity, m, n, lhs, rhs, lhs == rhs, elapsed)
+# Every sides function calls the identity and Schur functions through this
+# module's globals at call time (never a function object captured at
+# import), so a wrapper rebound onto those names sees every call.
 
 
-def _run_theorem(m: int, n: int) -> CheckResult:
-    box = BoxParams(m, n)
-    return _timed_sides("theorem", m, n, lambda: (schur_box_sum(box), box_det_ratio(box)))
-
-
-def _run_weyl(_: int | None, n: int) -> CheckResult:
-    return _timed_sides(
-        "weyl", None, n,
-        lambda: (weyl_denominator(n, "determinant"), weyl_denominator(n, "product")),
-    )
-
-
-def _run_lemma(_: int | None, n: int) -> CheckResult:
-    return _timed_sides("lemma", None, n, lambda: lemma_sides(n))
-
-
-def _run_eq4(m: int, n: int) -> CheckResult:
-    return _timed_sides("eq4", m, n, lambda: eq4_sides(BoxParams(m, n)))
-
-
-def _run_eq5(m: int, n: int) -> CheckResult:
-    return _timed_sides("eq5", m, n, lambda: eq5_sides(BoxParams(m, n)))
-
-
-def _run_eq6(_: int | None, n: int) -> CheckResult:
-    return _timed_sides("eq6", None, n, lambda: eq6_sides(n))
-
-
-def _run_vanishing(_: int | None, n: int) -> CheckResult:
-    return _timed_sides("vanishing", None, n, lambda: (vanishing_det(n), LaurentPoly.zero()))
-
-
-def _run_macmahon(m: int, n: int) -> CheckResult:
+def _macmahon_sides(m: int, n: int) -> tuple[LaurentPoly, LaurentPoly]:
     """Brute-force generating function == specialized box sum == q-product."""
-    start = time.perf_counter()
     brute = generating_function(symmetric_plane_partitions(n, m))
     specialized = principal_specialization(
         schur_box_sum(BoxParams(m, n)), [2 * (n - i) + 1 for i in range(1, n + 1)]
     )
-    product = macmahon_product(BoxParams(m, n))
-    elapsed = (time.perf_counter() - start) * 1000.0
     if brute != specialized:
-        return CheckResult("macmahon", m, n, brute, specialized, False, elapsed)
+        return brute, specialized
+    product = macmahon_product(BoxParams(m, n))
     if specialized != product:
-        return CheckResult("macmahon", m, n, specialized, product, False, elapsed)
-    return CheckResult("macmahon", m, n, brute, product, True, elapsed)
+        return specialized, product
+    return brute, product
 
 
-def _run_gordon(m: int, n: int) -> CheckResult:
-    def sides() -> tuple[LaurentPoly, LaurentPoly]:
-        specialized = principal_specialization(
-            schur_box_sum(BoxParams(m, n)), list(range(n, 0, -1))
-        )
-        return specialized, gordon_product(BoxParams(m, n))
-
-    return _timed_sides("gordon", m, n, sides)
-
-
-def _run_bijection(m: int, n: int) -> CheckResult:
+def _bijection_sides(m: int, n: int) -> tuple[LaurentPoly, LaurentPoly, bool]:
     """fold/unfold are mutually inverse and weight-preserving on full enumerations."""
-    start = time.perf_counter()
     sym = list(symmetric_plane_partitions(n, m))
     strict = list(column_strict_odd_pps(n, m))
-    ok = True
-    folded = []
-    for sp in sym:
-        cs = fold(sp)
-        folded.append(cs)
-        if cs.weight != sp.weight or unfold(cs) != sp:
-            ok = False
-    if Counter(folded) != Counter(strict):
-        ok = False
-    for cs in strict:
-        if fold(unfold(cs)) != cs:
-            ok = False
-    lhs = generating_function(sym)
-    rhs = generating_function(strict)
-    elapsed = (time.perf_counter() - start) * 1000.0
-    return CheckResult("bijection", m, n, lhs, rhs, ok and lhs == rhs, elapsed)
+    folded = [fold(sp) for sp in sym]
+    ok = (
+        all(cs.weight == sp.weight and unfold(cs) == sp for sp, cs in zip(sym, folded))
+        and Counter(folded) == Counter(strict)
+        and all(fold(unfold(cs)) == cs for cs in strict)
+    )
+    return generating_function(sym), generating_function(strict), ok
 
 
-def _run_schur_agree(m: int, n: int) -> CheckResult:
+def _schur_agree_sides(m: int, n: int) -> tuple[LaurentPoly, LaurentPoly]:
     """Tableau-sum and alternant-ratio Schur backends agree on every shape in the box."""
-    start = time.perf_counter()
-    total_tab = LaurentPoly.zero()
-    total_alt = LaurentPoly.zero()
-    ok = True
-    first_bad: tuple[LaurentPoly, LaurentPoly] | None = None
+    total_tab = total_alt = LaurentPoly.zero()
     for lam in partitions_in_box(m, n):
         a = schur_via_tableaux(lam, n)
         b = schur_via_bialternant(lam, n)
+        if a != b:
+            return a, b
         total_tab = total_tab + a
         total_alt = total_alt + b
-        if a != b and first_bad is None:
-            ok = False
-            first_bad = (a, b)
-    lhs, rhs = first_bad if first_bad else (total_tab, total_alt)
-    elapsed = (time.perf_counter() - start) * 1000.0
-    return CheckResult("schur-agree", m, n, lhs, rhs, ok, elapsed)
+    return total_tab, total_alt
 
 
-def _run_dn(_: int | None, n: int) -> CheckResult:
+def _dn_sides(_: int | None, n: int) -> tuple[LaurentPoly, LaurentPoly, bool]:
     """Root substitutions and the leading-coefficient recursion for D_n."""
-    start = time.perf_counter()
     report = dn_checks(n)
-    elapsed = (time.perf_counter() - start) * 1000.0
-    return CheckResult("dn", None, n, report.lead, report.expected, report.all_pass, elapsed)
+    return report.lead, report.expected, report.all_pass
 
 
 @dataclass(frozen=True)
-class _CheckSpec:
+class _Check:
     uses_m: bool
     min_n: int
-    run: Callable[[int | None, int], CheckResult] = field(compare=False)
-    expands_order_n: bool = True
+    expands_order_n: bool
+    sides: Callable[[int | None, int], tuple]
 
 
-_REGISTRY: dict[str, _CheckSpec] = {
-    "theorem": _CheckSpec(True, 1, _run_theorem),
-    "weyl": _CheckSpec(False, 1, _run_weyl),
-    "lemma": _CheckSpec(False, 1, _run_lemma, expands_order_n=False),
-    "eq4": _CheckSpec(True, 1, _run_eq4),
-    "eq5": _CheckSpec(True, 1, _run_eq5),
-    "eq6": _CheckSpec(False, 1, _run_eq6),
-    "vanishing": _CheckSpec(False, 1, _run_vanishing),
-    "macmahon": _CheckSpec(True, 1, _run_macmahon, expands_order_n=False),
-    "gordon": _CheckSpec(True, 1, _run_gordon, expands_order_n=False),
-    "bijection": _CheckSpec(True, 1, _run_bijection, expands_order_n=False),
-    "schur-agree": _CheckSpec(True, 1, _run_schur_agree),
-    "dn": _CheckSpec(False, 2, _run_dn),
+_TABLE: dict[str, _Check] = {
+    "theorem": _Check(True, 1, True, lambda m, n: (
+        schur_box_sum(BoxParams(m, n)), box_det_ratio(BoxParams(m, n)))),
+    "weyl": _Check(False, 1, True, lambda _, n: (
+        weyl_denominator(n, "determinant"), weyl_denominator(n, "product"))),
+    "lemma": _Check(False, 1, False, lambda _, n: lemma_sides(n)),
+    "eq4": _Check(True, 1, True, lambda m, n: eq4_sides(BoxParams(m, n))),
+    "eq5": _Check(True, 1, True, lambda m, n: eq5_sides(BoxParams(m, n))),
+    "eq6": _Check(False, 1, True, lambda _, n: eq6_sides(n)),
+    "vanishing": _Check(False, 1, True, lambda _, n: (vanishing_det(n), LaurentPoly.zero())),
+    "macmahon": _Check(True, 1, False, _macmahon_sides),
+    "gordon": _Check(True, 1, False, lambda m, n: (
+        principal_specialization(schur_box_sum(BoxParams(m, n)), list(range(n, 0, -1))),
+        gordon_product(BoxParams(m, n)))),
+    "bijection": _Check(True, 1, False, _bijection_sides),
+    "schur-agree": _Check(True, 1, True, _schur_agree_sides),
+    "dn": _Check(False, 2, True, _dn_sides),
 }
 
-CHECK_IDS: tuple[str, ...] = tuple(_REGISTRY)
-
-
-def check_uses_m(check_id: str) -> bool:
-    return _REGISTRY[check_id].uses_m
+CHECK_IDS: tuple[str, ...] = tuple(_TABLE)
 
 
 def minimum_n(check_id: str) -> int:
-    return _REGISTRY[check_id].min_n
+    return _TABLE[check_id].min_n
 
 
 def expands_order_n(check_id: str) -> bool:
     """Whether the check expands an order-n determinant, so n <= DEFAULT_MAX_ORDER."""
-    return _REGISTRY[check_id].expands_order_n
+    return _TABLE[check_id].expands_order_n
 
 
 def expand_checks(requested: Iterable[str]) -> list[str]:
@@ -234,7 +163,7 @@ def expand_checks(requested: Iterable[str]) -> list[str]:
     ids: dict[str, None] = {}
     for check_id in requested:
         ids.update(dict.fromkeys(CHECK_IDS if check_id == "all" else (check_id,)))
-    unknown = [c for c in ids if c not in _REGISTRY]
+    unknown = [c for c in ids if c not in _TABLE]
     if unknown:
         raise UnknownCheckError(
             f"unknown check(s) {', '.join(map(repr, unknown))}; "
@@ -251,12 +180,25 @@ def _validate_range(name: str, rng: tuple[int, int]) -> None:
         raise InvalidRangeError(f"{name} range must start at 1 or above, got {lo}")
 
 
+def _evaluate(check_id: str, m: int | None, n: int) -> CheckResult:
+    start = time.perf_counter()
+    error = None
+    try:
+        lhs, rhs, *ok = _TABLE[check_id].sides(m, n)
+    except Exception as exc:  # one raising check must not abort the sweep
+        lhs = rhs = LaurentPoly.zero()
+        ok, error = [False], f"{type(exc).__name__}: {exc}"
+    elapsed = (time.perf_counter() - start) * 1000.0
+    return CheckResult(check_id, m, n, lhs, rhs, lhs == rhs and all(ok), elapsed, error)
+
+
 def run_verification(config: RunConfig) -> list[CheckResult]:
     """Run every requested check over the (m, n) grid; see RunConfig.
 
     Unknown checks, bad ranges and an n above DEFAULT_MAX_ORDER for a check
     that expands an order-n determinant are rejected before any work starts.
     Grid points below a check's minimum n (dn needs n >= 2) are skipped.
+    Results come in ``CHECK_IDS`` order, then by n, then by m.
     """
     ids = expand_checks(config.checks)
     _validate_range("m", config.m_range)
@@ -267,31 +209,11 @@ def run_verification(config: RunConfig) -> list[CheckResult]:
             f"n = {config.n_range[1]} exceeds the order bound {DEFAULT_MAX_ORDER} "
             f"of {', '.join(bounded)}"
         )
-    if config.parallel < 1:
-        raise InvalidRangeError(f"parallel worker count must be >= 1, got {config.parallel}")
 
-    tasks: list[tuple[str, int | None, int]] = []
-    for check_id in ids:
-        entry = _REGISTRY[check_id]
-        for n in range(config.n_range[0], config.n_range[1] + 1):
-            if n < entry.min_n:
-                continue
-            if entry.uses_m:
-                for m in range(config.m_range[0], config.m_range[1] + 1):
-                    tasks.append((check_id, m, n))
-            else:
-                tasks.append((check_id, None, n))
-
-    def execute(task: tuple[str, int | None, int]) -> CheckResult:
-        check_id, m, n = task
-        return _REGISTRY[check_id].run(m, n)
-
-    if config.parallel == 1 or len(tasks) <= 1:
-        results = [execute(t) for t in tasks]
-    else:
-        with ThreadPoolExecutor(max_workers=config.parallel) as pool:
-            results = list(pool.map(execute, tasks))
-
-    order = {check_id: k for k, check_id in enumerate(CHECK_IDS)}
-    results.sort(key=lambda r: (order[r.identity], r.n, r.m if r.m is not None else 0))
+    results: list[CheckResult] = []
+    for check_id in (c for c in CHECK_IDS if c in ids):
+        entry = _TABLE[check_id]
+        for n in range(max(config.n_range[0], entry.min_n), config.n_range[1] + 1):
+            ms = range(config.m_range[0], config.m_range[1] + 1) if entry.uses_m else (None,)
+            results.extend(_evaluate(check_id, m, n) for m in ms)
     return results

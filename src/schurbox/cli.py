@@ -1,13 +1,12 @@
 """Command-line harness: verification sweeps and object enumeration.
 
-Exit codes: 0 all checks passed, 1 some check failed, 2 usage error.
+Exit codes: 0 all checks passed, 1 some check failed or raised, 2 usage error.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .checks import (
@@ -26,8 +25,6 @@ from .combinat import (
     symmetric_plane_partitions,
 )
 
-WORKERS_ENV = "SCHURBOX_WORKERS"
-
 
 def _parse_range(text: str) -> tuple[int, int]:
     lo, sep, hi = text.partition("..")
@@ -37,14 +34,6 @@ def _parse_range(text: str) -> tuple[int, int]:
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected N or LO..HI, got {text!r}") from None
     return (low, high)
-
-
-def _default_workers() -> int:
-    raw = os.environ.get(WORKERS_ENV, "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -65,8 +54,6 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--n", type=_parse_range, default=(1, 3), metavar="LO..HI",
                         help="inclusive n range (default 1..3)")
     verify.add_argument("--output", choices=("text", "json"), default="text")
-    verify.add_argument("--parallel", type=int, default=_default_workers(),
-                        help=f"worker count (default ${WORKERS_ENV} or 1)")
 
     enum = sub.add_parser("enumerate", help="list objects and their generating function")
     enum.add_argument("kind", choices=("symmetric-pp", "column-strict", "partitions"))
@@ -80,8 +67,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         checks=tuple(part.strip() for part in args.checks.split(",") if part.strip()),
         m_range=args.m,
         n_range=args.n,
-        output=args.output,
-        parallel=args.parallel,
     )
     try:
         results = run_verification(config)
@@ -99,13 +84,17 @@ def _cmd_verify(args: argparse.Namespace) -> int:
                     file=sys.stderr,
                 )
 
-    if config.output == "json":
+    if args.output == "json":
         print(json.dumps([r.to_json_dict() for r in results], indent=2))
     else:
         for r in results:
             m_text = "-" if r.m is None else str(r.m)
-            status = "PASS" if r.passed else "FAIL"
-            print(f"{r.identity:<12} m={m_text:<3} n={r.n:<3} {status}  {r.elapsed_ms:8.1f} ms")
+            head = f"{r.identity:<12} m={m_text:<3} n={r.n:<3}"
+            if r.error is not None:
+                print(f"{head} ERROR  {r.error}")
+            else:
+                status = "PASS" if r.passed else "FAIL"
+                print(f"{head} {status}  {r.elapsed_ms:8.1f} ms")
     failed = sum(1 for r in results if not r.passed)
     print(f"{len(results)} checks, {len(results) - failed} passed, {failed} failed",
           file=sys.stderr)

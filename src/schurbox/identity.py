@@ -42,7 +42,7 @@ from .poly import (
     unit_keys,
 )
 from .combinat import partitions_in_box
-from .schur import BoxParams, times_bn_factors
+from .schur import BoxParams, binomial_det, times_bn_factors, xvars
 
 __all__ = [
     "CheckResult",
@@ -129,7 +129,8 @@ class SignedSubset:
 
 @dataclass(frozen=True)
 class CheckResult:
-    """Outcome of one identity verification at concrete parameters."""
+    """Outcome of one identity verification at concrete parameters; ``error`` is
+    ``"<Type>: <message>"`` if building the sides raised (then both sides are 0)."""
 
     identity: str
     m: int | None
@@ -138,6 +139,7 @@ class CheckResult:
     rhs: LaurentPoly
     passed: bool
     elapsed_ms: float
+    error: str | None = None
 
     def to_json_dict(self) -> dict:
         out = {
@@ -150,6 +152,8 @@ class CheckResult:
         if not self.passed:
             out["lhs"] = self.lhs.to_text()
             out["rhs"] = self.rhs.to_text()
+        if self.error is not None:
+            out["error"] = self.error
         return out
 
 
@@ -218,11 +222,8 @@ def eq4_sides(box: BoxParams, max_order: int = DEFAULT_MAX_ORDER) -> tuple[Laure
     m, n = box.m, box.n
     if n < 1:
         raise ValueError("n must be at least 1")
-    lhs_rows = [
-        [_x(i, j - 1) - _x(i, m + 2 * n - j) for j in range(1, n + 1)]
-        for i in range(1, n + 1)
-    ]
-    lhs = determinant(PolyMatrix(tuple(tuple(r) for r in lhs_rows)), max_order)
+    cols = range(1, n + 1)
+    lhs = binomial_det(xvars(n), [j - 1 for j in cols], [m + 2 * n - j for j in cols], max_order)
     alternant_sum = LaurentPoly.zero()
     for lam in partitions_in_box(m, n):
         padded = lam.padded(n)
@@ -340,8 +341,5 @@ def vanishing_det(n: int, max_order: int = DEFAULT_MAX_ORDER) -> LaurentPoly:
     (column j = n has equal exponents)."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    rows = [
-        [_x(i, j + 1 - 2 * n) - _x(i, 1 - j) for j in range(1, n + 1)]
-        for i in range(1, n + 1)
-    ]
-    return determinant(PolyMatrix(tuple(tuple(r) for r in rows)), max_order)
+    cols = range(1, n + 1)
+    return binomial_det(xvars(n), [j + 1 - 2 * n for j in cols], [1 - j for j in cols], max_order)

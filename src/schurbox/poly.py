@@ -182,6 +182,22 @@ def _product_bound(a_keys: Iterable[int], a_bound: int, b_keys: Iterable[int], b
     return _checked_bound(bound)
 
 
+def _substitution_bound(flat: memoryview, npos: int, images: list[tuple[int, int]]) -> int:
+    """The exact largest |exponent| that ``LaurentPoly.substitute`` can produce from
+    the terms' digits ``flat`` and its ``(position, image key - variable key)`` pairs;
+    raises :class:`ExponentRangeError` only if some new exponent leaves the range."""
+    npos_out, deltas = _digits([delta for _, delta in images], npos)
+    bound = 0
+    for p in range(npos_out):
+        exps = [d - _HALF for d in flat[p::npos]] if p < npos else [0] * (len(flat) // npos)
+        for row, (s, _) in enumerate(images):
+            c = deltas[row * npos_out + p] - _HALF
+            if c and s < npos:
+                exps = [e + c * (d - _HALF) for e, d in zip(exps, flat[s::npos])]
+        bound = max(bound, max(map(abs, exps), default=0))
+    return _checked_bound(bound)
+
+
 def unit_keys(letter: str, count: int) -> tuple[int, ...]:
     """Packed keys of the monomials ``letter1, ..., letter<count>``.
 
@@ -531,9 +547,11 @@ class LaurentPoly:
             images.append((pos, image - (1 << (DIGIT_BITS * pos))))
             image_bound += _bound((image,))
         # |new exponent of v| <= bound * ([v unassigned] + sum of |image exponents of v|)
-        bound = _checked_bound(self._bound * (1 + image_bound))
+        bound = self._bound * (1 + image_bound)
 
         npos, flat = _digits(self._terms)
+        if bound > MAX_EXPONENT:
+            bound = _substitution_bound(flat, npos, images)
         keys = list(self._terms)
         for pos, delta in images:
             if pos < npos and delta:

@@ -31,6 +31,7 @@ from .poly import (
 __all__ = [
     "BoxParams",
     "DnReport",
+    "binomial_det",
     "box_det_ratio",
     "dn_checks",
     "gordon_product",
@@ -69,6 +70,28 @@ def vandermonde(names: Sequence[str]) -> LaurentPoly:
         for j in range(i + 1, len(names)):
             out = out * (LaurentPoly.variable(names[i]) - LaurentPoly.variable(names[j]))
     return out
+
+
+def binomial_det(names: Sequence[str], a: Sequence[int], b: Sequence[int],
+                 max_order: int = DEFAULT_MAX_ORDER) -> LaurentPoly:
+    """det(v_i^{a_j} - v_i^{b_j}) over the variables v_i of ``names``.
+
+    Row i belongs to ``names[i]`` and column j to ``(a[j], b[j])``; a column
+    with ``a[j] == b[j]`` is zero.  Every exponent must lie within
+    ``±MAX_EXPONENT`` (:class:`~schurbox.poly.ExponentRangeError` otherwise).
+    """
+    rows = [
+        [LaurentPoly.variable(v, aj) - LaurentPoly.variable(v, bj) for aj, bj in zip(a, b)]
+        for v in names
+    ]
+    return determinant(PolyMatrix.from_rows(rows), max_order)
+
+
+def _box_exponents(m: int, n: int) -> tuple[list[int], list[int]]:
+    """Column exponents (j - 1, m + 2n - j), j = 1..n, of the theorem's numerator;
+    m = 0 gives the Weyl determinant."""
+    cols = range(1, n + 1)
+    return [j - 1 for j in cols], [m + 2 * n - j for j in cols]
 
 
 def schur_via_tableaux(shape: Partition, n: int) -> LaurentPoly:
@@ -119,29 +142,9 @@ def box_det_ratio(box: BoxParams, max_order: int = DEFAULT_MAX_ORDER) -> Laurent
     m, n = box.m, box.n
     if n == 0:
         return LaurentPoly.one()
-    num_rows = [
-        [
-            LaurentPoly.variable(f"x{i}", j - 1) - LaurentPoly.variable(f"x{i}", m + 2 * n - j)
-            for j in range(1, n + 1)
-        ]
-        for i in range(1, n + 1)
-    ]
-    num = determinant(PolyMatrix.from_rows(num_rows), max_order)
-    den = _weyl_det(xvars(n), max_order)
+    num = binomial_det(xvars(n), *_box_exponents(m, n), max_order)
+    den = binomial_det(xvars(n), *_box_exponents(0, n), max_order)
     return exact_div(num, den)
-
-
-def _weyl_det(names: Sequence[str], max_order: int = DEFAULT_MAX_ORDER) -> LaurentPoly:
-    """det(x_i^{j-1} - x_i^{2n-j}) over the given variables."""
-    n = len(names)
-    rows = [
-        [
-            LaurentPoly.variable(v, j - 1) - LaurentPoly.variable(v, 2 * n - j)
-            for j in range(1, n + 1)
-        ]
-        for v in names
-    ]
-    return determinant(PolyMatrix.from_rows(rows), max_order)
 
 
 def times_bn_factors(poly: LaurentPoly, n: int) -> LaurentPoly:
@@ -168,7 +171,7 @@ def weyl_denominator(n: int, form: str = "determinant") -> LaurentPoly:
     if n < 1:
         raise ValueError("order must be at least 1")
     if form == "determinant":
-        return _weyl_det(xvars(n))
+        return binomial_det(xvars(n), *_box_exponents(0, n))
     if form != "product":
         raise ValueError(f"unknown form {form!r}")
     return times_bn_factors(vandermonde(xvars(n)), n)
@@ -202,7 +205,7 @@ def dn_checks(n: int) -> DnReport:
     """
     if n < 2:
         raise ValueError("dn_checks needs n >= 2")
-    d_n = _weyl_det(xvars(n))
+    d_n = binomial_det(xvars(n), *_box_exponents(0, n))
     roots: list[tuple[str, bool]] = []
     roots.append(("x1:=1", d_n.substitute({"x1": 1}).is_zero()))
     for j in range(2, n + 1):
@@ -215,7 +218,7 @@ def dn_checks(n: int) -> DnReport:
         )
     lead = d_n.coefficient_of("x1", 2 * n - 1)
     tail = LaurentPoly.term(Monomial({f"x{i}": 1 for i in range(2, n + 1)}))
-    expected = -tail * _weyl_det([f"x{i}" for i in range(2, n + 1)])
+    expected = -tail * binomial_det(xvars(n)[1:], *_box_exponents(0, n - 1))
     return DnReport(n, tuple(roots), lead, expected)
 
 

@@ -15,6 +15,7 @@ from schurbox.checks import (
     expands_order_n,
     run_verification,
 )
+from schurbox.poly import LaurentPoly
 
 
 def run_cli(*args):
@@ -58,15 +59,26 @@ def test_invalid_ranges_rejected():
         run_verification(RunConfig(("theorem",), (3, 1), (1, 1)))
     with pytest.raises(InvalidRangeError):
         run_verification(RunConfig(("theorem",), (1, 1), (0, 1)))
-    with pytest.raises(InvalidRangeError):
-        run_verification(RunConfig(("theorem",), (1, 1), (1, 1), parallel=0))
 
 
-def test_parallel_matches_serial():
-    serial = run_verification(RunConfig(("all",), (1, 2), (1, 2), parallel=1))
-    threaded = run_verification(RunConfig(("all",), (1, 2), (1, 2), parallel=4))
-    key = lambda r: (r.identity, r.m, r.n, r.passed)
-    assert sorted(map(key, serial)) == sorted(map(key, threaded))
+def test_results_in_table_order_then_n_then_m():
+    results = run_verification(RunConfig(("eq5", "theorem"), (1, 2), (1, 2)))
+    assert [(r.identity, r.m, r.n) for r in results] == [
+        ("theorem", 1, 1), ("theorem", 2, 1), ("theorem", 1, 2), ("theorem", 2, 2),
+        ("eq5", 1, 1), ("eq5", 2, 1), ("eq5", 1, 2), ("eq5", 2, 2),
+    ]
+    assert all(r.passed and r.error is None for r in results)
+
+
+def test_raising_check_becomes_an_error_record():
+    results = run_verification(RunConfig(("eq4", "lemma"), (3_000_000_000,) * 2, (1, 1)))
+    lemma, eq4 = results
+    assert (lemma.identity, lemma.passed, lemma.error) == ("lemma", True, None)
+    assert (eq4.identity, eq4.m, eq4.passed) == ("eq4", 3_000_000_000, False)
+    assert eq4.error.startswith("ExponentRangeError: exponent 3000000001 of x1")
+    assert eq4.lhs == eq4.rhs == LaurentPoly.zero()
+    assert eq4.to_json_dict()["error"] == eq4.error
+    assert "error" not in lemma.to_json_dict()
 
 
 def test_all_expands_anywhere_and_repeats_drop():
@@ -157,19 +169,25 @@ def test_cli_json_output_is_valid_and_deterministic():
     assert all(rec["pass"] for rec in json.loads(first.stdout))
 
 
-def test_cli_parallel_same_multiset():
-    base = ("verify", "--checks", "macmahon,lemma", "--n", "1..2", "--m", "1..2",
-            "--output", "json")
-    serial = run_cli(*base, "--parallel", "1")
-    threaded = run_cli(*base, "--parallel", "3")
+def test_cli_parallel_option_is_gone():
+    proc = run_cli("verify", "--checks", "lemma", "--parallel", "2")
+    assert proc.returncode == 2
+    assert "unrecognized arguments: --parallel" in proc.stderr
 
-    def key_set(proc):
-        return sorted(
-            (rec["identity"], rec["m"], rec["n"], rec["pass"])
-            for rec in json.loads(proc.stdout)
-        )
 
-    assert key_set(serial) == key_set(threaded)
+def test_cli_error_record_does_not_abort_the_sweep():
+    args = ("verify", "--checks", "eq4,lemma", "--m", "3000000000", "--n", "1")
+    proc = run_cli(*args)
+    assert proc.returncode == 1
+    lemma_line, eq4_line = proc.stdout.strip().splitlines()
+    assert lemma_line.startswith("lemma ") and "PASS" in lemma_line
+    assert eq4_line.startswith("eq4 ")
+    assert "ERROR  ExponentRangeError: exponent 3000000001 of x1" in eq4_line
+    assert "Traceback" not in proc.stderr
+    assert "2 checks, 1 passed, 1 failed" in proc.stderr
+    records = json.loads(run_cli(*args, "--output", "json").stdout)
+    assert ["error" in rec for rec in records] == [False, True]
+    assert records[1]["error"].startswith("ExponentRangeError: ")
 
 
 # -- CLI: enumerate -----------------------------------------------------------------

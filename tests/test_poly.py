@@ -137,6 +137,24 @@ def test_product_of_in_range_operands_past_the_range_raises():
         exact_div(P.variable("x1", MAX_EXPONENT), P.variable("x1", -1))
 
 
+def test_substitution_whose_exponents_fit_is_not_refused():
+    # The O(1) bound (bound * (1 + image bounds)) passes the range here, so
+    # the exact per-position bound decides.
+    half = P.variable("x1", 2**30)
+    assert half.substitute({"x1": "x1"}) == half
+    pair = half * P.variable("x2", -(2**30)) + 3 * x2
+    assert pair.substitute({"x1": "x2", "x2": "x1"}) == (
+        P.variable("x2", 2**30) * P.variable("x1", -(2**30)) + 3 * x1
+    )
+    assert pair.substitute({"x2": "x1"}) == 1 + 3 * x1
+    top = P.variable("x1", MAX_EXPONENT)
+    assert top.substitute({"x1": Monomial.variable("q", -1)}) == P.variable("q", -MAX_EXPONENT)
+    with pytest.raises(ExponentRangeError, match="may reach 2147483648"):
+        half.substitute({"x1": Monomial.variable("x1", 2)})
+    with pytest.raises(ExponentRangeError, match="may reach 2147483648"):
+        (half * P.variable("x2", 2**30)).substitute({"x2": "x1"})
+
+
 # -- arithmetic examples -------------------------------------------------------
 
 

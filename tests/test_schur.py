@@ -3,9 +3,18 @@
 import pytest
 
 from schurbox.combinat import Partition, generating_function, partitions_in_box, symmetric_plane_partitions
-from schurbox.poly import LaurentPoly, Monomial
+from schurbox.poly import (
+    MAX_EXPONENT,
+    ExponentRangeError,
+    LaurentPoly,
+    Monomial,
+    PolyMatrix,
+    determinant,
+    parse_poly,
+)
 from schurbox.schur import (
     BoxParams,
+    binomial_det,
     box_det_ratio,
     dn_checks,
     gordon_product,
@@ -111,6 +120,25 @@ def test_weyl_order_two_expansion():
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_weyl_forms_agree(n):
     assert weyl_denominator(n, "determinant") == weyl_denominator(n, "product")
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("equal_column", [False, True])
+def test_binomial_det_matches_hand_built_determinant(n, equal_column):
+    names = [f"x{i}" for i in range(2, n + 2)]  # x2..x(n+1), as dn_checks uses
+    a = [j - 1 for j in range(1, n + 1)]
+    b = [2 - 3 * j for j in range(1, n + 1)]
+    if equal_column:
+        b[-1] = a[-1]
+    rows = [[parse_poly(f"{v}^{aj} - {v}^{bj}") for aj, bj in zip(a, b)] for v in names]
+    expected = determinant(PolyMatrix.from_rows(rows))
+    assert binomial_det(names, a, b) == expected
+    assert expected.is_zero() == equal_column
+
+
+def test_binomial_det_keeps_the_exponent_range_check():
+    with pytest.raises(ExponentRangeError):
+        binomial_det(["x1", "x2"], [0, 1], [3, MAX_EXPONENT + 1])
 
 
 def test_weyl_rejects_bad_input():

@@ -1,4 +1,5 @@
-"""Smoke runs of the scripts in ``scripts/`` on the smallest interesting box."""
+"""Smoke runs of the scripts in ``scripts/`` on the smallest interesting box, and of
+the benchmark's self-test, which patches the CLI and check functions from outside."""
 
 import os
 import subprocess
@@ -30,3 +31,14 @@ def test_script_runs(script, args):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout
+
+
+def test_benchmark_selftest_passes():
+    proc = subprocess.run(
+        [sys.executable, os.path.join(ROOT, "perfbench", "selftest.py")],
+        cwd=ROOT,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
