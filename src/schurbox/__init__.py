@@ -3,10 +3,10 @@
 The package splits into:
 
 * :mod:`schurbox.poly` -- sparse Laurent polynomials over exact integers,
-  substitution, exact division, determinants;
+  substitution, exact division, signed permutations and determinants;
 * :mod:`schurbox.combinat` -- plane partitions, odd-column-strict arrays,
-  tableaux, the weight-preserving fold bijection, brute-force generating
-  functions;
+  tableau entry tuples, the weight-preserving fold bijection, brute-force
+  generating functions;
 * :mod:`schurbox.schur` -- Schur polynomials (tableau sum and alternant
   ratio), box sums, Weyl denominators, MacMahon and Gordon products;
 * :mod:`schurbox.identity` -- both sides of the determinant-expansion chain
@@ -25,8 +25,8 @@ from .poly import (
     PolyMatrix,
     determinant,
     exact_div,
-    inversion_count,
     parse_poly,
+    signed_permutations,
 )
 from .combinat import (
     ColumnStrictPP,
@@ -34,7 +34,6 @@ from .combinat import (
     NotSymmetricError,
     Partition,
     PlanePartition,
-    Tableau,
     column_strict_odd_pps,
     fold,
     generating_function,
@@ -59,8 +58,6 @@ from .schur import (
 )
 from .identity import (
     CheckResult,
-    Permutation,
-    SignedSubset,
     eq4_sides,
     eq5_sides,
     eq6_sides,
@@ -94,12 +91,9 @@ __all__ = [
     "NotSymmetricError",
     "OrderTooLargeError",
     "Partition",
-    "Permutation",
     "PlanePartition",
     "PolyMatrix",
     "RunConfig",
-    "SignedSubset",
-    "Tableau",
     "UnknownCheckError",
     "box_det_ratio",
     "column_strict_odd_pps",
@@ -113,7 +107,6 @@ __all__ = [
     "fold",
     "generating_function",
     "gordon_product",
-    "inversion_count",
     "lemma_sides",
     "macmahon_product",
     "parse_poly",
@@ -123,6 +116,7 @@ __all__ = [
     "schur_box_sum",
     "schur_via_bialternant",
     "schur_via_tableaux",
+    "signed_permutations",
     "ssyt",
     "symmetric_plane_partitions",
     "unfold",

@@ -159,16 +159,17 @@ def expands_order_n(check_id: str) -> bool:
 
 
 def expand_checks(requested: Iterable[str]) -> list[str]:
-    """Check ids in first-seen order, with ``all`` expanded and repeats dropped."""
+    """Check ids in first-seen order, with ``all`` expanded and repeats dropped;
+    an empty request is refused like an unknown id."""
     ids: dict[str, None] = {}
     for check_id in requested:
         ids.update(dict.fromkeys(CHECK_IDS if check_id == "all" else (check_id,)))
+    expected = f"expected one of: {', '.join(CHECK_IDS)} (or 'all')"
+    if not ids:
+        raise UnknownCheckError(f"no checks requested; {expected}")
     unknown = [c for c in ids if c not in _TABLE]
     if unknown:
-        raise UnknownCheckError(
-            f"unknown check(s) {', '.join(map(repr, unknown))}; "
-            f"expected one of: {', '.join(CHECK_IDS)} (or 'all')"
-        )
+        raise UnknownCheckError(f"unknown check(s) {', '.join(map(repr, unknown))}; {expected}")
     return list(ids)
 
 

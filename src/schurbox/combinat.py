@@ -20,7 +20,8 @@ slice at height y is ``2 * #{j >= c : h[c][j] >= y} - 1``.  ``unfold`` adds
 each hook's cells (the diagonal cell, its arm and its mirrored leg) into the
 height matrix.  The enumerators and ``ssyt`` walk a flat cursor instead of a
 chain of nested generators.  Objects they build are already canonical, so
-they skip the normalizing constructors.
+they skip the normalizing constructors, and ``ssyt`` yields each tableau as
+the flat tuple of its entries in row-major order.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ __all__ = [
     "NotSymmetricError",
     "Partition",
     "PlanePartition",
-    "Tableau",
     "column_strict_odd_pps",
     "fold",
     "generating_function",
@@ -86,46 +86,6 @@ class Partition:
         if len(self.parts) > n:
             raise ValueError(f"{self} has more than {n} parts")
         return self.parts + (0,) * (n - len(self.parts))
-
-    def conjugate(self) -> Partition:
-        if not self.parts:
-            return Partition()
-        return Partition(
-            tuple(sum(1 for p in self.parts if p > c) for c in range(self.parts[0]))
-        )
-
-    def principal_hooks(self) -> tuple[int, ...]:
-        """Hook lengths of the diagonal cells: arm + leg + 1, strictly decreasing."""
-        conj = self.conjugate().parts
-        hooks = []
-        for c in range(len(self.parts)):
-            if self.parts[c] < c + 1:
-                break
-            hooks.append((self.parts[c] - c - 1) + (conj[c] - c - 1) + 1)
-        return tuple(hooks)
-
-    @classmethod
-    def from_principal_hooks(cls, hooks: Iterable[int]) -> Partition:
-        """The self-conjugate partition with the given diagonal hooks.
-
-        Requires strictly decreasing positive odd values (the hooks of a
-        self-conjugate diagram are exactly such sequences).
-        """
-        hooks = tuple(hooks)
-        for i, d in enumerate(hooks):
-            if d < 1 or d % 2 == 0 or (i > 0 and hooks[i - 1] <= d):
-                raise MalformedInputError(
-                    f"hooks must be strictly decreasing positive odd values: {hooks}"
-                )
-        if not hooks:
-            return cls()
-        arms = [(d - 1) // 2 for d in hooks]
-        r = len(hooks)
-        side = arms[0] + 1
-        parts = [arms[c] + c + 1 for c in range(r)]
-        for i in range(r + 1, side + 1):
-            parts.append(sum(1 for c in range(r) if c + 1 + arms[c] >= i))
-        return cls(tuple(p for p in parts if p))
 
     def to_json(self) -> list[int]:
         return list(self.parts)
@@ -191,21 +151,8 @@ class PlanePartition:
                 if i + 1 < n and h[i][j] < h[i + 1][j]:
                     raise ValueError(f"column {j} not weakly decreasing")
 
-    def slice_partition(self, level: int) -> Partition:
-        """Row lengths of the horizontal slice at height ``level`` (1-based)."""
-        counts = []
-        for row in self.heights:
-            c = sum(1 for v in row if v >= level)
-            if c:
-                counts.append(c)
-        return Partition(tuple(counts))
-
     def to_json(self) -> list[list[int]]:
         return [list(row) for row in self.heights]
-
-    @classmethod
-    def from_json(cls, data: Iterable[Iterable[int]]) -> PlanePartition:
-        return cls(tuple(tuple(row) for row in data))
 
     def __repr__(self) -> str:
         return f"PlanePartition({self.to_json()})"
@@ -242,12 +189,6 @@ class ColumnStrictPP:
     @property
     def num_levels(self) -> int:
         return len(self.levels)
-
-    def height(self, i: int, j: int) -> int:
-        """Column height at x-position i, y-position j (both 1-based)."""
-        if 1 <= j <= len(self.levels) and 1 <= i <= len(self.levels[j - 1]):
-            return self.levels[j - 1][i - 1]
-        return 0
 
     def positions(self) -> dict[tuple[int, int], int]:
         return {
@@ -293,36 +234,6 @@ class ColumnStrictPP:
 
     def __repr__(self) -> str:
         return f"ColumnStrictPP({[list(lvl) for lvl in self.levels]})"
-
-
-@dataclass(frozen=True)
-class Tableau:
-    """Semistandard filling: rows weakly increase, columns strictly increase."""
-
-    shape: Partition
-    rows: tuple[tuple[int, ...], ...]
-
-    def validate(self, n: int) -> None:
-        if len(self.rows) != len(self.shape.parts):
-            raise ValueError("row count does not match shape")
-        for r, row in enumerate(self.rows):
-            if len(row) != self.shape.parts[r]:
-                raise ValueError(f"row {r} has wrong length")
-            for c, v in enumerate(row):
-                if not 1 <= v <= n:
-                    raise ValueError(f"entry {v} outside 1..{n}")
-                if c > 0 and row[c - 1] > v:
-                    raise ValueError(f"row {r} not weakly increasing")
-                if r > 0 and self.rows[r - 1][c] >= v:
-                    raise ValueError(f"column {c} not strictly increasing")
-
-    def content_monomial(self) -> Monomial:
-        counts: dict[str, int] = {}
-        for row in self.rows:
-            for v in row:
-                name = f"x{v}"
-                counts[name] = counts.get(name, 0) + 1
-        return Monomial(counts)
 
 
 # -- enumeration --------------------------------------------------------------
@@ -430,8 +341,9 @@ def column_strict_odd_pps(n: int, m: int) -> Iterator[ColumnStrictPP]:
     yield from rec(0, root)
 
 
-def ssyt(shape: Partition, n: int) -> Iterator[Tableau]:
-    """All semistandard tableaux of the given shape with entries in 1..n.
+def ssyt(shape: Partition, n: int) -> Iterator[tuple[int, ...]]:
+    """All semistandard tableaux of the given shape with entries in 1..n,
+    each as the tuple of its entries in row-major order.
 
     Cells are filled in row-major order, each trying its values in
     ascending order, so tableaux come out in lexicographic order of their
@@ -444,19 +356,17 @@ def ssyt(shape: Partition, n: int) -> Iterator[Tableau]:
         return
     size = sum(parts)
     if not size:
-        yield Tableau(shape, ())
+        yield ()
         return
     # Flat index of each cell's left and upper neighbour; -1 reads the
     # sentinel 0 at the end of ``vals``, so a missing neighbour bounds nothing.
     left: list[int] = []
     up: list[int] = []
-    spans: list[tuple[int, int]] = []
     start = 0
     for r, p in enumerate(parts):
         for c in range(p):
             left.append(start + c - 1 if c else -1)
             up.append(start - parts[r - 1] + c if r else -1)
-        spans.append((start, start + p))
         start += p
     vals = [0] * (size + 1)
     last = size - 1
@@ -466,7 +376,7 @@ def ssyt(shape: Partition, n: int) -> Iterator[Tableau]:
         if v < n:
             vals[k] = v + 1
             if k == last:
-                yield Tableau(shape, tuple([tuple(vals[a:b]) for a, b in spans]))
+                yield tuple(vals[:size])
             else:
                 k += 1
                 lo = vals[up[k]] + 1

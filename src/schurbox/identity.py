@@ -17,7 +17,12 @@ Laurent polynomials, so a check is literal equality:
 * ``vanishing_det``: det(x_i^{j+1-2n} - x_i^{1-j}), which is identically 0.
 
 Orientation bookkeeping: the lemma uses later-minus-earlier differences
-prod_{i<j}(x_j - x_i); Schur alternants use prod_{i<j}(x_i - x_j).
+prod_{i<j}(x_j - x_i), the Schur Vandermonde prod_{i<j}(x_i - x_j) up to
+the sign (-1)^C(n,2).
+
+eq5 and eq6 expand over ``(images, sign)`` pairs from
+:func:`~schurbox.poly.signed_permutations` and over subsets S of {1..n} as
+bitmasks (bit i - 1 set iff i is in S, sign -1 for an odd bit count).
 
 The eq4 and eq5 right sides take the Weyl factors (1 - x_i) and
 (x_i x_j - 1) from one builder, :func:`~schurbox.schur.times_bn_factors`,
@@ -26,9 +31,8 @@ which multiplies the alternant sum by them one binomial at a time.
 
 from __future__ import annotations
 
-import itertools
-from collections.abc import Iterator
 from dataclasses import dataclass
+from math import comb
 
 from .poly import (
     DEFAULT_MAX_ORDER,
@@ -38,16 +42,14 @@ from .poly import (
     PolyMatrix,
     determinant,
     exact_div,
-    inversion_count,
+    signed_permutations,
     unit_keys,
 )
 from .combinat import partitions_in_box
-from .schur import BoxParams, binomial_det, times_bn_factors, xvars
+from .schur import BoxParams, binomial_det, times_bn_factors, vandermonde, xvars
 
 __all__ = [
     "CheckResult",
-    "Permutation",
-    "SignedSubset",
     "eq4_sides",
     "eq5_sides",
     "eq6_sides",
@@ -55,76 +57,6 @@ __all__ = [
     "lemma_sides",
     "vanishing_det",
 ]
-
-
-@dataclass(frozen=True)
-class Permutation:
-    """A bijection on {1..n}, stored as the tuple of images."""
-
-    images: tuple[int, ...]
-
-    def __post_init__(self):
-        n = len(self.images)
-        if sorted(self.images) != list(range(1, n + 1)):
-            raise ValueError(f"not a bijection on 1..{n}: {self.images}")
-
-    @property
-    def n(self) -> int:
-        return len(self.images)
-
-    @property
-    def inversions(self) -> int:
-        return inversion_count(self.images)
-
-    @property
-    def sign(self) -> int:
-        return -1 if self.inversions & 1 else 1
-
-    def __call__(self, i: int) -> int:
-        return self.images[i - 1]
-
-    @staticmethod
-    def all_perms(n: int) -> Iterator[Permutation]:
-        """All permutations of {1..n} in lexicographic image order."""
-        for images in itertools.permutations(range(1, n + 1)):
-            yield Permutation(images)
-
-
-@dataclass(frozen=True)
-class SignedSubset:
-    """A subset S of {1..n} with the sign convention eps_i = -1 iff i in S."""
-
-    n: int
-    members: frozenset[int]
-
-    def __post_init__(self):
-        if not all(1 <= i <= self.n for i in self.members):
-            raise ValueError(f"members {set(self.members)} outside 1..{self.n}")
-
-    def epsilon(self, i: int) -> int:
-        return -1 if i in self.members else 1
-
-    @property
-    def size(self) -> int:
-        return len(self.members)
-
-    @property
-    def sign(self) -> int:
-        return -1 if self.size & 1 else 1
-
-    @property
-    def complement(self) -> frozenset[int]:
-        return frozenset(range(1, self.n + 1)) - self.members
-
-    @property
-    def is_proper(self) -> bool:
-        return self.size < self.n
-
-    @staticmethod
-    def all_subsets(n: int) -> Iterator[SignedSubset]:
-        """Subsets as n-bit masks in increasing numeric order (bit i-1 <=> i in S)."""
-        for mask in range(1 << n):
-            yield SignedSubset(n, frozenset(i for i in range(1, n + 1) if mask >> (i - 1) & 1))
 
 
 @dataclass(frozen=True)
@@ -165,14 +97,11 @@ def _x_product(indices) -> LaurentPoly:
     return LaurentPoly.term(Monomial({f"x{i}": 1 for i in indices}))
 
 
-def _diff_product_reversed(indices) -> LaurentPoly:
-    """prod over pairs i<j of (x_j - x_i); later-minus-earlier orientation."""
-    indices = sorted(indices)
-    out = LaurentPoly.one()
-    for a in range(len(indices)):
-        for b in range(a + 1, len(indices)):
-            out = out * (_x(indices[b]) - _x(indices[a]))
-    return out
+def _later_minus_earlier(indices: list[int]) -> LaurentPoly:
+    """prod over pairs i<j of (x_j - x_i): the Vandermonde of the same variables,
+    negated when C(k, 2) is odd for k indices."""
+    product = vandermonde([f"x{i}" for i in indices])
+    return -product if comb(len(indices), 2) & 1 else product
 
 
 def _lemma_lhs(n: int) -> LaurentPoly:
@@ -182,7 +111,7 @@ def _lemma_lhs(n: int) -> LaurentPoly:
         for i in range(1, n + 1):
             if i != k:
                 term = term * (1 - _x(i) * _x(k))
-        term = term * _diff_product_reversed(i for i in range(1, n + 1) if i != k)
+        term = term * _later_minus_earlier([i for i in range(1, n + 1) if i != k])
         total = total + (term if k % 2 else -term)
     return _x_product(range(1, n + 1)) * total
 
@@ -191,7 +120,7 @@ def lemma_sides(n: int) -> tuple[LaurentPoly, LaurentPoly]:
     """Both sides of the alternating k-sum identity (see module docstring)."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    rhs = (1 - _x_product(range(1, n + 1))) * _diff_product_reversed(range(1, n + 1))
+    rhs = (1 - _x_product(range(1, n + 1))) * _later_minus_earlier(list(range(1, n + 1)))
     return _lemma_lhs(n), rhs
 
 
@@ -203,27 +132,17 @@ def f_function(n: int) -> LaurentPoly:
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    return exact_div(_lemma_lhs(n), _diff_product_reversed(range(1, n + 1)))
+    return exact_div(_lemma_lhs(n), _later_minus_earlier(list(range(1, n + 1))))
 
 
-def _signed_perms(n: int) -> list[tuple[tuple[int, ...], int]]:
-    """(images, sign) for every permutation of 1..n, in lexicographic order."""
-    return [(sigma.images, sigma.sign) for sigma in Permutation.all_perms(n)]
-
-
-def _signed_subsets(n: int) -> list[tuple[frozenset[int], int]]:
-    """(members, sign) for every subset of 1..n, in mask order."""
-    return [(subset.members, subset.sign) for subset in SignedSubset.all_subsets(n)]
-
-
-def eq4_sides(box: BoxParams, max_order: int = DEFAULT_MAX_ORDER) -> tuple[LaurentPoly, LaurentPoly]:
+def eq4_sides(box: BoxParams) -> tuple[LaurentPoly, LaurentPoly]:
     """Determinant form of the theorem with the Weyl denominator cleared, one
     binomial at a time by :func:`~schurbox.schur.times_bn_factors`."""
     m, n = box.m, box.n
     if n < 1:
         raise ValueError("n must be at least 1")
     cols = range(1, n + 1)
-    lhs = binomial_det(xvars(n), [j - 1 for j in cols], [m + 2 * n - j for j in cols], max_order)
+    lhs = binomial_det(xvars(n), [j - 1 for j in cols], [m + 2 * n - j for j in cols])
     alternant_sum = LaurentPoly.zero()
     for lam in partitions_in_box(m, n):
         padded = lam.padded(n)
@@ -231,44 +150,47 @@ def eq4_sides(box: BoxParams, max_order: int = DEFAULT_MAX_ORDER) -> tuple[Laure
             [_x(i, padded[j - 1] + n - j) for j in range(1, n + 1)]
             for i in range(1, n + 1)
         ]
-        alternant_sum = alternant_sum + determinant(PolyMatrix(tuple(tuple(r) for r in rows)), max_order)
+        alternant_sum = alternant_sum + determinant(PolyMatrix(tuple(tuple(r) for r in rows)))
     return lhs, times_bn_factors(alternant_sum, n)
 
 
-def eq5_sides(box: BoxParams, max_order: int = DEFAULT_MAX_ORDER) -> tuple[LaurentPoly, LaurentPoly]:
+def eq5_sides(box: BoxParams) -> tuple[LaurentPoly, LaurentPoly]:
     """Fully expanded form: sums over permutations and subsets on the left,
     over partitions and permutations on the right, where the Weyl factors are
     applied one binomial at a time by :func:`~schurbox.schur.times_bn_factors`.
+
+    Permutations come from :func:`~schurbox.poly.signed_permutations` with
+    0-based images; a subset S of {1..n} is a bitmask with bit i - 1 set iff
+    i is in S, and (-1)^|S| is -1 when the mask has an odd bit count.
     """
     m, n = box.m, box.n
     if n < 1:
         raise ValueError("n must be at least 1")
-    if n > max_order:
-        raise OrderTooLargeError(f"n = {n} exceeds bound {max_order}")
+    if n > DEFAULT_MAX_ORDER:
+        raise OrderTooLargeError(f"n = {n} exceeds bound {DEFAULT_MAX_ORDER}")
 
     xs = unit_keys("x", n)
-    perms = _signed_perms(n)
-    subsets = _signed_subsets(n)
+    perms = signed_permutations(n)
     lhs = LaurentPoly.from_keys(
         (
             sum(
-                (m + 2 * n - s if i in members else s - 1) * x
-                for i, (s, x) in enumerate(zip(images, xs), 1)
+                (m + 2 * n - 1 - s if mask >> i & 1 else s) * x
+                for i, (s, x) in enumerate(zip(images, xs))
             ),
-            sign * subset_sign,
+            -sign if mask.bit_count() & 1 else sign,
         )
         for images, sign in perms
-        for members, subset_sign in subsets
+        for mask in range(1 << n)
     )
     inner = LaurentPoly.from_keys(
-        (sum((padded[s - 1] + n - s) * x for s, x in zip(images, xs)), sign)
+        (sum((padded[s] + n - 1 - s) * x for s, x in zip(images, xs)), sign)
         for padded in (lam.padded(n) for lam in partitions_in_box(m, n))
         for images, sign in perms
     )
     return lhs, times_bn_factors(inner, n)
 
 
-def eq6_sides(n: int, max_order: int = DEFAULT_MAX_ORDER) -> tuple[LaurentPoly, LaurentPoly]:
+def eq6_sides(n: int) -> tuple[LaurentPoly, LaurentPoly]:
     """The m-free restatement over x1..xn, t1..tn.
 
     Left side: sum over permutations sigma and subsets S of
@@ -282,33 +204,33 @@ def eq6_sides(n: int, max_order: int = DEFAULT_MAX_ORDER) -> tuple[LaurentPoly, 
     fraction abbreviates the finite sum over the smallest part, so the
     k-terms sharing one S are grouped and their sum divided exactly by the
     denominator; a NotDivisibleError is a fatal failure.
+
+    Subsets are bitmasks as in :func:`eq5_sides`; the masks below
+    2**n - 1 are exactly the proper subsets.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    if n > max_order:
-        raise OrderTooLargeError(f"n = {n} exceeds bound {max_order}")
+    if n > DEFAULT_MAX_ORDER:
+        raise OrderTooLargeError(f"n = {n} exceeds bound {DEFAULT_MAX_ORDER}")
 
     ts = unit_keys("t", n)
     xs = unit_keys("x", n)
-    subsets = _signed_subsets(n)
     lhs = LaurentPoly.from_keys(
         (
             sum(
-                ts[i - 1] + (1 - s) * x if i in members else (s - 1) * x
-                for i, (s, x) in enumerate(zip(images, xs), 1)
+                t - s * x if mask >> i & 1 else s * x
+                for i, (s, t, x) in enumerate(zip(images, ts, xs))
             ),
-            sign * subset_sign,
+            -sign if mask.bit_count() & 1 else sign,
         )
-        for images, sign in _signed_perms(n)
-        for members, subset_sign in subsets
+        for images, sign in signed_permutations(n)
+        for mask in range(1 << n)
     )
 
-    sub_perms = _signed_perms(n - 1)
+    sub_perms = signed_permutations(n - 1)
     rhs = LaurentPoly.zero()
-    for subset in SignedSubset.all_subsets(n):
-        if not subset.is_proper:
-            continue
-        comp = sorted(subset.complement)
+    for mask in range((1 << n) - 1):
+        comp = [i for i in range(1, n + 1) if not mask >> (i - 1) & 1]
         t_numerator = 1 - LaurentPoly.from_keys(
             [(sum(ts[i - 1] + (2 - 2 * n) * xs[i - 1] for i in comp), 1)]
         )
@@ -319,27 +241,28 @@ def eq6_sides(n: int, max_order: int = DEFAULT_MAX_ORDER) -> tuple[LaurentPoly, 
             for i in range(1, n + 1):
                 if i != k:
                     prefactor = prefactor * (_x(i) * _x(k) - 1)
-            domain = [i for i in range(1, n + 1) if i != k]
+            # 0-based positions i != k - 1, mapped onto the images 1..n-1
+            domain = [i for i in range(n) if i != k - 1]
             inner = LaurentPoly.from_keys(
                 (
                     sum(
-                        ts[i - 1] - j * xs[i - 1] if i in subset.members else j * xs[i - 1]
-                        for i, j in zip(domain, images)
+                        ts[i] - (s + 1) * xs[i] if mask >> i & 1 else (s + 1) * xs[i]
+                        for i, s in zip(domain, images)
                     ),
                     sign,
                 )
                 for images, sign in sub_perms
             )
             ksum = ksum + prefactor * inner
-        rhs = rhs + subset.sign * exact_div(ksum, denom) * t_numerator
+        rhs = rhs + (-1 if mask.bit_count() & 1 else 1) * exact_div(ksum, denom) * t_numerator
     return lhs, rhs
 
 
-def vanishing_det(n: int, max_order: int = DEFAULT_MAX_ORDER) -> LaurentPoly:
+def vanishing_det(n: int) -> LaurentPoly:
     """det(x_i^{j+1-2n} - x_i^{1-j}); summing the subset expansion over all
     subsets makes this the obstruction term, and it is identically zero
     (column j = n has equal exponents)."""
     if n < 1:
         raise ValueError("n must be at least 1")
     cols = range(1, n + 1)
-    return binomial_det(xvars(n), [j + 1 - 2 * n for j in cols], [1 - j for j in cols], max_order)
+    return binomial_det(xvars(n), [j + 1 - 2 * n for j in cols], [1 - j for j in cols])

@@ -42,7 +42,7 @@ import heapq
 import itertools
 import struct
 import sys
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from functools import lru_cache
 import re
@@ -59,8 +59,8 @@ __all__ = [
     "PolyMatrix",
     "determinant",
     "exact_div",
-    "inversion_count",
     "parse_poly",
+    "signed_permutations",
     "unit_keys",
 ]
 
@@ -282,16 +282,6 @@ class Monomial:
     def exponent(self, var: str) -> int:
         return self.exponents().get(var, 0)
 
-    @property
-    def degree(self) -> int:
-        return sum(e for _, e in self.pairs)
-
-    def variables(self) -> set[str]:
-        return {v for v, _ in self.pairs}
-
-    def is_one(self) -> bool:
-        return not self.key
-
     def __mul__(self, other: Monomial) -> Monomial:
         if not isinstance(other, Monomial):
             return NotImplemented
@@ -302,11 +292,6 @@ class Monomial:
     def __pow__(self, exp: int) -> Monomial:
         _checked_bound(_bound((self.key,)) * abs(exp))
         return Monomial._make(self.key * exp)
-
-    def __truediv__(self, other: Monomial) -> Monomial:
-        if not isinstance(other, Monomial):
-            return NotImplemented
-        return self * other**-1
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Monomial) and self.key == other.key
@@ -701,30 +686,38 @@ class PolyMatrix:
         return cls(coerced)
 
 
-def inversion_count(seq: Sequence[int]) -> int:
-    """Number of pairs i < j with seq[i] > seq[j]."""
-    count = 0
-    for i in range(len(seq)):
-        for j in range(i + 1, len(seq)):
-            if seq[i] > seq[j]:
-                count += 1
-    return count
+def signed_permutations(n: int) -> list[tuple[tuple[int, ...], int]]:
+    """Every permutation of range(n) as ``(images, sign)``, sign (-1)^inversions.
+
+    Each permutation of range(top + 1) is one of range(top) with ``top``
+    inserted at some position k.  ``top`` exceeds the top - k entries after
+    it, so the insertion adds top - k inversions and flips the sign when
+    top - k is odd (Knuth, TAOCP 4A, 7.2.1.2).
+    """
+    perms: list[tuple[tuple[int, ...], int]] = [((), 1)]
+    for top in range(n):
+        perms = [
+            (perm[:k] + (top,) + perm[k:], -sign if (top - k) & 1 else sign)
+            for perm, sign in perms
+            for k in range(top + 1)
+        ]
+    return perms
 
 
-def determinant(matrix: PolyMatrix, max_order: int = DEFAULT_MAX_ORDER) -> LaurentPoly:
+def determinant(matrix: PolyMatrix) -> LaurentPoly:
     """Signed permutation expansion: sum over sigma of (-1)^inv(sigma) prod M[i][sigma(i)]."""
     n = matrix.n
-    if n > max_order:
-        raise OrderTooLargeError(f"determinant order {n} exceeds bound {max_order}")
+    if n > DEFAULT_MAX_ORDER:
+        raise OrderTooLargeError(f"determinant order {n} exceeds bound {DEFAULT_MAX_ORDER}")
     rows = matrix.entries
     total: dict[int, int] = {}
     bound = 0
-    for perm in itertools.permutations(range(n)):
+    for perm, sign in signed_permutations(n):
         prod = rows[0][perm[0]]
         for i in range(1, n):
             prod = prod * rows[i][perm[i]]
         items = prod._terms.items()
-        if inversion_count(perm) & 1:
+        if sign < 0:
             items = ((k, -c) for k, c in items)
         _accumulate(total, items)
         bound = max(bound, prod._bound)

@@ -7,7 +7,10 @@ determinants
 
     det(x_i^{j-1} - x_i^{m+2n-j}) / det(x_i^{j-1} - x_i^{2n-j}),
 
-whose denominator is the type-B_n Weyl denominator.  Principal
+whose denominator is the type-B_n Weyl denominator.  The box sum adds up
+tableau Schur polynomials; the bialternant form det(x_i^{lambda_j+n-j}) /
+prod_{i<j}(x_i - x_j) is the second, independent backend that the
+schur-agree check compares with it shape by shape.  Principal
 specializations x_i := q^e turn the box sum into the MacMahon and Gordon
 q-products.
 """
@@ -19,7 +22,6 @@ from collections.abc import Sequence
 
 from .combinat import Partition, partitions_in_box, ssyt
 from .poly import (
-    DEFAULT_MAX_ORDER,
     LaurentPoly,
     Monomial,
     PolyMatrix,
@@ -72,8 +74,7 @@ def vandermonde(names: Sequence[str]) -> LaurentPoly:
     return out
 
 
-def binomial_det(names: Sequence[str], a: Sequence[int], b: Sequence[int],
-                 max_order: int = DEFAULT_MAX_ORDER) -> LaurentPoly:
+def binomial_det(names: Sequence[str], a: Sequence[int], b: Sequence[int]) -> LaurentPoly:
     """det(v_i^{a_j} - v_i^{b_j}) over the variables v_i of ``names``.
 
     Row i belongs to ``names[i]`` and column j to ``(a[j], b[j])``; a column
@@ -84,7 +85,7 @@ def binomial_det(names: Sequence[str], a: Sequence[int], b: Sequence[int],
         [LaurentPoly.variable(v, aj) - LaurentPoly.variable(v, bj) for aj, bj in zip(a, b)]
         for v in names
     ]
-    return determinant(PolyMatrix.from_rows(rows), max_order)
+    return determinant(PolyMatrix.from_rows(rows))
 
 
 def _box_exponents(m: int, n: int) -> tuple[list[int], list[int]]:
@@ -98,13 +99,13 @@ def schur_via_tableaux(shape: Partition, n: int) -> LaurentPoly:
     """Sum over semistandard tableaux of shape ``shape`` of prod x_entry.
 
     A tableau's content monomial is the sum of the packed keys of x_v over
-    its entries v.
+    the entries v that :func:`~schurbox.combinat.ssyt` yields for it.
     """
     units = (0, *unit_keys("x", n))  # units[v] is the key of x_v
     counts: dict[int, int] = {}
     get = counts.get
     for tab in ssyt(shape, n):
-        key = sum([units[v] for row in tab.rows for v in row])
+        key = sum([units[v] for v in tab])
         counts[key] = get(key, 0) + 1
     return LaurentPoly.from_keys(counts.items())
 
@@ -123,27 +124,21 @@ def schur_via_bialternant(shape: Partition, n: int) -> LaurentPoly:
     return exact_div(determinant(PolyMatrix.from_rows(rows)), vandermonde(xvars(n)))
 
 
-def schur_box_sum(box: BoxParams, backend: str = "tableaux") -> LaurentPoly:
-    """Sum of s_lambda(x_1..x_n) over all lambda in the m x n box."""
-    if backend == "tableaux":
-        schur = schur_via_tableaux
-    elif backend == "bialternant":
-        schur = schur_via_bialternant
-    else:
-        raise ValueError(f"unknown Schur backend {backend!r}")
+def schur_box_sum(box: BoxParams) -> LaurentPoly:
+    """Sum of s_lambda(x_1..x_n) over all lambda in the m x n box, by tableaux."""
     total = LaurentPoly.zero()
     for lam in partitions_in_box(box.m, box.n):
-        total = total + schur(lam, box.n)
+        total = total + schur_via_tableaux(lam, box.n)
     return total
 
 
-def box_det_ratio(box: BoxParams, max_order: int = DEFAULT_MAX_ORDER) -> LaurentPoly:
+def box_det_ratio(box: BoxParams) -> LaurentPoly:
     """det(x_i^{j-1} - x_i^{m+2n-j}) / det(x_i^{j-1} - x_i^{2n-j}), exactly."""
     m, n = box.m, box.n
     if n == 0:
         return LaurentPoly.one()
-    num = binomial_det(xvars(n), *_box_exponents(m, n), max_order)
-    den = binomial_det(xvars(n), *_box_exponents(0, n), max_order)
+    num = binomial_det(xvars(n), *_box_exponents(m, n))
+    den = binomial_det(xvars(n), *_box_exponents(0, n))
     return exact_div(num, den)
 
 

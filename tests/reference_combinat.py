@@ -4,29 +4,124 @@ These are the object-building implementations that ``schurbox.combinat``
 and ``schurbox.schur`` used before their kernels moved to plain int tuples
 and packed keys.  ``symmetric_plane_partitions`` and ``ssyt`` recurse with
 one generator frame per cell and build every object through its
-normalizing constructor.  ``fold`` builds each slice as a ``Partition``
-and reads its principal hooks through ``conjugate()``.  ``unfold`` rebuilds
-each level's self-conjugate diagram with ``Partition.from_principal_hooks``
-and counts the diagrams over every cell.  ``schur_via_tableaux`` names each
-entry ``x{v}`` and parses it through ``Monomial``.  The bodies are kept
-verbatim so the differential tests in ``test_combinat_reference.py``
-compare against exactly what ran before.  Only valid inputs are compared
-for ``fold``: this one does not check that its argument is a plane
-partition.
+normalizing constructor; ``ssyt`` yields :class:`Tableau` objects of row
+tuples.  ``fold`` cuts each slice out of the height matrix and reads its
+principal hooks through the conjugate.  ``unfold`` rebuilds each level's
+self-conjugate diagram from its hooks and counts the diagrams over every
+cell.  ``schur_via_tableaux`` names each entry ``x{v}`` and parses it
+through ``Monomial``.  The partition helpers were methods of ``Partition``
+and ``PlanePartition`` and are plain functions on parts tuples here; the
+bodies are otherwise kept as they were, so the differential tests in
+``test_combinat_reference.py`` compare against what ran before.  Only valid
+inputs are compared for ``fold``: this one does not check that its
+argument is a plane partition.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
+from dataclasses import dataclass
 
 from schurbox.combinat import (
     ColumnStrictPP,
+    MalformedInputError,
     NotSymmetricError,
     Partition,
     PlanePartition,
-    Tableau,
 )
 from schurbox.poly import LaurentPoly, Monomial
+
+Parts = tuple[int, ...]
+
+
+def conjugate(parts: Parts) -> Parts:
+    if not parts:
+        return ()
+    return tuple(sum(1 for p in parts if p > c) for c in range(parts[0]))
+
+
+def principal_hooks(parts: Parts) -> Parts:
+    """Hook lengths of the diagonal cells: arm + leg + 1, strictly decreasing."""
+    conj = conjugate(parts)
+    hooks = []
+    for c in range(len(parts)):
+        if parts[c] < c + 1:
+            break
+        hooks.append((parts[c] - c - 1) + (conj[c] - c - 1) + 1)
+    return tuple(hooks)
+
+
+def from_principal_hooks(hooks: Iterable[int]) -> Parts:
+    """The self-conjugate partition with the given diagonal hooks.
+
+    Requires strictly decreasing positive odd values (the hooks of a
+    self-conjugate diagram are exactly such sequences).
+    """
+    hooks = tuple(hooks)
+    for i, d in enumerate(hooks):
+        if d < 1 or d % 2 == 0 or (i > 0 and hooks[i - 1] <= d):
+            raise MalformedInputError(
+                f"hooks must be strictly decreasing positive odd values: {hooks}"
+            )
+    if not hooks:
+        return ()
+    arms = [(d - 1) // 2 for d in hooks]
+    r = len(hooks)
+    side = arms[0] + 1
+    parts = [arms[c] + c + 1 for c in range(r)]
+    for i in range(r + 1, side + 1):
+        parts.append(sum(1 for c in range(r) if c + 1 + arms[c] >= i))
+    return tuple(p for p in parts if p)
+
+
+def slice_partition(sp: PlanePartition, level: int) -> Parts:
+    """Row lengths of the horizontal slice at height ``level`` (1-based)."""
+    counts = []
+    for row in sp.heights:
+        c = sum(1 for v in row if v >= level)
+        if c:
+            counts.append(c)
+    return tuple(counts)
+
+
+@dataclass(frozen=True)
+class Tableau:
+    """Semistandard filling: rows weakly increase, columns strictly increase."""
+
+    shape: Partition
+    rows: tuple[tuple[int, ...], ...]
+
+    @classmethod
+    def from_entries(cls, shape: Partition, entries: Iterable[int]) -> Tableau:
+        """The tableau whose row-major reading is ``entries``, as ``combinat.ssyt`` yields it."""
+        it = iter(entries)
+        return cls(shape, tuple(tuple(next(it) for _ in range(p)) for p in shape.parts))
+
+    def entries(self) -> tuple[int, ...]:
+        """The row-major reading."""
+        return tuple(v for row in self.rows for v in row)
+
+    def validate(self, n: int) -> None:
+        if len(self.rows) != len(self.shape.parts):
+            raise ValueError("row count does not match shape")
+        for r, row in enumerate(self.rows):
+            if len(row) != self.shape.parts[r]:
+                raise ValueError(f"row {r} has wrong length")
+            for c, v in enumerate(row):
+                if not 1 <= v <= n:
+                    raise ValueError(f"entry {v} outside 1..{n}")
+                if c > 0 and row[c - 1] > v:
+                    raise ValueError(f"row {r} not weakly increasing")
+                if r > 0 and self.rows[r - 1][c] >= v:
+                    raise ValueError(f"column {c} not strictly increasing")
+
+    def content_monomial(self) -> Monomial:
+        counts: dict[str, int] = {}
+        for row in self.rows:
+            for v in row:
+                name = f"x{v}"
+                counts[name] = counts.get(name, 0) + 1
+        return Monomial(counts)
 
 
 def symmetric_plane_partitions(n: int, m: int) -> Iterator[PlanePartition]:
@@ -101,7 +196,7 @@ def fold(sp: PlanePartition) -> ColumnStrictPP:
     if not sp.is_symmetric():
         raise NotSymmetricError("fold requires a symmetric plane partition")
     levels = tuple(
-        sp.slice_partition(level).principal_hooks()
+        principal_hooks(slice_partition(sp, level))
         for level in range(1, sp.max_height + 1)
     )
     return ColumnStrictPP(levels)
@@ -118,10 +213,10 @@ def unfold(cs: ColumnStrictPP) -> PlanePartition:
     cs.validate()
     if not cs.levels:
         return PlanePartition()
-    diagrams = [Partition.from_principal_hooks(lvl) for lvl in cs.levels]
-    side = diagrams[0].parts[0]  # self-conjugate, so widest = tallest
+    diagrams = [from_principal_hooks(lvl) for lvl in cs.levels]
+    side = diagrams[0][0]  # self-conjugate, so widest = tallest
     heights = [
-        [sum(1 for d in diagrams if i < len(d.parts) and d.parts[i] > j) for j in range(side)]
+        [sum(1 for d in diagrams if i < len(d) and d[i] > j) for j in range(side)]
         for i in range(side)
     ]
     return PlanePartition(tuple(tuple(row) for row in heights))

@@ -1,4 +1,6 @@
-"""The sorted-pairs monomial arithmetic that the packed-int ring replaced.
+"""The sorted-pairs monomial arithmetic that the packed-int ring replaced,
+and the inversion count that gave determinant signs before
+``signed_permutations``.
 
 Kept only as a reference for differential tests.  A monomial is a tuple of
 ``(variable, exponent)`` pairs with no zero exponent, sorted in the variable
@@ -13,7 +15,7 @@ only through the public API.
 from __future__ import annotations
 
 import functools
-from collections.abc import Iterable, Mapping
+from collections.abc import Iterable, Mapping, Sequence
 
 from schurbox.poly import LaurentPoly, Monomial
 
@@ -173,3 +175,13 @@ def to_text(a: RefPoly) -> str:
         else:
             chunks.append((" + " if coeff > 0 else " - ") + body)
     return "".join(chunks)
+
+
+def inversion_count(seq: Sequence[int]) -> int:
+    """Number of pairs i < j with seq[i] > seq[j]."""
+    count = 0
+    for i in range(len(seq)):
+        for j in range(i + 1, len(seq)):
+            if seq[i] > seq[j]:
+                count += 1
+    return count

