@@ -11,8 +11,8 @@ The package splits into:
   ratio), box sums, Weyl denominators, MacMahon and Gordon products;
 * :mod:`schurbox.identity` -- both sides of the determinant-expansion chain
   (lemma, eq4..eq6, the vanishing determinant);
-* :mod:`schurbox.checks` / :mod:`schurbox.cli` -- named checks, sweep
-  runner, and the ``schurbox`` command.
+* :mod:`schurbox.checks` / :mod:`schurbox.cli` -- named checks, their
+  ``CheckResult`` records, the sweep runner, and the ``schurbox`` command.
 """
 
 from .poly import (
@@ -57,7 +57,6 @@ from .schur import (
     weyl_denominator,
 )
 from .identity import (
-    CheckResult,
     eq4_sides,
     eq5_sides,
     eq6_sides,
@@ -67,6 +66,7 @@ from .identity import (
 )
 from .checks import (
     CHECK_IDS,
+    CheckResult,
     InvalidRangeError,
     RunConfig,
     UnknownCheckError,

@@ -5,8 +5,9 @@ per n), its minimum n, whether it expands an order-n determinant, and
 ``sides(m, n)``, which builds both sides of one identity and returns
 ``(lhs, rhs)`` or ``(lhs, rhs, ok)`` with ``ok`` a structural verdict (fold
 inverses, D_n roots).  Multi-stage checks return their first disagreeing
-pair.  The runner records ``passed = lhs == rhs and ok``; a ``sides`` call
-that raises becomes a failed result with the error text, and the sweep goes on.
+pair.  The runner records each outcome as a :class:`CheckResult` with
+``passed = lhs == rhs and ok``; a ``sides`` call that raises becomes a failed
+result with the error text, and the sweep goes on.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .combinat import (
     symmetric_plane_partitions,
     unfold,
 )
-from .identity import CheckResult, eq4_sides, eq5_sides, eq6_sides, lemma_sides, vanishing_det
+from .identity import eq4_sides, eq5_sides, eq6_sides, lemma_sides, vanishing_det
 from .poly import DEFAULT_MAX_ORDER, LaurentPoly
 from .schur import (
     BoxParams,
@@ -41,6 +42,7 @@ from .schur import (
 
 __all__ = [
     "CHECK_IDS",
+    "CheckResult",
     "InvalidRangeError",
     "RunConfig",
     "UnknownCheckError",
@@ -57,6 +59,36 @@ class UnknownCheckError(ValueError):
 
 class InvalidRangeError(ValueError):
     """A parameter range is empty or not positive."""
+
+
+@dataclass(frozen=True)
+class CheckResult:
+    """Outcome of one identity verification at concrete parameters; ``error`` is
+    ``"<Type>: <message>"`` if building the sides raised (then both sides are 0)."""
+
+    identity: str
+    m: int | None
+    n: int
+    lhs: LaurentPoly
+    rhs: LaurentPoly
+    passed: bool
+    elapsed_ms: float
+    error: str | None = None
+
+    def to_json_dict(self) -> dict:
+        out = {
+            "identity": self.identity,
+            "m": self.m,
+            "n": self.n,
+            "pass": self.passed,
+            "elapsed_ms": round(self.elapsed_ms, 3),
+        }
+        if not self.passed:
+            out["lhs"] = self.lhs.to_text()
+            out["rhs"] = self.rhs.to_text()
+        if self.error is not None:
+            out["error"] = self.error
+        return out
 
 
 @dataclass(frozen=True)

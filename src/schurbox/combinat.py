@@ -99,15 +99,15 @@ class PlanePartition:
     """Height matrix of a plane partition, kept in the minimal square box.
 
     Equality is equality as sets of lattice points: trailing all-zero
-    row/column pairs are stripped at construction, so the same solid built in
-    different box sizes compares equal.
+    row/column pairs (an empty row counts as all zero) are stripped at
+    construction, so the same solid built in different box sizes compares equal.
     """
 
     heights: tuple[tuple[int, ...], ...] = ()
 
     def __post_init__(self):
         rows = [tuple(int(v) for v in row) for row in self.heights]
-        while rows and all(v == 0 for v in rows[-1]) and all(r[-1] == 0 for r in rows):
+        while rows and not any(rows[-1]) and not any(r[-1] for r in rows if r):
             rows = [r[:-1] for r in rows[:-1]]
         object.__setattr__(self, "heights", tuple(rows))
 
@@ -190,14 +190,7 @@ class ColumnStrictPP:
     def num_levels(self) -> int:
         return len(self.levels)
 
-    def positions(self) -> dict[tuple[int, int], int]:
-        return {
-            (i + 1, j + 1): h
-            for j, lvl in enumerate(self.levels)
-            for i, h in enumerate(lvl)
-        }
-
-    def validate(self, height_bound: int | None = None) -> None:
+    def validate(self) -> None:
         """Check odd/strict/nesting invariants; raises MalformedInputError."""
         prev: tuple[int, ...] | None = None
         for j, lvl in enumerate(self.levels, 1):
@@ -207,30 +200,14 @@ class ColumnStrictPP:
                     raise MalformedInputError(f"height {h} at level {j} is not a positive odd value")
                 if above is not None and above <= h:
                     raise MalformedInputError(f"level {j} is not strictly decreasing")
-                if height_bound is not None and h > height_bound:
-                    raise MalformedInputError(f"height {h} exceeds bound {height_bound}")
                 above = h
             if prev is not None and (len(lvl) > len(prev) or any(map(operator.gt, lvl, prev))):
                 raise MalformedInputError(f"level {j} does not nest inside level {j - 1}")
             prev = lvl
 
     def to_json_dict(self) -> dict[str, int]:
-        return {f"{i},{j}": h for (i, j), h in sorted(self.positions().items(), key=lambda kv: (kv[0][1], kv[0][0]))}
-
-    @classmethod
-    def from_json_dict(cls, data: dict[str, int]) -> ColumnStrictPP:
-        cells = {}
-        for key, h in data.items():
-            i_text, j_text = key.split(",")
-            cells[(int(i_text), int(j_text))] = int(h)
-        if not cells:
-            return cls()
-        depth = max(j for _, j in cells)
-        levels = []
-        for j in range(1, depth + 1):
-            width = max((i for i, jj in cells if jj == j), default=0)
-            levels.append(tuple(cells.get((i, j), 0) for i in range(1, width + 1)))
-        return cls(tuple(levels))
+        """``{"i,j": height}`` of column i at level j, level by level, then by column."""
+        return {f"{i},{j}": h for j, lvl in enumerate(self.levels, 1) for i, h in enumerate(lvl, 1)}
 
     def __repr__(self) -> str:
         return f"ColumnStrictPP({[list(lvl) for lvl in self.levels]})"

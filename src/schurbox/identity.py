@@ -1,7 +1,8 @@
-"""Symbolic verifiers for the determinant-expansion chain behind the box-sum theorem.
+"""Side builders for the determinant-expansion chain behind the box-sum theorem.
 
 Each function here builds both sides of one displayed identity as canonical
-Laurent polynomials, so a check is literal equality:
+Laurent polynomials, so a check is literal equality (the runner in
+:mod:`schurbox.checks` compares them and records a ``CheckResult``):
 
 * ``lemma_sides``: the alternating k-sum evaluation
   x1..xn * sum_k (-1)^{k-1} (1-x_k) x_k^-1 prod_{i!=k}(1-x_i x_k)
@@ -22,7 +23,9 @@ the sign (-1)^C(n,2).
 
 eq5 and eq6 expand over ``(images, sign)`` pairs from
 :func:`~schurbox.poly.signed_permutations` and over subsets S of {1..n} as
-bitmasks (bit i - 1 set iff i is in S, sign -1 for an odd bit count).
+bitmasks (bit i - 1 set iff i is in S, sign -1 for an odd bit count).  An
+order-n expansion starts in ``signed_permutations(n)`` (directly or through
+``determinant``), whose guard alone refuses n above ``DEFAULT_MAX_ORDER``.
 
 The eq4 and eq5 right sides take the Weyl factors (1 - x_i) and
 (x_i x_j - 1) from one builder, :func:`~schurbox.schur.times_bn_factors`,
@@ -31,14 +34,11 @@ which multiplies the alternant sum by them one binomial at a time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
 
 from .poly import (
-    DEFAULT_MAX_ORDER,
     LaurentPoly,
     Monomial,
-    OrderTooLargeError,
     PolyMatrix,
     determinant,
     exact_div,
@@ -49,7 +49,6 @@ from .combinat import partitions_in_box
 from .schur import BoxParams, binomial_det, times_bn_factors, vandermonde, xvars
 
 __all__ = [
-    "CheckResult",
     "eq4_sides",
     "eq5_sides",
     "eq6_sides",
@@ -57,36 +56,6 @@ __all__ = [
     "lemma_sides",
     "vanishing_det",
 ]
-
-
-@dataclass(frozen=True)
-class CheckResult:
-    """Outcome of one identity verification at concrete parameters; ``error`` is
-    ``"<Type>: <message>"`` if building the sides raised (then both sides are 0)."""
-
-    identity: str
-    m: int | None
-    n: int
-    lhs: LaurentPoly
-    rhs: LaurentPoly
-    passed: bool
-    elapsed_ms: float
-    error: str | None = None
-
-    def to_json_dict(self) -> dict:
-        out = {
-            "identity": self.identity,
-            "m": self.m,
-            "n": self.n,
-            "pass": self.passed,
-            "elapsed_ms": round(self.elapsed_ms, 3),
-        }
-        if not self.passed:
-            out["lhs"] = self.lhs.to_text()
-            out["rhs"] = self.rhs.to_text()
-        if self.error is not None:
-            out["error"] = self.error
-        return out
 
 
 def _x(i: int, exp: int = 1) -> LaurentPoly:
@@ -166,9 +135,6 @@ def eq5_sides(box: BoxParams) -> tuple[LaurentPoly, LaurentPoly]:
     m, n = box.m, box.n
     if n < 1:
         raise ValueError("n must be at least 1")
-    if n > DEFAULT_MAX_ORDER:
-        raise OrderTooLargeError(f"n = {n} exceeds bound {DEFAULT_MAX_ORDER}")
-
     xs = unit_keys("x", n)
     perms = signed_permutations(n)
     lhs = LaurentPoly.from_keys(
@@ -210,9 +176,6 @@ def eq6_sides(n: int) -> tuple[LaurentPoly, LaurentPoly]:
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    if n > DEFAULT_MAX_ORDER:
-        raise OrderTooLargeError(f"n = {n} exceeds bound {DEFAULT_MAX_ORDER}")
-
     ts = unit_keys("t", n)
     xs = unit_keys("x", n)
     lhs = LaurentPoly.from_keys(

@@ -17,11 +17,13 @@ largest digit, and raises :class:`ExponentRangeError` before any key is
 built if some exponent of the product would leave the range.
 :func:`unit_keys` gives the keys of t_i and x_i by index, so callers can
 build terms from exponents without naming variables.
-:class:`Monomial` is the boundary type that wraps one key.  Keys are
-decoded only at the boundary (canonical text, ``Monomial.pairs``,
-``variables()``, substitution and the entry and exit of :func:`exact_div`),
-in bulk: every digit is biased to an unsigned value, and all keys of one
-polynomial are read through one ``memoryview``.
+:class:`Monomial` is the boundary value that wraps one key.  It has no
+arithmetic: every product and power is a :class:`LaurentPoly` operation,
+so one exponent check guards them all.  Keys are decoded only at the
+boundary (canonical text, ``Monomial.pairs``, ``variables()``, substitution
+and the entry and exit of :func:`exact_div`), in bulk: every digit is
+biased to an unsigned value, and all keys of one polynomial are read
+through one ``memoryview``.
 
 Variable names come from the fixed namespace ``q``, ``t1, t2, ...``,
 ``x1, x2, ...`` (in that order).  The canonical term order is graded
@@ -87,7 +89,7 @@ class ExponentRangeError(ArithmeticError):
 
 
 class OrderTooLargeError(ValueError):
-    """A determinant order exceeds the factorial-expansion bound."""
+    """An n!-term permutation expansion with n above ``DEFAULT_MAX_ORDER``."""
 
 
 _VAR_RE = re.compile(r"(?:q|[tx][1-9][0-9]*)\Z")
@@ -281,17 +283,6 @@ class Monomial:
 
     def exponent(self, var: str) -> int:
         return self.exponents().get(var, 0)
-
-    def __mul__(self, other: Monomial) -> Monomial:
-        if not isinstance(other, Monomial):
-            return NotImplemented
-        a, b = (self.key,), (other.key,)
-        _product_bound(a, _bound(a), b, _bound(b))
-        return Monomial._make(self.key + other.key)
-
-    def __pow__(self, exp: int) -> Monomial:
-        _checked_bound(_bound((self.key,)) * abs(exp))
-        return Monomial._make(self.key * exp)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Monomial) and self.key == other.key
@@ -502,19 +493,19 @@ class LaurentPoly:
     # -- substitution and extraction --------------------------------------
 
     def substitute(self, assignments: Mapping[str, Monomial | str | int]) -> LaurentPoly:
-        """Simultaneously replace variables by monomial powers, 1, or 0.
+        """Simultaneously replace variables by monomials or 1.
 
-        A target may be a Monomial (typically a single variable power such as
-        ``Monomial.variable("q", 3)``), a bare variable name, or the integers
-        1 (erase the variable) and 0 (kill every term where it appears with
-        positive exponent; negative exponents raise ZeroDivisionError).
+        A target is one of three kinds: a Monomial (typically a single
+        variable power such as ``Monomial.variable("q", 3)``), a bare variable
+        name, or the integer 1 (erase the variable).  Anything else, 0
+        included, raises ValueError: x := 0 is no ring map on Laurent
+        polynomials, and on a true polynomial it is ``coefficient_of(x, 0)``.
         Unassigned variables pass through.
 
         A term's new key is its key plus, for each assigned position p with
         exponent e_p, ``e_p * (image key - key of the variable)``.
         """
         images: list[tuple[int, int]] = []  # (position, image key - variable key)
-        zeros: list[int] = []
         image_bound = 0
         for var, target in assignments.items():
             pos = _position(var)
@@ -522,10 +513,7 @@ class LaurentPoly:
                 image = target.key
             elif isinstance(target, str):
                 image = Monomial.variable(target).key
-            elif isinstance(target, int) and target in (0, 1):
-                if target == 0:
-                    zeros.append(pos)
-                    continue
+            elif isinstance(target, int) and target == 1:
                 image = 0
             else:
                 raise ValueError(f"unsupported substitution target for {var!r}: {target!r}")
@@ -541,26 +529,7 @@ class LaurentPoly:
         for pos, delta in images:
             if pos < npos and delta:
                 keys = [k + (d - _HALF) * delta for k, d in zip(keys, flat[pos::npos])]
-        items = zip(keys, self._terms.values())
-        if zeros:
-            # A term's fate is set by its first zero-target variable (in
-            # variable order) that it contains.
-            cols = [(p, flat[p::npos]) for p in _canonical_positions(npos) if p in zeros]
-            alive = []
-            for t in range(len(keys)):
-                for p, col in cols:
-                    e = col[t] - _HALF
-                    if e < 0:
-                        raise ZeroDivisionError(
-                            f"cannot substitute 0 for {_name(p)} with exponent {e}"
-                        )
-                    if e:
-                        alive.append(False)
-                        break
-                else:
-                    alive.append(True)
-            items = itertools.compress(items, alive)
-        return LaurentPoly._make(_accumulate({}, items), bound)
+        return LaurentPoly._make(_accumulate({}, zip(keys, self._terms.values())), bound)
 
     def coefficient_of(self, var: str, exp: int) -> LaurentPoly:
         """The polynomial coefficient of ``var**exp`` (a poly in the rest)."""
@@ -594,10 +563,6 @@ class LaurentPoly:
             else:
                 chunks.append((" + " if coeff > 0 else " - ") + body)
         return "".join(chunks)
-
-    @staticmethod
-    def parse(text: str) -> LaurentPoly:
-        return parse_poly(text)
 
     def __str__(self) -> str:
         return self.to_text()
@@ -692,8 +657,11 @@ def signed_permutations(n: int) -> list[tuple[tuple[int, ...], int]]:
     Each permutation of range(top + 1) is one of range(top) with ``top``
     inserted at some position k.  ``top`` exceeds the top - k entries after
     it, so the insertion adds top - k inversions and flips the sign when
-    top - k is odd (Knuth, TAOCP 4A, 7.2.1.2).
+    top - k is odd (Knuth, TAOCP 4A, 7.2.1.2).  This is the one order guard:
+    n above ``DEFAULT_MAX_ORDER`` raises :class:`OrderTooLargeError` at once.
     """
+    if n > DEFAULT_MAX_ORDER:
+        raise OrderTooLargeError(f"order {n} exceeds the bound {DEFAULT_MAX_ORDER}")
     perms: list[tuple[tuple[int, ...], int]] = [((), 1)]
     for top in range(n):
         perms = [
@@ -707,8 +675,6 @@ def signed_permutations(n: int) -> list[tuple[tuple[int, ...], int]]:
 def determinant(matrix: PolyMatrix) -> LaurentPoly:
     """Signed permutation expansion: sum over sigma of (-1)^inv(sigma) prod M[i][sigma(i)]."""
     n = matrix.n
-    if n > DEFAULT_MAX_ORDER:
-        raise OrderTooLargeError(f"determinant order {n} exceeds bound {DEFAULT_MAX_ORDER}")
     rows = matrix.entries
     total: dict[int, int] = {}
     bound = 0

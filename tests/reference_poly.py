@@ -7,7 +7,7 @@ Kept only as a reference for differential tests.  A monomial is a tuple of
 order q < t1 < t2 < ... < x1 < x2 < ...; a polynomial is a dict from such
 tuples to nonzero ints.  The bodies are the earlier ``Monomial`` and
 ``LaurentPoly`` code (the pair merge in the monomial product, substitution by
-Monomial/str/0/1 targets, ``coefficient_of`` and the graded-lex comparison
+Monomial/str/1 targets, ``coefficient_of`` and the graded-lex comparison
 behind the canonical text), and they read and build schurbox polynomials
 only through the public API.
 """
@@ -86,37 +86,28 @@ def power(a: RefPoly, exp: int) -> RefPoly:
 
 
 def substitute(a: RefPoly, assignments: Mapping[str, Monomial | str | int]) -> RefPoly:
-    norm: dict[str, Pairs | int] = {}
+    norm: dict[str, Pairs] = {}
     for var, target in assignments.items():
         if isinstance(target, Monomial):
             norm[var] = sorted_pairs(target.exponents().items())
         elif isinstance(target, str):
             norm[var] = ((target, 1),)
-        elif isinstance(target, int) and target in (0, 1):
-            norm[var] = target
+        elif isinstance(target, int) and target == 1:
+            norm[var] = ()
         else:
             raise ValueError(f"unsupported substitution target for {var!r}: {target!r}")
 
     out: RefPoly = {}
     for mono, coeff in a.items():
         exps: dict[str, int] = {}
-        killed = False
         for v, e in mono:
             target = norm.get(v)
             if target is None:
                 exps[v] = exps.get(v, 0) + e
-            elif isinstance(target, int):
-                if target == 0:
-                    if e < 0:
-                        raise ZeroDivisionError(f"cannot substitute 0 for {v} with exponent {e}")
-                    killed = True
-                    break
-                # target == 1: variable disappears
-            else:
+            else:  # the target 1 is the empty monomial: the variable disappears
                 for tv, te in target:
                     exps[tv] = exps.get(tv, 0) + te * e
-        if not killed:
-            _add_term(out, sorted_pairs(exps.items()), coeff)
+        _add_term(out, sorted_pairs(exps.items()), coeff)
     return out
 
 
