@@ -106,17 +106,18 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
         print("error: bounds must be non-negative", file=sys.stderr)
         return 2
     if args.kind == "symmetric-pp":
-        objects = list(symmetric_plane_partitions(args.n, args.m))
-        payloads = [obj.to_json() for obj in objects]
+        objects = symmetric_plane_partitions(args.n, args.m)
     elif args.kind == "column-strict":
-        objects = list(column_strict_odd_pps(args.n, args.m))
-        payloads = [obj.to_json_dict() for obj in objects]
+        objects = column_strict_odd_pps(args.n, args.m)
     else:
         objects = partitions_in_box(args.m, args.n)
-        payloads = [obj.to_json() for obj in objects]
-    for payload in payloads:
+
+    def printed(obj):
+        payload = obj.to_json_dict() if args.kind == "column-strict" else obj.to_json()
         print(json.dumps(payload, separators=(",", ":")))
-    print(generating_function(objects).to_text())
+        return obj
+
+    print(generating_function(map(printed, objects)).to_text())  # prints as it counts
     return 0
 
 

@@ -21,32 +21,30 @@ Orientation bookkeeping: the lemma uses later-minus-earlier differences
 prod_{i<j}(x_j - x_i), the Schur Vandermonde prod_{i<j}(x_i - x_j) up to
 the sign (-1)^C(n,2).
 
-eq5 and eq6 expand over ``(images, sign)`` pairs from
-:func:`~schurbox.poly.signed_permutations` and over subsets S of {1..n} as
-bitmasks (bit i - 1 set iff i is in S, sign -1 for an odd bit count).  An
-order-n expansion starts in ``signed_permutations(n)`` (directly or through
-``determinant``), whose guard alone refuses n above ``DEFAULT_MAX_ORDER``.
-
-The eq4 and eq5 right sides take the Weyl factors (1 - x_i) and
-(x_i x_j - 1) from one builder, :func:`~schurbox.schur.times_bn_factors`,
-which multiplies the alternant sum by them one binomial at a time.
+:func:`~schurbox.poly.expand_det` expands every determinant with monomial or
+binomial entries at key level: the eq5 and eq6 left sides, eq6's inner sums
+and the alternant sum of the right side that eq4 and eq5 share.  eq4's left
+side goes through the ring route, :func:`~schurbox.schur.binomial_det`, so
+eq4 and eq5 check one determinant two independent ways.  The lemma's k-th
+term and eq6's k-prefactor come from one ``_k_factor(n, k)``.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from math import comb
 
-from .poly import (
-    LaurentPoly,
-    Monomial,
-    PolyMatrix,
-    determinant,
-    exact_div,
-    signed_permutations,
-    unit_keys,
-)
+from .poly import LaurentPoly, Monomial, exact_div, expand_det
 from .combinat import partitions_in_box
-from .schur import BoxParams, binomial_det, times_bn_factors, vandermonde, xvars
+from .schur import (
+    BoxParams,
+    _box_exponents,
+    alternant_table,
+    binomial_det,
+    times_bn_factors,
+    vandermonde,
+    xvars,
+)
 
 __all__ = [
     "eq4_sides",
@@ -58,12 +56,14 @@ __all__ = [
 ]
 
 
-def _x(i: int, exp: int = 1) -> LaurentPoly:
-    return LaurentPoly.variable(f"x{i}", exp)
+def _row(i: int, exps: Iterable[int], t: int = 0) -> list[int]:
+    """Packed keys of t_i^t x_i^e for e in ``exps``, each exponent range-checked."""
+    return [Monomial({f"t{i}": t, f"x{i}": e}).key for e in exps]
 
 
-def _x_product(indices) -> LaurentPoly:
-    return LaurentPoly.term(Monomial({f"x{i}": 1 for i in indices}))
+def _x_product(indices: Iterable[int], exp: int = 1, t: int = 0) -> LaurentPoly:
+    """prod over i in ``indices`` of t_i^t x_i^exp."""
+    return LaurentPoly.from_keys([(sum(_row(i, [exp], t)[0] for i in indices), 1)])
 
 
 def _later_minus_earlier(indices: list[int]) -> LaurentPoly:
@@ -73,15 +73,21 @@ def _later_minus_earlier(indices: list[int]) -> LaurentPoly:
     return -product if comb(len(indices), 2) & 1 else product
 
 
+def _k_factor(n: int, k: int) -> LaurentPoly:
+    """(-1)^(n+k) (1 - x_k) prod_{i!=k}(x_i x_k - 1), eq6's k-prefactor; x_k^-1 times
+    it is the lemma's k-th signed term before the later-minus-earlier product."""
+    factor = (1 - _x_product([k])) * (-1) ** (n + k)
+    for i in range(1, n + 1):
+        if i != k:
+            factor = factor * (_x_product([i, k]) - 1)
+    return factor
+
+
 def _lemma_lhs(n: int) -> LaurentPoly:
     total = LaurentPoly.zero()
     for k in range(1, n + 1):
-        term = (1 - _x(k)) * _x(k, -1)
-        for i in range(1, n + 1):
-            if i != k:
-                term = term * (1 - _x(i) * _x(k))
-        term = term * _later_minus_earlier([i for i in range(1, n + 1) if i != k])
-        total = total + (term if k % 2 else -term)
+        others = [i for i in range(1, n + 1) if i != k]
+        total = total + _x_product([k], -1) * _k_factor(n, k) * _later_minus_earlier(others)
     return _x_product(range(1, n + 1)) * total
 
 
@@ -104,63 +110,36 @@ def f_function(n: int) -> LaurentPoly:
     return exact_div(_lemma_lhs(n), _later_minus_earlier(list(range(1, n + 1))))
 
 
-def eq4_sides(box: BoxParams) -> tuple[LaurentPoly, LaurentPoly]:
-    """Determinant form of the theorem with the Weyl denominator cleared, one
-    binomial at a time by :func:`~schurbox.schur.times_bn_factors`."""
+def _alternant_side(box: BoxParams) -> LaurentPoly:
+    """eq4's and eq5's right side: sum_lambda det(x_i^{lambda_j+n-j}) * B_n factors."""
     m, n = box.m, box.n
-    if n < 1:
+    terms = (t for lam in partitions_in_box(m, n) for t in expand_det(alternant_table(lam, n)))
+    return times_bn_factors(LaurentPoly.from_keys(terms), n)
+
+
+def eq4_sides(box: BoxParams) -> tuple[LaurentPoly, LaurentPoly]:
+    """Determinant form of the theorem with the Weyl denominator cleared; the
+    left side goes through the ring route, :func:`~schurbox.schur.binomial_det`."""
+    if box.n < 1:
         raise ValueError("n must be at least 1")
-    cols = range(1, n + 1)
-    lhs = binomial_det(xvars(n), [j - 1 for j in cols], [m + 2 * n - j for j in cols])
-    alternant_sum = LaurentPoly.zero()
-    for lam in partitions_in_box(m, n):
-        padded = lam.padded(n)
-        rows = [
-            [_x(i, padded[j - 1] + n - j) for j in range(1, n + 1)]
-            for i in range(1, n + 1)
-        ]
-        alternant_sum = alternant_sum + determinant(PolyMatrix(tuple(tuple(r) for r in rows)))
-    return lhs, times_bn_factors(alternant_sum, n)
+    return binomial_det(xvars(box.n), *_box_exponents(box.m, box.n)), _alternant_side(box)
 
 
 def eq5_sides(box: BoxParams) -> tuple[LaurentPoly, LaurentPoly]:
-    """Fully expanded form: sums over permutations and subsets on the left,
-    over partitions and permutations on the right, where the Weyl factors are
-    applied one binomial at a time by :func:`~schurbox.schur.times_bn_factors`.
-
-    Permutations come from :func:`~schurbox.poly.signed_permutations` with
-    0-based images; a subset S of {1..n} is a bitmask with bit i - 1 set iff
-    i is in S, and (-1)^|S| is -1 when the mask has an odd bit count.
-    """
-    m, n = box.m, box.n
-    if n < 1:
+    """eq4 fully expanded: its left determinant over permutations and subsets
+    (tables range-checked before any partition is enumerated), its right side."""
+    if box.n < 1:
         raise ValueError("n must be at least 1")
-    xs = unit_keys("x", n)
-    perms = signed_permutations(n)
-    lhs = LaurentPoly.from_keys(
-        (
-            sum(
-                (m + 2 * n - 1 - s if mask >> i & 1 else s) * x
-                for i, (s, x) in enumerate(zip(images, xs))
-            ),
-            -sign if mask.bit_count() & 1 else sign,
-        )
-        for images, sign in perms
-        for mask in range(1 << n)
-    )
-    inner = LaurentPoly.from_keys(
-        (sum((padded[s] + n - 1 - s) * x for s, x in zip(images, xs)), sign)
-        for padded in (lam.padded(n) for lam in partitions_in_box(m, n))
-        for images, sign in perms
-    )
-    return lhs, times_bn_factors(inner, n)
+    a, b = ([_row(i, exps) for i in range(1, box.n + 1)] for exps in _box_exponents(box.m, box.n))
+    return LaurentPoly.from_keys(expand_det(a, b)), _alternant_side(box)
 
 
 def eq6_sides(n: int) -> tuple[LaurentPoly, LaurentPoly]:
     """The m-free restatement over x1..xn, t1..tn.
 
     Left side: sum over permutations sigma and subsets S of
-    (-1)^{inv+|S|} prod_{i in S} t_i x_i^{1-sigma(i)} prod_{i not in S} x_i^{sigma(i)-1}.
+    (-1)^{inv+|S|} prod_{i in S} t_i x_i^{1-sigma(i)} prod_{i not in S} x_i^{sigma(i)-1},
+    that is det(x_i^{j-1} - t_i x_i^{1-j}).
 
     Right side: sum over k and, for each proper subset S not containing k,
     (-1)^{n+k}(1-x_k) prod_{i!=k}(x_i x_k - 1) times the inner sum over
@@ -169,55 +148,35 @@ def eq6_sides(n: int) -> tuple[LaurentPoly, LaurentPoly]:
     where "not in S" ranges over the full complement (k included).  The
     fraction abbreviates the finite sum over the smallest part, so the
     k-terms sharing one S are grouped and their sum divided exactly by the
-    denominator; a NotDivisibleError is a fatal failure.
+    denominator; a NotDivisibleError is a fatal failure.  The inner sum is
+    the monomial determinant of rows i != k of the table whose row i is
+    t_i x_i^{-j} for i in S and x_i^j otherwise, j = 1..n-1.
 
-    Subsets are bitmasks as in :func:`eq5_sides`; the masks below
-    2**n - 1 are exactly the proper subsets.
+    A subset S of {1..n} is a bitmask with bit i - 1 set iff i is in S; the
+    masks below 2**n - 1 are exactly the proper subsets.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    ts = unit_keys("t", n)
-    xs = unit_keys("x", n)
-    lhs = LaurentPoly.from_keys(
-        (
-            sum(
-                t - s * x if mask >> i & 1 else s * x
-                for i, (s, t, x) in enumerate(zip(images, ts, xs))
-            ),
-            -sign if mask.bit_count() & 1 else sign,
-        )
-        for images, sign in signed_permutations(n)
-        for mask in range(1 << n)
-    )
+    cols = range(1, n + 1)
+    a = [_row(i, range(n)) for i in cols]
+    b = [_row(i, range(0, -n, -1), 1) for i in cols]
+    lhs = LaurentPoly.from_keys(expand_det(a, b))
 
-    sub_perms = signed_permutations(n - 1)
+    k_factors = [_k_factor(n, k) for k in cols]
     rhs = LaurentPoly.zero()
     for mask in range((1 << n) - 1):
-        comp = [i for i in range(1, n + 1) if not mask >> (i - 1) & 1]
-        t_numerator = 1 - LaurentPoly.from_keys(
-            [(sum(ts[i - 1] + (2 - 2 * n) * xs[i - 1] for i in comp), 1)]
-        )
-        denom = 1 - _x_product(comp)
+        comp = [i for i in cols if not mask >> (i - 1) & 1]
+        rows = [
+            _row(i, range(-1, -n, -1), 1) if mask >> (i - 1) & 1 else _row(i, range(1, n))
+            for i in cols
+        ]
         ksum = LaurentPoly.zero()
         for k in comp:
-            prefactor = (1 - _x(k)) if (n + k) % 2 == 0 else -(1 - _x(k))
-            for i in range(1, n + 1):
-                if i != k:
-                    prefactor = prefactor * (_x(i) * _x(k) - 1)
-            # 0-based positions i != k - 1, mapped onto the images 1..n-1
-            domain = [i for i in range(n) if i != k - 1]
-            inner = LaurentPoly.from_keys(
-                (
-                    sum(
-                        ts[i] - (s + 1) * xs[i] if mask >> i & 1 else (s + 1) * xs[i]
-                        for i, s in zip(domain, images)
-                    ),
-                    sign,
-                )
-                for images, sign in sub_perms
-            )
-            ksum = ksum + prefactor * inner
-        rhs = rhs + (-1 if mask.bit_count() & 1 else 1) * exact_div(ksum, denom) * t_numerator
+            inner = LaurentPoly.from_keys(expand_det(rows[:k - 1] + rows[k:]))
+            ksum = ksum + k_factors[k - 1] * inner
+        t_numerator = 1 - _x_product(comp, 2 - 2 * n, 1)
+        quotient = exact_div(ksum, 1 - _x_product(comp))
+        rhs = rhs + (-1 if mask.bit_count() & 1 else 1) * quotient * t_numerator
     return lhs, rhs
 
 

@@ -17,6 +17,9 @@ largest digit, and raises :class:`ExponentRangeError` before any key is
 built if some exponent of the product would leave the range.
 :func:`unit_keys` gives the keys of t_i and x_i by index, so callers can
 build terms from exponents without naming variables.
+Determinants take one of two routes: :func:`determinant` multiplies the
+polynomial entries of a :class:`PolyMatrix`, and :func:`expand_det` adds the
+packed keys of monomial or binomial entries straight into terms.
 :class:`Monomial` is the boundary value that wraps one key.  It has no
 arithmetic: every product and power is a :class:`LaurentPoly` operation,
 so one exponent check guards them all.  Keys are decoded only at the
@@ -44,7 +47,7 @@ import heapq
 import itertools
 import struct
 import sys
-from collections.abc import Iterable, Mapping
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 import re
@@ -61,6 +64,7 @@ __all__ = [
     "PolyMatrix",
     "determinant",
     "exact_div",
+    "expand_det",
     "parse_poly",
     "signed_permutations",
     "unit_keys",
@@ -670,6 +674,33 @@ def signed_permutations(n: int) -> list[tuple[tuple[int, ...], int]]:
             for k in range(top + 1)
         ]
     return perms
+
+
+def expand_det(
+    a: Sequence[Sequence[int]], b: Sequence[Sequence[int]] | None = None
+) -> Iterator[tuple[int, int]]:
+    """The ``(packed key, coefficient)`` terms of det(x^a[i][j]), or of
+    det(x^a[i][j] - x^b[i][j]) when ``b`` is given, for :meth:`LaurentPoly.from_keys`.
+
+    ``a`` and ``b`` are n x n tables of packed keys built from range-checked
+    exponents (a key whose digit carried looks valid), and each sum of one
+    entry per row must stay in range, as when row i holds only powers of
+    x_i and t_i.  The order guard of :func:`signed_permutations` runs at the
+    call.  With ``b``, each permutation's binomial product expands over the
+    subsets S of rows taking their b entry, sign (-1)^|S|, doubling the term
+    list once per row.
+    """
+    perms = signed_permutations(len(a))
+
+    def terms() -> Iterator[tuple[int, int]]:
+        for images, sign in perms:
+            out = [(sum([row[s] for row, s in zip(a, images)]), sign)]
+            for ra, rb, s in zip(a, b or (), images):
+                delta = rb[s] - ra[s]
+                out += [(k + delta, -c) for k, c in out]
+            yield from out
+
+    return terms()
 
 
 def determinant(matrix: PolyMatrix) -> LaurentPoly:

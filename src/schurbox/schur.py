@@ -27,12 +27,14 @@ from .poly import (
     PolyMatrix,
     determinant,
     exact_div,
+    expand_det,
     unit_keys,
 )
 
 __all__ = [
     "BoxParams",
     "DnReport",
+    "alternant_table",
     "binomial_det",
     "box_det_ratio",
     "dn_checks",
@@ -110,18 +112,19 @@ def schur_via_tableaux(shape: Partition, n: int) -> LaurentPoly:
     return LaurentPoly.from_keys(counts.items())
 
 
+def alternant_table(shape: Partition, n: int) -> list[list[int]]:
+    """Packed keys of a_{lambda+delta} for :func:`~schurbox.poly.expand_det`: row i,
+    column j holds x_i^{lambda_j + n - j}, each exponent range-checked."""
+    exps = [p + n - 1 - j for j, p in enumerate(shape.padded(n))]
+    return [[Monomial.variable(v, e).key for e in exps] for v in xvars(n)]
+
+
 def schur_via_bialternant(shape: Partition, n: int) -> LaurentPoly:
     """det(x_i^{lambda_j + n - j}) divided exactly by prod_{i<j}(x_i - x_j)."""
     if len(shape.parts) > n:
         return LaurentPoly.zero()
-    if n == 0:
-        return LaurentPoly.one()
-    lam = shape.padded(n)
-    rows = [
-        [LaurentPoly.variable(f"x{i}", lam[j - 1] + n - j) for j in range(1, n + 1)]
-        for i in range(1, n + 1)
-    ]
-    return exact_div(determinant(PolyMatrix.from_rows(rows)), vandermonde(xvars(n)))
+    alternant = LaurentPoly.from_keys(expand_det(alternant_table(shape, n)))
+    return exact_div(alternant, vandermonde(xvars(n)))
 
 
 def schur_box_sum(box: BoxParams) -> LaurentPoly:

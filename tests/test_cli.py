@@ -1,8 +1,11 @@
 """The sweep runner and the command-line interface."""
 
 import json
+import resource
+import select
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -16,6 +19,12 @@ from schurbox.checks import (
     run_verification,
 )
 from schurbox.poly import LaurentPoly
+
+
+def limit_memory():
+    """Cap a child's address space, so that a regression that lists a huge
+    enumeration fails with MemoryError instead of filling the host."""
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
 
 def run_cli(*args):
@@ -213,6 +222,22 @@ def test_cli_error_record_does_not_abort_the_sweep():
     assert records[1]["error"].startswith("ExponentRangeError: ")
 
 
+def test_cli_out_of_range_m_is_two_error_records_within_seconds():
+    start = time.monotonic()
+    proc = subprocess.run(
+        [sys.executable, "-m", "schurbox", "verify", "--checks", "eq4,eq5",
+         "--m", "2147483647", "--n", "1"],
+        capture_output=True, text=True, timeout=60, preexec_fn=limit_memory,
+    )
+    assert time.monotonic() - start < 30
+    assert proc.returncode == 1
+    lines = proc.stdout.strip().splitlines()
+    assert [line.split()[0] for line in lines] == ["eq4", "eq5"]
+    for line in lines:
+        assert "ERROR  ExponentRangeError: exponent 2147483648 of x1" in line
+    assert "2 checks, 0 passed, 2 failed" in proc.stderr
+
+
 # -- CLI: enumerate -----------------------------------------------------------------
 
 
@@ -253,3 +278,18 @@ def test_cli_enumerate_empty_box():
 def test_cli_enumerate_rejects_negative():
     proc = run_cli("enumerate", "partitions", "--m", "-1", "--n", "2")
     assert proc.returncode == 2
+
+
+def test_cli_enumerate_streams_before_the_enumeration_ends():
+    # 18,076,916 symmetric plane partitions: the first must print long before the last
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "schurbox", "enumerate", "symmetric-pp", "--n", "6", "--m", "6"],
+        stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True, preexec_fn=limit_memory,
+    )
+    try:
+        ready, _, _ = select.select([proc.stdout], [], [], 10)
+        first = proc.stdout.readline() if ready else None
+    finally:
+        proc.kill()
+        proc.wait(timeout=10)
+    assert first == "[]\n"

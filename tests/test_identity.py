@@ -5,6 +5,7 @@ import json
 import pytest
 
 from reference_poly import inversion_count
+from schurbox import identity
 from schurbox.checks import CheckResult
 from schurbox.identity import (
     eq4_sides,
@@ -14,7 +15,13 @@ from schurbox.identity import (
     lemma_sides,
     vanishing_det,
 )
-from schurbox.poly import LaurentPoly, Monomial, OrderTooLargeError, signed_permutations
+from schurbox.poly import (
+    ExponentRangeError,
+    LaurentPoly,
+    Monomial,
+    OrderTooLargeError,
+    signed_permutations,
+)
 from schurbox.schur import (
     BoxParams,
     box_det_ratio,
@@ -180,6 +187,16 @@ def test_eq4_lhs_is_the_ratio_numerator(m, n):
     """eq4's left side is the numerator determinant of the box-sum ratio."""
     lhs4, _ = eq4_sides(BoxParams(m, n))
     assert lhs4 == box_det_ratio(BoxParams(m, n)) * weyl_denominator(n, "determinant")
+
+
+def test_eq5_checks_its_tables_before_enumerating_partitions(monkeypatch):
+    def refuse(m, n):
+        raise AssertionError(f"enumerated the partitions in the {m} x {n} box")
+
+    monkeypatch.setattr(identity, "partitions_in_box", refuse)
+    # m + 2n - 1 = 2**31 packed unchecked would carry into t2
+    with pytest.raises(ExponentRangeError, match="exponent 2147483648 of x1"):
+        eq5_sides(BoxParams(2**31 - 1, 1))
 
 
 def test_eq6_order_one():

@@ -16,6 +16,7 @@ from schurbox.poly import (
     PolyMatrix,
     determinant,
     exact_div,
+    expand_det,
     parse_poly,
     signed_permutations,
     unit_keys,
@@ -361,6 +362,46 @@ def test_determinant_alternates_and_is_row_linear(rows, r1, r2):
     assert determinant(PolyMatrix.from_rows(summed)) == base + determinant(
         PolyMatrix.from_rows(other)
     )
+
+
+# -- key-level expansion against the ring route ------------------------------------
+
+
+def monomial_tables(n):
+    return st.lists(st.lists(monomials, min_size=n, max_size=n), min_size=n, max_size=n)
+
+
+table_pairs = st.integers(1, 4).flatmap(lambda n: st.tuples(monomial_tables(n), monomial_tables(n)))
+
+
+def keys(table):
+    return [[mono.key for mono in row] for row in table]
+
+
+@given(table_pairs)
+@settings(max_examples=80)
+def test_expand_det_matches_determinant(tables):
+    a, b = tables
+    monomial = [[P.term(mono) for mono in row] for row in a]
+    assert P.from_keys(expand_det(keys(a))) == determinant(PolyMatrix.from_rows(monomial))
+    binomial = [
+        [P.term(ma) - P.term(mb) for ma, mb in zip(ra, rb)] for ra, rb in zip(a, b)
+    ]
+    assert P.from_keys(expand_det(keys(a), keys(b))) == determinant(
+        PolyMatrix.from_rows(binomial)
+    )
+
+
+def test_expand_det_order_bound_and_empty_table():
+    table = [[0] * 9 for _ in range(9)]
+    # refused at the call, so no term is ever yielded
+    with pytest.raises(OrderTooLargeError, match="order 9 exceeds the bound 8"):
+        expand_det(table)
+    with pytest.raises(OrderTooLargeError):
+        expand_det(table, table)
+    assert P.from_keys(expand_det([])) == P.from_keys(expand_det([], [])) == 1
+    # order 8 is accepted: the all-ones matrix, whose 8! terms cancel
+    assert P.from_keys(expand_det([[0] * 8 for _ in range(8)])) == 0
 
 
 def test_inversion_count():

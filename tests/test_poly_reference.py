@@ -18,6 +18,7 @@ targets = st.one_of(
     st.tuples(variables, st.integers(-3, 3)).map(lambda t: Monomial.variable(*t)),
     variables,
     st.just(1),
+    st.just(0),  # refused by both rings with the same ValueError
 )
 assignments = st.dictionaries(variables, targets, max_size=3)
 
@@ -26,7 +27,7 @@ def outcome(fn, *args):
     """The result, or the type and message of the error raised."""
     try:
         return fn(*args)
-    except ArithmeticError as exc:
+    except (ArithmeticError, ValueError) as exc:
         return (type(exc), str(exc))
 
 

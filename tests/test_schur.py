@@ -14,6 +14,7 @@ from schurbox.poly import (
 )
 from schurbox.schur import (
     BoxParams,
+    alternant_table,
     binomial_det,
     box_det_ratio,
     dn_checks,
@@ -52,6 +53,15 @@ def test_schur_too_tall_is_zero():
 def test_schur_empty_shape():
     assert schur_via_bialternant(Partition(), 3) == P.one()
     assert schur_via_tableaux(Partition(), 3) == P.one()
+
+
+def test_alternant_table_is_range_checked():
+    x = [[Monomial.variable(f"x{i}", e).key for e in (3, 1, 0)] for i in (1, 2, 3)]
+    assert alternant_table(Partition((1,)), 3) == x
+    assert schur_via_bialternant(Partition(), 0) == P.one()
+    # 2**31 + 5 packed unchecked would carry into t2 and read as t2*x1^-2147483643
+    with pytest.raises(ExponentRangeError, match="exponent 2147483653 of x1"):
+        schur_via_bialternant(Partition((2**31 + 5,)), 1)
 
 
 @pytest.mark.parametrize("m,n", [(2, 2), (3, 2), (2, 3), (3, 3)])
