@@ -3,7 +3,8 @@
 The package splits into:
 
 * :mod:`schurbox.poly` -- sparse Laurent polynomials over exact integers,
-  substitution, exact division, signed permutations and determinants;
+  substitution, exact division (general, and by binomial factors), signed
+  permutations and determinants;
 * :mod:`schurbox.combinat` -- plane partitions, odd-column-strict arrays,
   tableau entry tuples, the weight-preserving fold bijection, brute-force
   generating functions;
@@ -24,6 +25,7 @@ from .poly import (
     OrderTooLargeError,
     PolyMatrix,
     determinant,
+    divide_binomials,
     exact_div,
     parse_poly,
     signed_permutations,
@@ -98,6 +100,7 @@ __all__ = [
     "box_det_ratio",
     "column_strict_odd_pps",
     "determinant",
+    "divide_binomials",
     "dn_checks",
     "eq4_sides",
     "eq5_sides",

@@ -1,11 +1,12 @@
 """Named verification checks and the serial sweep runner used by the CLI.
 
 Each check is one table row: whether it depends on m (if not, it runs once
-per n), its minimum n, whether it expands an order-n determinant, and
+per n), its minimum n, whether it expands an order-n determinant,
 ``sides(m, n)``, which builds both sides of one identity and returns
 ``(lhs, rhs)`` or ``(lhs, rhs, ok)`` with ``ok`` a structural verdict (fold
-inverses, D_n roots).  Multi-stage checks return their first disagreeing
-pair.  The runner records each outcome as a :class:`CheckResult` with
+inverses, D_n roots), and the divisor form the check records, if any (the
+theorem's is ``"bn-factors"``).  Multi-stage checks return their first
+disagreeing pair.  The runner records each outcome as a :class:`CheckResult` with
 ``passed = lhs == rhs and ok``; a ``sides`` call that raises becomes a failed
 result with the error text, and the sweep goes on.
 """
@@ -64,7 +65,8 @@ class InvalidRangeError(ValueError):
 @dataclass(frozen=True)
 class CheckResult:
     """Outcome of one identity verification at concrete parameters; ``error`` is
-    ``"<Type>: <message>"`` if building the sides raised (then both sides are 0)."""
+    ``"<Type>: <message>"`` if building the sides raised (then both sides are 0),
+    and ``divisor`` names the divisor form of the check's table row, if any."""
 
     identity: str
     m: int | None
@@ -74,6 +76,7 @@ class CheckResult:
     passed: bool
     elapsed_ms: float
     error: str | None = None
+    divisor: str | None = None
 
     def to_json_dict(self) -> dict:
         out = {
@@ -83,6 +86,8 @@ class CheckResult:
             "pass": self.passed,
             "elapsed_ms": round(self.elapsed_ms, 3),
         }
+        if self.divisor is not None:
+            out["divisor"] = self.divisor
         if not self.passed:
             out["lhs"] = self.lhs.to_text()
             out["rhs"] = self.rhs.to_text()
@@ -157,11 +162,12 @@ class _Check:
     min_n: int
     expands_order_n: bool
     sides: Callable[[int | None, int], tuple]
+    divisor: str | None = None
 
 
 _TABLE: dict[str, _Check] = {
     "theorem": _Check(True, 1, True, lambda m, n: (
-        schur_box_sum(BoxParams(m, n)), box_det_ratio(BoxParams(m, n)))),
+        schur_box_sum(BoxParams(m, n)), box_det_ratio(BoxParams(m, n))), "bn-factors"),
     "weyl": _Check(False, 1, True, lambda _, n: (
         weyl_denominator(n, "determinant"), weyl_denominator(n, "product"))),
     "lemma": _Check(False, 1, False, lambda _, n: lemma_sides(n)),
@@ -214,15 +220,18 @@ def _validate_range(name: str, rng: tuple[int, int]) -> None:
 
 
 def _evaluate(check_id: str, m: int | None, n: int) -> CheckResult:
+    entry = _TABLE[check_id]
     start = time.perf_counter()
     error = None
     try:
-        lhs, rhs, *ok = _TABLE[check_id].sides(m, n)
+        lhs, rhs, *ok = entry.sides(m, n)
     except Exception as exc:  # one raising check must not abort the sweep
         lhs = rhs = LaurentPoly.zero()
         ok, error = [False], f"{type(exc).__name__}: {exc}"
     elapsed = (time.perf_counter() - start) * 1000.0
-    return CheckResult(check_id, m, n, lhs, rhs, lhs == rhs and all(ok), elapsed, error)
+    return CheckResult(
+        check_id, m, n, lhs, rhs, lhs == rhs and all(ok), elapsed, error, entry.divisor
+    )
 
 
 def run_verification(config: RunConfig) -> list[CheckResult]:

@@ -101,14 +101,17 @@ class PlanePartition:
     Equality is equality as sets of lattice points: trailing all-zero
     row/column pairs (an empty row counts as all zero) are stripped at
     construction, so the same solid built in different box sizes compares equal.
+    A matrix that is not square, empty rows aside, is kept as given, so
+    ``validate()`` and ``fold`` refuse it.
     """
 
     heights: tuple[tuple[int, ...], ...] = ()
 
     def __post_init__(self):
-        rows = [tuple(int(v) for v in row) for row in self.heights]
-        while rows and not any(rows[-1]) and not any(r[-1] for r in rows if r):
-            rows = [r[:-1] for r in rows[:-1]]
+        rows = [tuple(int(v) for v in row) or (0,) * len(self.heights) for row in self.heights]
+        if all(len(row) == len(rows) for row in rows):
+            while rows and not any(rows[-1]) and not any(r[-1] for r in rows):
+                rows = [r[:-1] for r in rows[:-1]]
         object.__setattr__(self, "heights", tuple(rows))
 
     @classmethod

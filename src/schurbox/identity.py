@@ -34,7 +34,7 @@ from __future__ import annotations
 from collections.abc import Iterable
 from math import comb
 
-from .poly import LaurentPoly, Monomial, exact_div, expand_det
+from .poly import LaurentPoly, Monomial, divide_binomials, expand_det
 from .combinat import partitions_in_box
 from .schur import (
     BoxParams,
@@ -43,6 +43,7 @@ from .schur import (
     binomial_det,
     times_bn_factors,
     vandermonde,
+    vandermonde_factors,
     xvars,
 )
 
@@ -107,7 +108,8 @@ def f_function(n: int) -> LaurentPoly:
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    return exact_div(_lemma_lhs(n), _later_minus_earlier(list(range(1, n + 1))))
+    later_minus_earlier = [-f for f in vandermonde_factors(xvars(n))]
+    return divide_binomials(_lemma_lhs(n), later_minus_earlier)
 
 
 def _alternant_side(box: BoxParams) -> LaurentPoly:
@@ -175,7 +177,7 @@ def eq6_sides(n: int) -> tuple[LaurentPoly, LaurentPoly]:
             inner = LaurentPoly.from_keys(expand_det(rows[:k - 1] + rows[k:]))
             ksum = ksum + k_factors[k - 1] * inner
         t_numerator = 1 - _x_product(comp, 2 - 2 * n, 1)
-        quotient = exact_div(ksum, 1 - _x_product(comp))
+        quotient = divide_binomials(ksum, [1 - _x_product(comp)])
         rhs = rhs + (-1 if mask.bit_count() & 1 else 1) * quotient * t_numerator
     return lhs, rhs
 

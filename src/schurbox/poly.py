@@ -26,7 +26,8 @@ so one exponent check guards them all.  Keys are decoded only at the
 boundary (canonical text, ``Monomial.pairs``, ``variables()``, substitution
 and the entry and exit of :func:`exact_div`), in bulk: every digit is
 biased to an unsigned value, and all keys of one polynomial are read
-through one ``memoryview``.
+through one ``memoryview``.  :func:`divide_binomials` reads only the one
+digit it steps along, with a shift and a mask per key.
 
 Variable names come from the fixed namespace ``q``, ``t1, t2, ...``,
 ``x1, x2, ...`` (in that order).  The canonical term order is graded
@@ -34,11 +35,17 @@ lexicographic: total degree first, then the exponent vector compared
 variable by variable in that order.  Canonical text output lists terms in
 ascending order, so q-series read naturally: ``1 + q + q^3 + q^4``.
 
-Exact division (:func:`exact_div`) packs each shifted exponent vector once
-more, into base ``2**bits`` digits ``(total degree, e_1, ..., e_k)`` with
-non-negative digits, so integer order is graded-lex order, and finds leading
-terms with a heap that shares its int keys with the remainder dict.  Its
-docstring gives the digit-width bound.
+Exact division takes one of two routes.  :func:`divide_binomials` is the
+one every check uses: every divisor in the chain is a product of binomials
+x^a - x^b (the Weyl denominator's factors, a Vandermonde, 1 - prod x_i,
+prod (1 - q^e)), and dividing by one of them is a prefix sum along v = b - a
+inside each coset k + Z*v of the packed keys, exact if and only if every
+coset sums to 0.  :func:`exact_div` divides by any divisor and is the
+general reference the fast route is tested against: it packs each shifted
+exponent vector once more, into base ``2**bits`` digits
+``(total degree, e_1, ..., e_k)`` with non-negative digits, so integer order
+is graded-lex order, and finds leading terms with a heap that shares its int
+keys with the remainder dict.  Its docstring gives the digit-width bound.
 """
 
 from __future__ import annotations
@@ -63,6 +70,7 @@ __all__ = [
     "OrderTooLargeError",
     "PolyMatrix",
     "determinant",
+    "divide_binomials",
     "exact_div",
     "expand_det",
     "parse_poly",
@@ -832,3 +840,98 @@ def exact_div(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
         for vec, coeff in quotient.items()
     }
     return LaurentPoly._make(out, bound)
+
+
+def _binomial_parts(factor: LaurentPoly) -> tuple[int, int]:
+    """``(a, v)`` with ``factor == x^a * (1 - x^v)``: a is the key of the +1 term and
+    a + v that of the -1 term.  Any other factor raises ValueError."""
+    terms = factor._terms if isinstance(factor, LaurentPoly) else {}
+    if len(terms) != 2 or sorted(terms.values()) != [-1, 1]:
+        raise ValueError(f"divide_binomials: {factor!r} is not x^a - x^b with a != b")
+    (k1, c1), (k2, _) = terms.items()
+    a, b = (k1, k2) if c1 == 1 else (k2, k1)
+    return a, b - a
+
+
+def _divide_one_minus(terms: dict[int, int], v: int) -> dict[int, int]:
+    """The quotient of ``terms`` by 1 - x^v, by a prefix sum along v in each coset.
+
+    With d the lowest nonzero digit of v, at position p, every key k is
+    ``c + t * v`` for the step index t = (digit p of k) // d and the coset id
+    c = k - t * v.  The quotient r satisfies r[k] = terms[k] + r[k - v], so
+    within a coset r is the running sum of the coefficients in step order,
+    and it is finite exactly when the whole coset sums to 0.  One sweep over
+    the steps present keeps every coset's running sum by id and writes it out
+    at each step up to the next step with terms.  Each quotient key lies
+    between two keys of one coset, so its digits stay within those of
+    ``terms``.
+    """
+    _, v_flat = _digits((v,))
+    pos = next(p for p, d in enumerate(v_flat) if d != _HALF)
+    step = v_flat[pos] - _HALF
+    shift = DIGIT_BITS * pos
+    bias = _HALF * (((1 << (shift + DIGIT_BITS)) - 1) // (_BASE - 1))  # digits 0..pos
+    mask = _BASE - 1
+    by_step: dict[int, list[tuple[int, int]]] = {}
+    get = by_step.get
+    for item in terms.items():
+        t = ((((item[0] + bias) >> shift) & mask) - _HALF) // step
+        bucket = get(t)
+        if bucket is None:
+            by_step[t] = [item]
+        else:
+            bucket.append(item)
+    order = sorted(by_step)
+    out: dict[int, int] = {}
+    runs: dict[int, int] = {}  # coset id -> running sum, for the open cosets
+    run = runs.get
+    for t, t_next in zip(order, order[1:] + [order[-1] + 1]):
+        tv = t * v
+        for key, coeff in by_step[t]:
+            cid = key - tv
+            c = run(cid, 0) + coeff
+            if c:
+                runs[cid] = c
+            else:
+                del runs[cid]
+        if runs:
+            for _ in range(t_next - t):
+                out.update({cid + tv: c for cid, c in runs.items()})
+                tv += v
+    if runs:
+        cid, total = next(iter(runs.items()))
+        top = next(cid + t * v for t in reversed(order) if cid + t * v in terms)
+        raise NotDivisibleError(
+            f"nonzero remainder: dividing by {LaurentPoly.from_keys([(0, 1), (v, -1)])}, "
+            f"the coset of the dividend term with exponents "
+            f"{Monomial._make(top).exponents()} sums to {total}"
+        )
+    return out
+
+
+def divide_binomials(num: LaurentPoly, factors: Iterable[LaurentPoly]) -> LaurentPoly:
+    """Exact division of ``num`` by the product of ``factors``, one factor at a time.
+
+    Each factor must be a binomial x^a - x^b with coefficients +1 and -1
+    (``a != b``); anything else raises ValueError.  Write it as
+    x^a (1 - x^v) with v = b - a.  The division by 1 - x^v is a prefix sum
+    along v inside each coset k + Z*v of the keys, exact if and only if every
+    coset's coefficients sum to 0; otherwise :class:`NotDivisibleError` names
+    a term of that step's dividend by its Laurent exponents.  A product of
+    factors divides ``num`` only if each partial product does, so every step
+    stays a Laurent polynomial whose exponents lie within those of ``num``.
+    The units x^a are divided out once, at the end; a quotient exponent
+    outside ``±MAX_EXPONENT`` raises :class:`ExponentRangeError`.
+    """
+    terms = num._terms
+    shift, shift_bound = 0, 0  # the product of the x^a, as a key
+    for factor in factors:
+        a, v = _binomial_parts(factor)
+        shift_bound = _product_bound((shift,), shift_bound, (a,), _bound((a,)))
+        shift += a
+        if terms:
+            terms = _divide_one_minus(terms, v)
+    if not shift:
+        return LaurentPoly._make(terms, num._bound)
+    bound = _product_bound(terms, num._bound, (-shift,), shift_bound)
+    return LaurentPoly._make({k - shift: c for k, c in terms.items()}, bound)

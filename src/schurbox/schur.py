@@ -26,7 +26,7 @@ from .poly import (
     Monomial,
     PolyMatrix,
     determinant,
-    exact_div,
+    divide_binomials,
     expand_det,
     unit_keys,
 )
@@ -36,6 +36,7 @@ __all__ = [
     "DnReport",
     "alternant_table",
     "binomial_det",
+    "bn_factors",
     "box_det_ratio",
     "dn_checks",
     "gordon_product",
@@ -46,6 +47,7 @@ __all__ = [
     "schur_via_tableaux",
     "times_bn_factors",
     "vandermonde",
+    "vandermonde_factors",
     "weyl_denominator",
     "xvars",
 ]
@@ -67,12 +69,17 @@ def xvars(n: int) -> list[str]:
     return [f"x{i}" for i in range(1, n + 1)]
 
 
+def vandermonde_factors(names: Sequence[str]) -> list[LaurentPoly]:
+    """The factors (x_i - x_j), i < j, of the Vandermonde, pair by pair."""
+    xs = [LaurentPoly.variable(v) for v in names]
+    return [xi - xj for i, xi in enumerate(xs) for xj in xs[i + 1:]]
+
+
 def vandermonde(names: Sequence[str]) -> LaurentPoly:
     """prod_{i<j} (x_i - x_j), the alternant denominator (earlier minus later)."""
     out = LaurentPoly.one()
-    for i in range(len(names)):
-        for j in range(i + 1, len(names)):
-            out = out * (LaurentPoly.variable(names[i]) - LaurentPoly.variable(names[j]))
+    for factor in vandermonde_factors(names):
+        out = out * factor
     return out
 
 
@@ -124,7 +131,7 @@ def schur_via_bialternant(shape: Partition, n: int) -> LaurentPoly:
     if len(shape.parts) > n:
         return LaurentPoly.zero()
     alternant = LaurentPoly.from_keys(expand_det(alternant_table(shape, n)))
-    return exact_div(alternant, vandermonde(xvars(n)))
+    return divide_binomials(alternant, vandermonde_factors(xvars(n)))
 
 
 def schur_box_sum(box: BoxParams) -> LaurentPoly:
@@ -135,29 +142,54 @@ def schur_box_sum(box: BoxParams) -> LaurentPoly:
     return total
 
 
+def bn_factors(n: int) -> list[LaurentPoly]:
+    """The n^2 binomial factors of the type-B_n Weyl denominator D_n:
+    (x_i x_j - 1) and (x_i - x_j) pair by pair for i < j, then each (1 - x_i).
+
+    :func:`box_det_ratio` divides by them in this order, the fastest one
+    measured at n = 6; :func:`times_bn_factors` multiplies by all but the
+    (x_i - x_j).
+    """
+    xs = [LaurentPoly.variable(v) for v in xvars(n)]
+    pairs = zip([xi * xj - 1 for i, xi in enumerate(xs) for xj in xs[i + 1:]],
+                vandermonde_factors(xvars(n)))
+    return [f for pair in pairs for f in pair] + [1 - xi for xi in xs]
+
+
+# Orders n at which the determinant D_n has been checked equal to the product
+# of bn_factors(n), so box_det_ratio may divide factor by factor.
+_CHECKED_BN_ORDERS: set[int] = set()
+
+
 def box_det_ratio(box: BoxParams) -> LaurentPoly:
-    """det(x_i^{j-1} - x_i^{m+2n-j}) / det(x_i^{j-1} - x_i^{2n-j}), exactly."""
+    """det(x_i^{j-1} - x_i^{m+2n-j}) / det(x_i^{j-1} - x_i^{2n-j}), exactly.
+
+    The divisor is D_n, divided out one binomial of :func:`bn_factors` at a
+    time.  That is valid only if D_n equals the product form at this n, so
+    the first call for each n in a process checks it and raises
+    ArithmeticError if the two forms differ.
+    """
     m, n = box.m, box.n
     if n == 0:
         return LaurentPoly.one()
+    if n not in _CHECKED_BN_ORDERS:
+        if binomial_det(xvars(n), *_box_exponents(0, n)) != weyl_denominator(n, "product"):
+            raise ArithmeticError(f"D_{n} differs from the product of its binomial factors")
+        _CHECKED_BN_ORDERS.add(n)
     num = binomial_det(xvars(n), *_box_exponents(m, n))
-    den = binomial_det(xvars(n), *_box_exponents(0, n))
-    return exact_div(num, den)
+    return divide_binomials(num, bn_factors(n))
 
 
 def times_bn_factors(poly: LaurentPoly, n: int) -> LaurentPoly:
     """poly * prod_i (1 - x_i) * prod_{i<j} (x_i x_j - 1), one binomial at a time.
 
-    These are the type-B_n Weyl factors other than prod_{i<j}(x_i - x_j).
+    These are the factors of :func:`bn_factors` other than the (x_i - x_j).
     Each step multiplies the running product by one two-term factor, so it
     costs 2 * len(running product) term products.
     """
-    xs = [LaurentPoly.variable(v) for v in xvars(n)]
-    for xi in xs:
-        poly = poly * (1 - xi)
-    for i, xi in enumerate(xs):
-        for xj in xs[i + 1:]:
-            poly = poly * (xi * xj - 1)
+    factors = bn_factors(n)
+    for factor in factors[len(factors) - n:] + factors[:len(factors) - n:2]:
+        poly = poly * factor
     return poly
 
 
@@ -220,11 +252,14 @@ def dn_checks(n: int) -> DnReport:
     return DnReport(n, tuple(roots), lead, expected)
 
 
-def _q_factor_product(exponents: Sequence[int]) -> LaurentPoly:
-    out = LaurentPoly.one()
-    for e in exponents:
-        out = out * (1 - LaurentPoly.variable("q", e))
-    return out
+def _q_ratio(num_exps: Sequence[int], den_exps: Sequence[int]) -> LaurentPoly:
+    """prod(1 - q^e for e in num_exps) / prod(1 - q^e for e in den_exps), exactly,
+    dividing by the factor of largest e first."""
+    num = LaurentPoly.one()
+    for e in num_exps:
+        num = num * (1 - LaurentPoly.variable("q", e))
+    den = [1 - LaurentPoly.variable("q", e) for e in sorted(den_exps, reverse=True)]
+    return divide_binomials(num, den)
 
 
 def macmahon_product(box: BoxParams) -> LaurentPoly:
@@ -232,7 +267,7 @@ def macmahon_product(box: BoxParams) -> LaurentPoly:
 
     prod_i (1-q^{m+2i-1})/(1-q^{2i-1}) * prod_{i<j} (1-q^{2(m+i+j-1)})/(1-q^{2(i+j-1)}),
 
-    assembled as whole numerator/denominator products and divided once
+    the numerator assembled whole and divided by the denominator's binomials
     (individual factors are not polynomial ratios).
     """
     m, n = box.m, box.n
@@ -242,15 +277,15 @@ def macmahon_product(box: BoxParams) -> LaurentPoly:
         for j in range(i + 1, n + 1):
             num_exps.append(2 * (m + i + j - 1))
             den_exps.append(2 * (i + j - 1))
-    return exact_div(_q_factor_product(num_exps), _q_factor_product(den_exps))
+    return _q_ratio(num_exps, den_exps)
 
 
 def gordon_product(box: BoxParams) -> LaurentPoly:
-    """prod_{1<=i<=j<=n} (1-q^{m+i+j-1})/(1-q^{i+j-1}), as one exact division."""
+    """prod_{1<=i<=j<=n} (1-q^{m+i+j-1})/(1-q^{i+j-1}), as one exact ratio."""
     m, n = box.m, box.n
     num_exps = [m + i + j - 1 for i in range(1, n + 1) for j in range(i, n + 1)]
     den_exps = [i + j - 1 for i in range(1, n + 1) for j in range(i, n + 1)]
-    return exact_div(_q_factor_product(num_exps), _q_factor_product(den_exps))
+    return _q_ratio(num_exps, den_exps)
 
 
 def principal_specialization(poly: LaurentPoly, exponents: Sequence[int]) -> LaurentPoly:

@@ -201,6 +201,19 @@ def test_cli_json_output_is_valid_and_deterministic():
     assert all(rec["pass"] for rec in json.loads(first.stdout))
 
 
+def test_cli_json_records_the_theorem_divisor():
+    args = ("verify", "--checks", "theorem,weyl", "--m", "1", "--n", "2")
+    records = json.loads(run_cli(*args, "--output", "json").stdout)
+    assert [(rec["identity"], rec.get("divisor")) for rec in records] == [
+        ("theorem", "bn-factors"), ("weyl", None)
+    ]
+    text = run_cli(*args).stdout
+    assert "divisor" not in text and "bn-factors" not in text
+    assert [line.split()[:4] for line in text.splitlines()] == [
+        ["theorem", "m=1", "n=2", "PASS"], ["weyl", "m=-", "n=2", "PASS"]
+    ]
+
+
 def test_cli_parallel_option_is_gone():
     proc = run_cli("verify", "--checks", "lemma", "--parallel", "2")
     assert proc.returncode == 2

@@ -120,6 +120,15 @@ def test_plane_partition_normalizes_to_minimal_square():
     assert PlanePartition(((1, 1), (0, 0))).n == 2
 
 
+@pytest.mark.parametrize("heights", [((0, 0, 0), (0,)), ((1, 0, 0), (0,))])
+def test_ragged_plane_partition_is_not_stripped_into_a_valid_one(heights):
+    pp = PlanePartition(heights)
+    assert pp != PlanePartition()
+    assert pp.heights == heights
+    with pytest.raises(ValueError, match="square"):
+        pp.validate()
+
+
 def test_plane_partition_validate_rejects_non_monotone():
     with pytest.raises(ValueError):
         PlanePartition(((1, 2), (0, 0))).validate()
