@@ -26,6 +26,7 @@ from .poly import (
     PolyMatrix,
     determinant,
     divide_binomials,
+    divide_bn_alternants,
     exact_div,
     parse_poly,
     signed_permutations,
@@ -101,6 +102,7 @@ __all__ = [
     "column_strict_odd_pps",
     "determinant",
     "divide_binomials",
+    "divide_bn_alternants",
     "dn_checks",
     "eq4_sides",
     "eq5_sides",

@@ -5,8 +5,9 @@ per n), its minimum n, whether it expands an order-n determinant,
 ``sides(m, n)``, which builds both sides of one identity and returns
 ``(lhs, rhs)`` or ``(lhs, rhs, ok)`` with ``ok`` a structural verdict (fold
 inverses, D_n roots), and the divisor form the check records, if any (the
-theorem's is ``"bn-factors"``).  Multi-stage checks return their first
-disagreeing pair.  The runner records each outcome as a :class:`CheckResult` with
+theorem's is ``"bn-alternant"``: the numerator and D_n are divided as type-B
+alternants).  Multi-stage checks return their first disagreeing pair.  The
+runner records each outcome as a :class:`CheckResult` with
 ``passed = lhs == rhs and ok``; a ``sides`` call that raises becomes a failed
 result with the error text, and the sweep goes on.
 """
@@ -167,7 +168,7 @@ class _Check:
 
 _TABLE: dict[str, _Check] = {
     "theorem": _Check(True, 1, True, lambda m, n: (
-        schur_box_sum(BoxParams(m, n)), box_det_ratio(BoxParams(m, n))), "bn-factors"),
+        schur_box_sum(BoxParams(m, n)), box_det_ratio(BoxParams(m, n))), "bn-alternant"),
     "weyl": _Check(False, 1, True, lambda _, n: (
         weyl_denominator(n, "determinant"), weyl_denominator(n, "product"))),
     "lemma": _Check(False, 1, False, lambda _, n: lemma_sides(n)),

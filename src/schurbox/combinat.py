@@ -219,24 +219,33 @@ class ColumnStrictPP:
 # -- enumeration --------------------------------------------------------------
 
 
-def partitions_in_box(m: int, n: int) -> list[Partition]:
-    """All partitions with at most n parts, each at most m (binomial(m+n, n) of them)."""
+def partitions_in_box(m: int, n: int) -> Iterator[Partition]:
+    """All partitions with at most n parts, each at most m (binomial(m+n, n) of
+    them), streamed; negative bounds raise ValueError at the call.
+
+    The order is depth first, larger parts first: (), (m), (m, m), ...  A
+    cursor of parts goes down by appending the largest part allowed, and
+    otherwise moves on by lowering its last part above 1, dropping the 1s
+    after it.
+    """
     if m < 0 or n < 0:
         raise ValueError("box dimensions must be non-negative")
-    out: list[Partition] = []
-    acc: list[int] = []
+    return _partitions_in_box(m, n)
 
-    def rec(max_next: int, slots_left: int) -> None:
-        out.append(Partition(tuple(acc)))
-        if slots_left == 0:
+
+def _partitions_in_box(m: int, n: int) -> Iterator[Partition]:
+    parts: list[int] = []
+    while True:
+        yield Partition(tuple(parts))
+        top = parts[-1] if parts else m
+        if len(parts) < n and top:
+            parts.append(top)
+            continue
+        while parts and parts[-1] == 1:
+            parts.pop()
+        if not parts:
             return
-        for part in range(max_next, 0, -1):
-            acc.append(part)
-            rec(part, slots_left - 1)
-            acc.pop()
-
-    rec(m, n)
-    return out
+        parts[-1] -= 1
 
 
 def symmetric_plane_partitions(n: int, m: int) -> Iterator[PlanePartition]:

@@ -7,26 +7,30 @@ determinants
 
     det(x_i^{j-1} - x_i^{m+2n-j}) / det(x_i^{j-1} - x_i^{2n-j}),
 
-whose denominator is the type-B_n Weyl denominator.  The box sum adds up
-tableau Schur polynomials; the bialternant form det(x_i^{lambda_j+n-j}) /
-prod_{i<j}(x_i - x_j) is the second, independent backend that the
-schur-agree check compares with it shape by shape.  Principal
-specializations x_i := q^e turn the box sum into the MacMahon and Gordon
-q-products.
+whose denominator is the type-B_n Weyl denominator.  Both determinants are
+type-B_n alternants, and the ratio is solved on their dominant terms.  The
+box sum counts semistandard tableaux by content, as chains of interlacing
+shapes; the tableau Schur polynomial enumerates them shape by shape, and
+the bialternant form det(x_i^{lambda_j+n-j}) / prod_{i<j}(x_i - x_j) is the
+second, independent backend that the schur-agree check compares with it.
+Principal specializations x_i := q^e turn the box sum into the MacMahon and
+Gordon q-products.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from collections.abc import Sequence
 
-from .combinat import Partition, partitions_in_box, ssyt
+from .combinat import Partition, ssyt
 from .poly import (
     LaurentPoly,
     Monomial,
     PolyMatrix,
     determinant,
     divide_binomials,
+    divide_bn_alternants,
     expand_det,
     unit_keys,
 )
@@ -135,20 +139,43 @@ def schur_via_bialternant(shape: Partition, n: int) -> LaurentPoly:
 
 
 def schur_box_sum(box: BoxParams) -> LaurentPoly:
-    """Sum of s_lambda(x_1..x_n) over all lambda in the m x n box, by tableaux."""
-    total = LaurentPoly.zero()
-    for lam in partitions_in_box(box.m, box.n):
-        total = total + schur_via_tableaux(lam, box.n)
-    return total
+    """Sum of s_lambda(x_1..x_n) over all lambda in the m x n box, by tableaux.
+
+    A semistandard tableau with entries at most n is a chain of shapes
+    () = lambda^0, lambda^1, ..., lambda^n = lambda in which the cells
+    holding k form lambda^k / lambda^(k-1), a horizontal strip: lambda^k
+    interlaces lambda^(k-1) (a Gelfand-Tsetlin pattern).  Level k maps each
+    lambda^k, padded to k parts, to the content monomials in x_1..x_k of the
+    chains that reach it, counted, so the chains through one shape are
+    extended together; the box sum is the sum over level n.
+    :func:`schur_via_tableaux` enumerates the same tableaux one at a time.
+    """
+    m = box.m
+    level: dict[tuple[int, ...], dict[int, int]] = {(): {0: 1}}
+    for unit in unit_keys("x", box.n):
+        above: dict[tuple[int, ...], dict[int, int]] = {}
+        for mu, counts in level.items():
+            # lambda_1 in [mu_1, m], lambda_i in [mu_i, mu_(i-1)], lambda_k in [0, mu_(k-1)]
+            ranges = [range(lo, hi + 1) for lo, hi in zip(mu + (0,), (m,) + mu)]
+            size = sum(mu)
+            for lam in itertools.product(*ranges):
+                shift = (sum(lam) - size) * unit
+                target = above.setdefault(lam, {})
+                get = target.get
+                for key, c in counts.items():
+                    key += shift
+                    target[key] = get(key, 0) + c
+        level = above
+    return LaurentPoly.from_keys(item for counts in level.values() for item in counts.items())
 
 
 def bn_factors(n: int) -> list[LaurentPoly]:
     """The n^2 binomial factors of the type-B_n Weyl denominator D_n:
     (x_i x_j - 1) and (x_i - x_j) pair by pair for i < j, then each (1 - x_i).
 
-    :func:`box_det_ratio` divides by them in this order, the fastest one
-    measured at n = 6; :func:`times_bn_factors` multiplies by all but the
-    (x_i - x_j).
+    :func:`times_bn_factors` multiplies by all but the (x_i - x_j); dividing by
+    them all with :func:`~schurbox.poly.divide_binomials` is the reference
+    that :func:`box_det_ratio`'s alternant division is tested against.
     """
     xs = [LaurentPoly.variable(v) for v in xvars(n)]
     pairs = zip([xi * xj - 1 for i, xi in enumerate(xs) for xj in xs[i + 1:]],
@@ -156,28 +183,19 @@ def bn_factors(n: int) -> list[LaurentPoly]:
     return [f for pair in pairs for f in pair] + [1 - xi for xi in xs]
 
 
-# Orders n at which the determinant D_n has been checked equal to the product
-# of bn_factors(n), so box_det_ratio may divide factor by factor.
-_CHECKED_BN_ORDERS: set[int] = set()
-
-
 def box_det_ratio(box: BoxParams) -> LaurentPoly:
     """det(x_i^{j-1} - x_i^{m+2n-j}) / det(x_i^{j-1} - x_i^{2n-j}), exactly.
 
-    The divisor is D_n, divided out one binomial of :func:`bn_factors` at a
-    time.  That is valid only if D_n equals the product form at this n, so
-    the first call for each n in a process checks it and raises
-    ArithmeticError if the two forms differ.
+    Both determinants are built by :func:`binomial_det`, and each is one
+    type-B_n alternant (the divisor is D_n), so
+    :func:`~schurbox.poly.divide_bn_alternants` checks each against its own
+    key-level expansion and solves the ratio on their dominant terms.
     """
     m, n = box.m, box.n
     if n == 0:
         return LaurentPoly.one()
-    if n not in _CHECKED_BN_ORDERS:
-        if binomial_det(xvars(n), *_box_exponents(0, n)) != weyl_denominator(n, "product"):
-            raise ArithmeticError(f"D_{n} differs from the product of its binomial factors")
-        _CHECKED_BN_ORDERS.add(n)
     num = binomial_det(xvars(n), *_box_exponents(m, n))
-    return divide_binomials(num, bn_factors(n))
+    return divide_bn_alternants(num, binomial_det(xvars(n), *_box_exponents(0, n)))
 
 
 def times_bn_factors(poly: LaurentPoly, n: int) -> LaurentPoly:

@@ -205,10 +205,10 @@ def test_cli_json_records_the_theorem_divisor():
     args = ("verify", "--checks", "theorem,weyl", "--m", "1", "--n", "2")
     records = json.loads(run_cli(*args, "--output", "json").stdout)
     assert [(rec["identity"], rec.get("divisor")) for rec in records] == [
-        ("theorem", "bn-factors"), ("weyl", None)
+        ("theorem", "bn-alternant"), ("weyl", None)
     ]
     text = run_cli(*args).stdout
-    assert "divisor" not in text and "bn-factors" not in text
+    assert "divisor" not in text and "bn-alternant" not in text
     assert [line.split()[:4] for line in text.splitlines()] == [
         ["theorem", "m=1", "n=2", "PASS"], ["weyl", "m=-", "n=2", "PASS"]
     ]

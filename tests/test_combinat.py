@@ -1,6 +1,7 @@
 """Enumeration oracles and the fold/unfold bijection."""
 
 from collections import Counter
+from itertools import islice
 from math import comb
 
 import pytest
@@ -37,16 +38,29 @@ def test_partitions_in_small_boxes():
     assert {p.parts for p in partitions_in_box(1, 1)} == {(), (1,)}
     two_by_two = {p.parts for p in partitions_in_box(2, 2)}
     assert two_by_two == {(), (1,), (2,), (1, 1), (2, 1), (2, 2)}
-    assert partitions_in_box(0, 4) == [Partition()]
+    assert list(partitions_in_box(0, 4)) == [Partition()]
 
 
 @pytest.mark.parametrize("m", range(7))
 @pytest.mark.parametrize("n", range(7))
 def test_partitions_in_box_count(m, n):
-    out = partitions_in_box(m, n)
+    out = list(partitions_in_box(m, n))
     assert len(out) == comb(m + n, n)
     assert len(set(out)) == len(out)
     assert all(p.fits_in_box(m, n) for p in out)
+
+
+def test_partitions_in_box_streams():
+    # C(206, 6), about 1.1e11 partitions: only a stream gets to the first ones
+    first = [p.parts for p in islice(partitions_in_box(200, 6), 4)]
+    assert first == [(), (200,), (200, 200), (200, 200, 200)]
+
+
+def test_partitions_in_box_refuses_negative_bounds_at_the_call():
+    with pytest.raises(ValueError, match="non-negative"):
+        partitions_in_box(-1, 3)
+    with pytest.raises(ValueError, match="non-negative"):
+        partitions_in_box(3, -1)
 
 
 # The hook helpers live in the test reference (reference_combinat), which

@@ -90,6 +90,13 @@ def test_box_sum_examples():
     assert schur_box_sum(BoxParams(3, 0)) == P.one()
 
 
+@pytest.mark.parametrize("m", range(4))
+@pytest.mark.parametrize("n", range(5))
+def test_box_sum_matches_the_tableau_sum_shape_by_shape(m, n):
+    by_shape = sum((schur_via_tableaux(lam, n) for lam in partitions_in_box(m, n)), P.zero())
+    assert schur_box_sum(BoxParams(m, n)) == by_shape
+
+
 def test_box_sum_backends_agree():
     box = BoxParams(2, 3)
     bialternant = sum((schur_via_bialternant(lam, 3) for lam in partitions_in_box(2, 3)), P.zero())
