@@ -126,14 +126,19 @@ def _macmahon_sides(m: int, n: int) -> tuple[LaurentPoly, LaurentPoly]:
 
 
 def _bijection_sides(m: int, n: int) -> tuple[LaurentPoly, LaurentPoly, bool]:
-    """fold/unfold are mutually inverse and weight-preserving on full enumerations."""
+    """fold/unfold are mutually inverse and weight-preserving on full enumerations.
+
+    Two passes suffice: ``unfold(fold(sp)) == sp`` with equal weights for every
+    sp, and the folded list equals ``strict`` as a multiset.  Then each cs in
+    ``strict`` is ``fold(sp)`` for some sp, so ``fold(unfold(cs)) = fold(sp) = cs``,
+    for any fold and unfold that are functions of their argument's value.
+    """
     sym = list(symmetric_plane_partitions(n, m))
     strict = list(column_strict_odd_pps(n, m))
     folded = [fold(sp) for sp in sym]
     ok = (
         all(cs.weight == sp.weight and unfold(cs) == sp for sp, cs in zip(sym, folded))
         and Counter(folded) == Counter(strict)
-        and all(fold(unfold(cs)) == cs for cs in strict)
     )
     return generating_function(sym), generating_function(strict), ok
 

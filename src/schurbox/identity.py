@@ -34,7 +34,7 @@ from __future__ import annotations
 from collections.abc import Iterable
 from math import comb
 
-from .poly import LaurentPoly, Monomial, divide_binomials, expand_det
+from .poly import LaurentPoly, Monomial, divide_binomials, expand_det, times_binomials
 from .combinat import partitions_in_box
 from .schur import (
     BoxParams,
@@ -77,11 +77,8 @@ def _later_minus_earlier(indices: list[int]) -> LaurentPoly:
 def _k_factor(n: int, k: int) -> LaurentPoly:
     """(-1)^(n+k) (1 - x_k) prod_{i!=k}(x_i x_k - 1), eq6's k-prefactor; x_k^-1 times
     it is the lemma's k-th signed term before the later-minus-earlier product."""
-    factor = (1 - _x_product([k])) * (-1) ** (n + k)
-    for i in range(1, n + 1):
-        if i != k:
-            factor = factor * (_x_product([i, k]) - 1)
-    return factor
+    factors = [1 - _x_product([k])] + [_x_product([i, k]) - 1 for i in range(1, n + 1) if i != k]
+    return times_binomials(LaurentPoly.constant((-1) ** (n + k)), factors)
 
 
 def _lemma_lhs(n: int) -> LaurentPoly:
@@ -177,8 +174,8 @@ def eq6_sides(n: int) -> tuple[LaurentPoly, LaurentPoly]:
             inner = LaurentPoly.from_keys(expand_det(rows[:k - 1] + rows[k:]))
             ksum = ksum + k_factors[k - 1] * inner
         t_numerator = 1 - _x_product(comp, 2 - 2 * n, 1)
-        quotient = divide_binomials(ksum, [1 - _x_product(comp)])
-        rhs = rhs + (-1 if mask.bit_count() & 1 else 1) * quotient * t_numerator
+        term = times_binomials(divide_binomials(ksum, [1 - _x_product(comp)]), [t_numerator])
+        rhs = rhs - term if mask.bit_count() & 1 else rhs + term
     return lhs, rhs
 
 

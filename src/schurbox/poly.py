@@ -50,6 +50,14 @@ exponent vector once more, into base ``2**bits`` digits
 ``(total degree, e_1, ..., e_k)`` with non-negative digits, so integer order
 is graded-lex order, and finds leading terms with a heap that shares its int
 keys with the remainder dict.  Its docstring gives the digit-width bound.
+
+Multiplication takes two routes.  ``LaurentPoly.__mul__`` multiplies any two
+polynomials, one row per term of the smaller operand.  :func:`times_binomials`
+multiplies by a product of binomials x^a - x^b (the Vandermonde, the B_n
+factors (1 - x_i) and (x_i x_j - 1), prod (1 - q^e)), the mirror of
+:func:`divide_binomials`: each factor is x^a (1 - x^v), multiplying by
+1 - x^v is a copy of the terms and one subtraction per term at its key
+plus v, and the units x^a are applied once, at the end.
 """
 
 from __future__ import annotations
@@ -82,6 +90,7 @@ __all__ = [
     "expand_det",
     "parse_poly",
     "signed_permutations",
+    "times_binomials",
     "unit_keys",
 ]
 
@@ -474,10 +483,13 @@ class LaurentPoly:
         if not self._terms or not rhs._terms:
             return LaurentPoly.zero()
         bound = _product_bound(self._terms, self._bound, rhs._terms, rhs._bound)
-        out: dict[int, int] = {}
+        small, big = sorted((self._terms, rhs._terms), key=len)
+        rows = iter(small.items())
+        k1, c1 = next(rows)
+        out = {k1 + k2: c1 * c2 for k2, c2 in big.items()}
         get = out.get
-        for k1, c1 in self._terms.items():
-            for k2, c2 in rhs._terms.items():
+        for k1, c1 in rows:
+            for k2, c2 in big.items():
                 key = k1 + k2
                 c = get(key, 0) + c1 * c2
                 if c:
@@ -849,12 +861,12 @@ def exact_div(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
     return LaurentPoly._make(out, bound)
 
 
-def _binomial_parts(factor: LaurentPoly) -> tuple[int, int]:
+def _binomial_parts(factor: LaurentPoly, caller: str) -> tuple[int, int]:
     """``(a, v)`` with ``factor == x^a * (1 - x^v)``: a is the key of the +1 term and
     a + v that of the -1 term.  Any other factor raises ValueError."""
     terms = factor._terms if isinstance(factor, LaurentPoly) else {}
     if len(terms) != 2 or sorted(terms.values()) != [-1, 1]:
-        raise ValueError(f"divide_binomials: {factor!r} is not x^a - x^b with a != b")
+        raise ValueError(f"{caller}: {factor!r} is not x^a - x^b with a != b")
     (k1, c1), (k2, _) = terms.items()
     a, b = (k1, k2) if c1 == 1 else (k2, k1)
     return a, b - a
@@ -933,7 +945,7 @@ def divide_binomials(num: LaurentPoly, factors: Iterable[LaurentPoly]) -> Lauren
     terms = num._terms
     shift, shift_bound = 0, 0  # the product of the x^a, as a key
     for factor in factors:
-        a, v = _binomial_parts(factor)
+        a, v = _binomial_parts(factor, "divide_binomials")
         shift_bound = _product_bound((shift,), shift_bound, (a,), _bound((a,)))
         shift += a
         if terms:
@@ -942,6 +954,48 @@ def divide_binomials(num: LaurentPoly, factors: Iterable[LaurentPoly]) -> Lauren
         return LaurentPoly._make(terms, num._bound)
     bound = _product_bound(terms, num._bound, (-shift,), shift_bound)
     return LaurentPoly._make({k - shift: c for k, c in terms.items()}, bound)
+
+
+def times_binomials(poly: LaurentPoly, factors: Iterable[LaurentPoly]) -> LaurentPoly:
+    """``poly`` times the product of ``factors``, one factor at a time.
+
+    The mirror of :func:`divide_binomials`: each factor must be a binomial
+    x^a - x^b with coefficients +1 and -1 (``a != b``); anything else raises
+    ValueError.  Write it as x^a (1 - x^v) with v = b - a.  Multiplying by
+    1 - x^v copies the terms and subtracts each coefficient once more at its
+    key plus v, so a step costs one dict copy and len(terms) updates.  The
+    units x^a are multiplied in once, at the end.  Before each step the
+    exponents it can reach are bounded by ``_product_bound`` (the sum of
+    bounds, exact past ``MAX_EXPONENT``), so no key ever carries: a step or
+    the final shift whose exponents leave ``±MAX_EXPONENT`` raises
+    :class:`ExponentRangeError`, even when the units would bring the product
+    back in range.
+    """
+    terms, bound = poly._terms, poly._bound
+    shift, shift_bound = 0, 0  # the product of the x^a, as a key
+    for factor in factors:
+        a, v = _binomial_parts(factor, "times_binomials")
+        shift_bound = _product_bound((shift,), shift_bound, (a,), _bound((a,)))
+        shift += a
+        if not terms:
+            continue
+        bound = _product_bound(terms, bound, (0, v), _bound((v,)))
+        out = dict(terms)
+        get = out.get
+        for key, coeff in terms.items():
+            key += v
+            coeff = get(key, 0) - coeff
+            if coeff:
+                out[key] = coeff
+            else:
+                del out[key]
+        terms = out
+    if not terms:
+        return LaurentPoly.zero()
+    if shift:
+        bound = _product_bound(terms, bound, (shift,), shift_bound)
+        terms = {k + shift: c for k, c in terms.items()}
+    return LaurentPoly._make(terms, bound)
 
 
 def _bn_dominant(poly: LaurentPoly, n: int, npos: int, role: str) -> tuple[int, dict]:

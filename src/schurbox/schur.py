@@ -32,6 +32,7 @@ from .poly import (
     divide_binomials,
     divide_bn_alternants,
     expand_det,
+    times_binomials,
     unit_keys,
 )
 
@@ -80,11 +81,9 @@ def vandermonde_factors(names: Sequence[str]) -> list[LaurentPoly]:
 
 
 def vandermonde(names: Sequence[str]) -> LaurentPoly:
-    """prod_{i<j} (x_i - x_j), the alternant denominator (earlier minus later)."""
-    out = LaurentPoly.one()
-    for factor in vandermonde_factors(names):
-        out = out * factor
-    return out
+    """prod_{i<j} (x_i - x_j), the alternant denominator (earlier minus later),
+    multiplied out by :func:`~schurbox.poly.times_binomials`."""
+    return times_binomials(LaurentPoly.one(), vandermonde_factors(names))
 
 
 def binomial_det(names: Sequence[str], a: Sequence[int], b: Sequence[int]) -> LaurentPoly:
@@ -202,13 +201,11 @@ def times_bn_factors(poly: LaurentPoly, n: int) -> LaurentPoly:
     """poly * prod_i (1 - x_i) * prod_{i<j} (x_i x_j - 1), one binomial at a time.
 
     These are the factors of :func:`bn_factors` other than the (x_i - x_j).
-    Each step multiplies the running product by one two-term factor, so it
-    costs 2 * len(running product) term products.
+    :func:`~schurbox.poly.times_binomials` multiplies them in, so each step
+    costs one copy of the running product and len(running product) updates.
     """
     factors = bn_factors(n)
-    for factor in factors[len(factors) - n:] + factors[:len(factors) - n:2]:
-        poly = poly * factor
-    return poly
+    return times_binomials(poly, factors[len(factors) - n:] + factors[:len(factors) - n:2])
 
 
 def weyl_denominator(n: int, form: str = "determinant") -> LaurentPoly:
@@ -271,11 +268,9 @@ def dn_checks(n: int) -> DnReport:
 
 
 def _q_ratio(num_exps: Sequence[int], den_exps: Sequence[int]) -> LaurentPoly:
-    """prod(1 - q^e for e in num_exps) / prod(1 - q^e for e in den_exps), exactly,
-    dividing by the factor of largest e first."""
-    num = LaurentPoly.one()
-    for e in num_exps:
-        num = num * (1 - LaurentPoly.variable("q", e))
+    """prod(1 - q^e for e in num_exps) / prod(1 - q^e for e in den_exps), exactly:
+    the numerator multiplied out, then divided by the factor of largest e first."""
+    num = times_binomials(LaurentPoly.one(), [1 - LaurentPoly.variable("q", e) for e in num_exps])
     den = [1 - LaurentPoly.variable("q", e) for e in sorted(den_exps, reverse=True)]
     return divide_binomials(num, den)
 

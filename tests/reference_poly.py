@@ -1,6 +1,7 @@
 """The sorted-pairs monomial arithmetic that the packed-int ring replaced,
-and the inversion count that gave determinant signs before
-``signed_permutations``.
+the nested-loop packed-key product that ``LaurentPoly.__mul__`` used before
+it looped over the smaller operand, and the inversion count that gave
+determinant signs before ``signed_permutations``.
 
 Kept only as a reference for differential tests.  A monomial is a tuple of
 ``(variable, exponent)`` pairs with no zero exponent, sorted in the variable
@@ -76,6 +77,21 @@ def mul(a: RefPoly, b: RefPoly) -> RefPoly:
         for m2, c2 in b.items():
             _add_term(out, mono_mul(m1, m2), c1 * c2)
     return out
+
+
+def nested_loop_mul(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
+    """The packed-key product with ``a``'s terms in the outer loop and ``b``'s in
+    the inner one, keys added and sums of 0 dropped, for any operand sizes."""
+    out: dict[int, int] = {}
+    for m1, c1 in a.terms():
+        for m2, c2 in b.terms():
+            key = m1.key + m2.key
+            c = out.get(key, 0) + c1 * c2
+            if c:
+                out[key] = c
+            else:
+                del out[key]
+    return LaurentPoly.from_keys(out.items())
 
 
 def power(a: RefPoly, exp: int) -> RefPoly:

@@ -7,6 +7,7 @@ from math import comb
 import pytest
 
 import reference_combinat as ref
+from schurbox import checks
 from schurbox.combinat import (
     ColumnStrictPP,
     MalformedInputError,
@@ -238,6 +239,39 @@ def test_bijection_exhaustive(n, m):
         assert unfold(cs) == sp
     for cs in strict:
         assert fold(unfold(cs)) == cs
+
+
+SYM_2_2 = list(symmetric_plane_partitions(2, 2))
+STRICT_2_2 = list(column_strict_odd_pps(2, 2))
+
+
+def bijection_check_passes():
+    (result,) = checks.run_verification(checks.RunConfig(("bijection",), (2, 2), (2, 2)))
+    return result.passed
+
+
+def test_bijection_check_passes_on_the_real_maps():
+    assert bijection_check_passes()
+
+
+@pytest.mark.parametrize("target", range(len(SYM_2_2)))
+def test_bijection_check_fails_when_fold_is_wrong_on_one_object(monkeypatch, target):
+    """fold sends one plane partition to its neighbour's image, a valid array that
+    now appears twice; the check has no inverse pass over ``strict`` to catch it."""
+    wrong = SYM_2_2[(target + 1) % len(SYM_2_2)]
+    monkeypatch.setattr(checks, "fold", lambda sp: fold(wrong if sp == SYM_2_2[target] else sp))
+    assert not bijection_check_passes()
+
+
+@pytest.mark.parametrize("target", range(len(STRICT_2_2)))
+def test_bijection_check_fails_when_unfold_is_wrong_on_one_object(monkeypatch, target):
+    """unfold sends one array to its neighbour's preimage, so fold(unfold(cs)) != cs
+    for that cs alone; the pass over the folded list still sees it."""
+    wrong = STRICT_2_2[(target + 1) % len(STRICT_2_2)]
+    monkeypatch.setattr(
+        checks, "unfold", lambda cs: unfold(wrong if cs == STRICT_2_2[target] else cs)
+    )
+    assert not bijection_check_passes()
 
 
 # -- generating functions ---------------------------------------------------------------

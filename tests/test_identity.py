@@ -149,6 +149,17 @@ def test_eq5_sides_equal_and_match_eq4(m, n):
     assert rhs5 == rhs4
 
 
+def mul_chain_vandermonde(n):
+    """prod_{i<j} (x_i - x_j) by ``LaurentPoly.__mul__``; ``vandermonde`` itself goes
+    through ``times_binomials``, the kernel under test."""
+    xs = [P.variable(v) for v in xvars(n)]
+    out = P.one()
+    for i in range(n):
+        for j in range(i + 1, n):
+            out = out * (xs[i] - xs[j])
+    return out
+
+
 def whole_product_rhs(inner, n):
     """inner * prod_i (1 - x_i) * prod_{i<j} (x_i x_j - 1), each product built whole.
 
@@ -171,7 +182,7 @@ def whole_product_rhs(inner, n):
 def test_eq4_eq5_rhs_match_whole_product_reference(m, n):
     # the alternant sum comes from the tableau box sum, not from a determinant
     box = BoxParams(m, n)
-    expected = whole_product_rhs(schur_box_sum(box) * vandermonde(xvars(n)), n)
+    expected = whole_product_rhs(schur_box_sum(box) * mul_chain_vandermonde(n), n)
     assert eq4_sides(box)[1] == expected
     assert eq5_sides(box)[1] == expected
 
@@ -179,6 +190,7 @@ def test_eq4_eq5_rhs_match_whole_product_reference(m, n):
 @pytest.mark.parametrize("n", range(1, 6))
 def test_bn_factor_builder_gives_the_weyl_determinant(n):
     assert times_bn_factors(vandermonde(xvars(n)), n) == weyl_denominator(n, "determinant")
+    assert vandermonde(xvars(n)) == mul_chain_vandermonde(n)
 
 
 @pytest.mark.parametrize("m", [1, 2])

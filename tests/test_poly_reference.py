@@ -47,6 +47,30 @@ def test_ring_operations_match_reference(a, b):
     assert ref.to_poly(ref.mul(ra, rb)) == a * b
 
 
+# Operands from a constant up to 12 terms, so the two sides differ in size
+# either way round.
+sized_polys = st.one_of(
+    st.integers(-5, 5).map(LaurentPoly.constant),
+    st.dictionaries(monomials, st.integers(-9, 9), max_size=12).map(LaurentPoly),
+)
+
+
+@given(sized_polys, sized_polys)
+@settings(max_examples=300)
+def test_product_matches_the_nested_loop_reference(a, b):
+    expected = ref.nested_loop_mul(a, b)
+    assert a * b == expected
+    assert b * a == expected
+    assert all(c for _, c in (a * b).terms())  # no cancelled term is kept
+
+
+@given(sized_polys, st.integers(-5, 5))
+def test_product_with_an_int_matches_the_reference(a, k):
+    expected = ref.nested_loop_mul(a, LaurentPoly.constant(k))
+    assert a * k == expected
+    assert k * a == expected
+
+
 @given(small_polys, st.integers(0, 4))
 def test_power_matches_reference(a, exp):
     assert ref.from_poly(a**exp) == ref.power(ref.from_poly(a), exp)

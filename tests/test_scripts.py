@@ -1,6 +1,7 @@
 """Smoke runs of the scripts in ``scripts/`` on the smallest interesting box, and of
 the benchmark's self-test, which patches the CLI and check functions from outside."""
 
+import json
 import os
 import subprocess
 import sys
@@ -42,3 +43,37 @@ def test_benchmark_selftest_passes():
         timeout=120,
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+def run_frontier(tmp_path, *args):
+    return subprocess.run(
+        [sys.executable, os.path.join(ROOT, "scripts", "frontier.py"), "--label", "smoke",
+         "--out-dir", str(tmp_path), *args],
+        cwd=ROOT,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+
+
+def test_frontier_table_cut_to_small_n(tmp_path):
+    proc = run_frontier(tmp_path, "--max-n", "3")
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    table = json.loads((tmp_path / "BENCH_frontier_smoke.json").read_text())
+    assert [(c["check"], c["m"], c["n"]) for c in table["cases"]] == [
+        *[(c, 1, 3) for c in ("weyl", "lemma", "eq6", "vanishing", "dn")],
+        *[(c, 4, 3) for c in ("eq4", "eq5", "bijection", "schur-agree")],
+    ]
+    for case in table["cases"]:
+        assert case["exit_code"] == 0 and not case["timed_out"]
+        assert case["peak_rss_mb"] > 0
+        ((result,),) = [case["results"]]
+        assert result["identity"] == case["check"] and result["pass"]
+        assert result["elapsed_ms"] >= 0
+
+
+def test_frontier_records_a_timed_out_case(tmp_path):
+    proc = run_frontier(tmp_path, "--max-n", "1", "--timeout", "0")
+    assert proc.returncode == 1
+    table = json.loads((tmp_path / "BENCH_frontier_smoke.json").read_text())
+    assert table["cases"] and all(c["timed_out"] and c["results"] == [] for c in table["cases"])
