@@ -6,7 +6,7 @@ run against ``<root>/src`` in its own process, under a timeout.  The table
 records every result's ``elapsed_ms`` and pass flag, the child's exit code and
 wall time, and its peak resident set size (``ru_maxrss`` from ``os.wait4``,
 so each child's own peak).  The m-free checks run at n = 6 and n = 7 (their
-``--m`` is ignored); eq4, eq5, bijection and schur-agree run at (m, n) = (4, 5).
+``--m`` is ignored); every check that depends on m runs at (m, n) = (4, 5).
 
     python3 scripts/frontier.py --label change
     python3 scripts/frontier.py --label parent --root ../parent-checkout
@@ -30,9 +30,10 @@ import time
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 M_FREE = ("weyl", "lemma", "eq6", "vanishing", "dn")
+M_DEPENDENT = ("theorem", "eq4", "eq5", "macmahon", "gordon", "bijection", "schur-agree")
 TABLE = (
     [(check, 1, n) for n in (6, 7) for check in M_FREE]
-    + [(check, 4, 5) for check in ("eq4", "eq5", "bijection", "schur-agree")]
+    + [(check, 4, 5) for check in M_DEPENDENT]
 )
 
 

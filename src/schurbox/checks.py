@@ -1,7 +1,8 @@
 """Named verification checks and the serial sweep runner used by the CLI.
 
 Each check is one table row: whether it depends on m (if not, it runs once
-per n), its minimum n, whether it expands an order-n determinant,
+per n), its minimum n, whether its cost grows like n! (it expands an
+order-n determinant or multiplies n!-term Vandermonde products),
 ``sides(m, n)``, which builds both sides of one identity and returns
 ``(lhs, rhs)`` or ``(lhs, rhs, ok)`` with ``ok`` a structural verdict (fold
 inverses, D_n roots), and the divisor form the check records, if any (the
@@ -176,7 +177,7 @@ _TABLE: dict[str, _Check] = {
         schur_box_sum(BoxParams(m, n)), box_det_ratio(BoxParams(m, n))), "bn-alternant"),
     "weyl": _Check(False, 1, True, lambda _, n: (
         weyl_denominator(n, "determinant"), weyl_denominator(n, "product"))),
-    "lemma": _Check(False, 1, False, lambda _, n: lemma_sides(n)),
+    "lemma": _Check(False, 1, True, lambda _, n: lemma_sides(n)),
     "eq4": _Check(True, 1, True, lambda m, n: eq4_sides(BoxParams(m, n))),
     "eq5": _Check(True, 1, True, lambda m, n: eq5_sides(BoxParams(m, n))),
     "eq6": _Check(False, 1, True, lambda _, n: eq6_sides(n)),
@@ -198,7 +199,8 @@ def minimum_n(check_id: str) -> int:
 
 
 def expands_order_n(check_id: str) -> bool:
-    """Whether the check expands an order-n determinant, so n <= DEFAULT_MAX_ORDER."""
+    """Whether the check expands an order-n determinant or multiplies n!-term
+    Vandermonde products (the lemma), so n <= DEFAULT_MAX_ORDER."""
     return _TABLE[check_id].expands_order_n
 
 
@@ -244,7 +246,7 @@ def run_verification(config: RunConfig) -> list[CheckResult]:
     """Run every requested check over the (m, n) grid; see RunConfig.
 
     Unknown checks, bad ranges and an n above DEFAULT_MAX_ORDER for a check
-    that expands an order-n determinant are rejected before any work starts.
+    whose cost grows like n! are rejected before any work starts.
     Grid points below a check's minimum n (dn needs n >= 2) are skipped.
     Results come in ``CHECK_IDS`` order, then by n, then by m.
     """

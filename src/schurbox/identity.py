@@ -14,7 +14,10 @@ Laurent polynomials, so a check is literal equality (the runner in
   and sign-split binomials expanded over subsets S.
 * ``eq6_sides``: the m-free restatement after replacing x_i^{m+1} by
   t_i x_i^{2-2n}; the per-subset geometric-sum denominators (1 - prod x_i)
-  are cleared by exact division.
+  are cleared by exact division.  Its right side builds the subset term of
+  {1..s} once per size s and reaches every other subset of that size by a
+  signed renaming of the variables (a permutation of the rows of one
+  determinant), while its left side stays the full expansion.
 * ``vanishing_det``: det(x_i^{j+1-2n} - x_i^{1-j}), which is identically 0.
 
 Orientation bookkeeping: the lemma uses later-minus-earlier differences
@@ -31,7 +34,8 @@ term and eq6's k-prefactor come from one ``_k_factor(n, k)``.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
+from itertools import accumulate
 from math import comb
 
 from .poly import LaurentPoly, Monomial, divide_binomials, expand_det, times_binomials
@@ -133,26 +137,65 @@ def eq5_sides(box: BoxParams) -> tuple[LaurentPoly, LaurentPoly]:
     return LaurentPoly.from_keys(expand_det(a, b)), _alternant_side(box)
 
 
+def _revolving_door(n: int, s: int) -> list[tuple[int, ...]]:
+    """The s-subsets of {1..n} in revolving-door order: {1..s} first, and each
+    the previous one with one element swapped for another.
+
+    The order is R(n, s) = R(n-1, s), then R(n-1, s-1) reversed with n added
+    to each (Nijenhuis and Wilf, Combinatorial Algorithms, 1978, ch. 1).  By
+    induction each half steps by single swaps, and so does the seam: the last
+    subset of R(m, s) is {1..s-1, m}, so the seam goes from {1..s-1, n-1} to
+    {1..s-2, n-1, n}, s - 1 out and n in.
+    """
+    if s in (0, n):
+        return [tuple(range(1, s + 1))]
+    return _revolving_door(n - 1, s) + [c + (n,) for c in reversed(_revolving_door(n - 1, s - 1))]
+
+
+def _transpositions(n: int, s: int) -> Iterator[dict[str, str]]:
+    """The renamings x_a <-> x_b, t_a <-> t_b that carry each subset of
+    :func:`_revolving_door` order to the next, a out and b in."""
+    door = _revolving_door(n, s)
+    for prev, cur in zip(door, door[1:]):
+        (a,), (b,) = set(prev) - set(cur), set(cur) - set(prev)
+        yield {f"{v}{i}": f"{v}{j}" for i, j in ((a, b), (b, a)) for v in "tx"}
+
+
 def eq6_sides(n: int) -> tuple[LaurentPoly, LaurentPoly]:
     """The m-free restatement over x1..xn, t1..tn.
 
     Left side: sum over permutations sigma and subsets S of
     (-1)^{inv+|S|} prod_{i in S} t_i x_i^{1-sigma(i)} prod_{i not in S} x_i^{sigma(i)-1},
-    that is det(x_i^{j-1} - t_i x_i^{1-j}).
+    that is det(x_i^{j-1} - t_i x_i^{1-j}), expanded in full.
 
-    Right side: sum over k and, for each proper subset S not containing k,
-    (-1)^{n+k}(1-x_k) prod_{i!=k}(x_i x_k - 1) times the inner sum over
-    bijections {1..n}\\{k} -> {1..n-1}, times the geometric-sum fraction
+    Right side: the sum over proper subsets S of (-1)^|S| term_S.  term_S is
+    the k-sum over k not in S of (-1)^{n+k}(1-x_k) prod_{i!=k}(x_i x_k - 1)
+    times the inner sum over bijections {1..n}\\{k} -> {1..n-1}, times the
+    geometric-sum fraction
     (1 - prod_{i not in S} t_i x_i^{2-2n}) / (1 - prod_{i not in S} x_i),
     where "not in S" ranges over the full complement (k included).  The
-    fraction abbreviates the finite sum over the smallest part, so the
-    k-terms sharing one S are grouped and their sum divided exactly by the
-    denominator; a NotDivisibleError is a fatal failure.  The inner sum is
-    the monomial determinant of rows i != k of the table whose row i is
-    t_i x_i^{-j} for i in S and x_i^j otherwise, j = 1..n-1.
+    fraction abbreviates the finite sum over the smallest part, so the k-sum
+    is divided exactly by the denominator; a NotDivisibleError is a fatal
+    failure.  The inner sum is the monomial determinant of rows i != k of
+    the table whose row i is t_i x_i^{-j} for i in S and x_i^j otherwise,
+    j = 1..n-1.
 
-    A subset S of {1..n} is a bitmask with bit i - 1 set iff i is in S; the
-    masks below 2**n - 1 are exactly the proper subsets.
+    term_S is built only for S = {1..s}, s = 0..n-1.  Every other S of size
+    s gives sgn(pi) pi(term_{1..s}) for any permutation pi of {1..n} with
+    pi({1..s}) = S, acting as the renaming x_i -> x_pi(i), t_i -> t_pi(i)
+    through ``LaurentPoly.substitute``.  Proof: append to the table a last
+    column holding the k-prefactor in row k for k not in S and 0 in the rows
+    of S; this is N_S, and Laplace expansion along the last column makes the
+    k-sum det N_S.  pi sends row i of N_{1..s} to row pi(i) of N_S: the
+    entries t_i x_i^{-j} and x_i^j become those of pi(i), which lies in S
+    exactly when i <= s, and the prefactor of k is symmetric in the x_i,
+    i != k, so it becomes the prefactor of pi(k).  Hence
+    pi(det N_{1..s}) = sgn(pi) det N_S.  pi maps {s+1..n} onto the
+    complement of S, so it carries the denominator and the t-numerator of
+    {1..s} to those of S.  The subsets of size s are visited in
+    :func:`_revolving_door` order, so each image is the previous one under a
+    single transposition, which flips the sign.  All images are added into
+    one term map, and the side is built once.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -162,20 +205,24 @@ def eq6_sides(n: int) -> tuple[LaurentPoly, LaurentPoly]:
     lhs = LaurentPoly.from_keys(expand_det(a, b))
 
     k_factors = [_k_factor(n, k) for k in cols]
-    rhs = LaurentPoly.zero()
-    for mask in range((1 << n) - 1):
-        comp = [i for i in cols if not mask >> (i - 1) & 1]
-        rows = [
-            _row(i, range(-1, -n, -1), 1) if mask >> (i - 1) & 1 else _row(i, range(1, n))
-            for i in cols
-        ]
-        ksum = LaurentPoly.zero()
-        for k in comp:
-            inner = LaurentPoly.from_keys(expand_det(rows[:k - 1] + rows[k:]))
-            ksum = ksum + k_factors[k - 1] * inner
-        t_numerator = 1 - _x_product(comp, 2 - 2 * n, 1)
-        term = times_binomials(divide_binomials(ksum, [1 - _x_product(comp)]), [t_numerator])
-        rhs = rhs - term if mask.bit_count() & 1 else rhs + term
+
+    def terms() -> Iterator[tuple[int, int]]:
+        for s in range(n):
+            comp = cols[s:]
+            rows = [_row(i, range(-1, -n, -1), 1) for i in cols[:s]]
+            rows += [_row(i, range(1, n)) for i in comp]
+            ksum = LaurentPoly.zero()
+            for k in comp:
+                inner = LaurentPoly.from_keys(expand_det(rows[:k - 1] + rows[k:]))
+                ksum = ksum + k_factors[k - 1] * inner
+            t_numerator = 1 - _x_product(comp, 2 - 2 * n, 1)
+            term = times_binomials(divide_binomials(ksum, [1 - _x_product(comp)]), [t_numerator])
+            images = accumulate(_transpositions(n, s), LaurentPoly.substitute, initial=term)
+            for r, image in enumerate(images, s):
+                sign = -1 if r & 1 else 1
+                yield from ((key, sign * c) for key, c in image.key_terms())
+
+    rhs = LaurentPoly.from_keys(terms())
     return lhs, rhs
 
 

@@ -106,7 +106,7 @@ def test_all_expands_anywhere_and_repeats_drop():
 
 def test_order_bound_covers_the_determinant_checks():
     assert [c for c in CHECK_IDS if not expands_order_n(c)] == [
-        "lemma", "macmahon", "gordon", "bijection",
+        "macmahon", "gordon", "bijection",
     ]
 
 
@@ -176,7 +176,7 @@ def test_cli_bad_range_is_usage_error():
     assert proc.returncode == 2
 
 
-@pytest.mark.parametrize("check_id", ["eq5", "theorem"])
+@pytest.mark.parametrize("check_id", ["eq5", "theorem", "lemma"])
 def test_cli_n_over_order_bound_is_usage_error(check_id):
     proc = run_cli("verify", "--checks", check_id, "--n", "9")
     assert proc.returncode == 2

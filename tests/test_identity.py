@@ -1,9 +1,11 @@
 """The lemma, the determinant-expansion chain, and the vanishing determinant."""
 
 import json
+from itertools import combinations
 
 import pytest
 
+from reference_identity import all_subsets_rhs, subset_terms
 from reference_poly import inversion_count
 from schurbox import identity
 from schurbox.checks import CheckResult
@@ -233,9 +235,63 @@ def test_eq6_specializes_to_eq5(m):
     assert rhs6.substitute(sub) == rhs5
 
 
-def test_order_bounds_guarded():
+@pytest.mark.parametrize("n", range(1, 6))
+def test_eq6_rhs_matches_the_all_subsets_reference(n):
+    assert eq6_sides(n)[1] == all_subsets_rhs(n)
+
+
+def shuffle(n, subset):
+    """sigma_S as a renaming (1..s onto S, s+1..n onto the complement, both
+    increasing) and sgn(sigma_S), counted as inversions."""
+    images = [*subset, *(i for i in range(1, n + 1) if i not in subset)]
+    renaming = {f"{v}{i}": f"{v}{j}" for i, j in enumerate(images, 1) for v in "tx"}
+    return renaming, (-1) ** inversion_count(tuple(images))
+
+
+@pytest.mark.parametrize("n", range(1, 5))
+def test_eq6_subset_terms_are_signed_shuffles_of_one_per_size(n):
+    """Every reference term_S is sgn(sigma_S) sigma_S(term_{1..s}), and
+    sgn(sigma_S) = (-1)^(sum S - s(s+1)/2)."""
+    terms = dict(subset_terms(n))
+    for mask, term in terms.items():
+        subset = tuple(i for i in range(1, n + 1) if mask >> (i - 1) & 1)
+        s = len(subset)
+        renaming, sign = shuffle(n, subset)
+        assert sign == (-1) ** (sum(subset) - s * (s + 1) // 2)
+        assert term == sign * terms[(1 << s) - 1].substitute(renaming)
+
+
+@pytest.mark.parametrize("n", range(1, 5))
+def test_eq6_door_transpositions_reach_every_subset_term(n):
+    """Walking identity._transpositions from term_{1..s} gives, at the r-th
+    subset of the revolving-door order, (-1)^r times the reference term."""
+    terms = dict(subset_terms(n))
+    for s in range(n):
+        door = identity._revolving_door(n, s)
+        image = terms[(1 << s) - 1]
+        for r, (subset, renaming) in enumerate(zip(door[1:], identity._transpositions(n, s)), 1):
+            image = image.substitute(renaming)
+            mask = sum(1 << (i - 1) for i in subset)
+            assert terms[mask] == (-1) ** r * image
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_revolving_door_order(n):
+    for s in range(n + 1):
+        door = identity._revolving_door(n, s)
+        assert sorted(door) == list(combinations(range(1, n + 1), s))
+        assert door[0] == tuple(range(1, s + 1))
+        assert all(len(set(a) - set(b)) == 1 for a, b in zip(door, door[1:]))
+
+
+def test_order_bounds_guarded(monkeypatch):
     with pytest.raises(OrderTooLargeError):
         eq5_sides(BoxParams(1, 9))
+
+    def refuse(*args):
+        raise AssertionError("eq6 built a k-prefactor above the order bound")
+
+    monkeypatch.setattr(identity, "_k_factor", refuse)
     with pytest.raises(OrderTooLargeError):
         eq6_sides(9)
     with pytest.raises(OrderTooLargeError):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+from schurbox import poly as poly_module
 from schurbox.poly import (
     MAX_EXPONENT,
     ExponentRangeError,
@@ -73,6 +74,23 @@ def test_from_keys_sums_terms_built_from_unit_keys():
     assert big == P.variable("x1", MAX_EXPONENT)
     with pytest.raises(ExponentRangeError):
         big * x1
+
+
+def test_from_keys_bound_reads_every_chunk(monkeypatch):
+    """The exponent bound is read a chunk of keys at a time; a largest exponent
+    in the last chunk must still make the product's range check fire."""
+    monkeypatch.setattr(poly_module, "_BOUND_CHUNK", 2)
+    xs = unit_keys("x", 1)
+    poly = P.from_keys([(e * xs[0], 1) for e in range(5)] + [(MAX_EXPONENT * xs[0], 1)])
+    with pytest.raises(ExponentRangeError):
+        poly * x1
+
+
+def test_key_terms_round_trip_through_from_keys():
+    poly = 3 * P.variable("x2", -4) * P.variable("t1") - P.variable("q", 7) + 2
+    assert P.from_keys(poly.key_terms()) == poly
+    assert sorted(c for _, c in poly.key_terms()) == [-1, 2, 3]
+    assert list(P.zero().key_terms()) == []
 
 
 # -- packed exponent range -----------------------------------------------------

@@ -62,7 +62,9 @@ def test_frontier_table_cut_to_small_n(tmp_path):
     table = json.loads((tmp_path / "BENCH_frontier_smoke.json").read_text())
     assert [(c["check"], c["m"], c["n"]) for c in table["cases"]] == [
         *[(c, 1, 3) for c in ("weyl", "lemma", "eq6", "vanishing", "dn")],
-        *[(c, 4, 3) for c in ("eq4", "eq5", "bijection", "schur-agree")],
+        *[(c, 4, 3) for c in (
+            "theorem", "eq4", "eq5", "macmahon", "gordon", "bijection", "schur-agree",
+        )],
     ]
     for case in table["cases"]:
         assert case["exit_code"] == 0 and not case["timed_out"]
