@@ -16,9 +16,8 @@ result with the error text, and the sweep goes on.
 from __future__ import annotations
 
 import time
-from collections import Counter
-from collections.abc import Callable, Iterable
-from dataclasses import dataclass
+from collections import Counter, namedtuple
+from collections.abc import Iterable
 
 from .combinat import (
     column_strict_odd_pps,
@@ -64,21 +63,14 @@ class InvalidRangeError(ValueError):
     """A parameter range is empty or not positive."""
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(namedtuple(
+    "CheckResult", "identity m n lhs rhs passed elapsed_ms error divisor", defaults=(None, None)
+)):
     """Outcome of one identity verification at concrete parameters; ``error`` is
     ``"<Type>: <message>"`` if building the sides raised (then both sides are 0),
     and ``divisor`` names the divisor form of the check's table row, if any."""
 
-    identity: str
-    m: int | None
-    n: int
-    lhs: LaurentPoly
-    rhs: LaurentPoly
-    passed: bool
-    elapsed_ms: float
-    error: str | None = None
-    divisor: str | None = None
+    __slots__ = ()
 
     def to_json_dict(self) -> dict:
         out = {
@@ -98,13 +90,12 @@ class CheckResult:
         return out
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(namedtuple(
+    "RunConfig", "checks m_range n_range", defaults=(("all",), (1, 3), (1, 3))
+)):
     """A verification sweep: which checks, over which (m, n) grid."""
 
-    checks: tuple[str, ...] = ("all",)
-    m_range: tuple[int, int] = (1, 3)
-    n_range: tuple[int, int] = (1, 3)
+    __slots__ = ()
 
 
 # Every sides function calls the identity and Schur functions through this
@@ -163,13 +154,7 @@ def _dn_sides(_: int | None, n: int) -> tuple[LaurentPoly, LaurentPoly, bool]:
     return report.lead, report.expected, report.all_pass
 
 
-@dataclass(frozen=True)
-class _Check:
-    uses_m: bool
-    min_n: int
-    expands_order_n: bool
-    sides: Callable[[int | None, int], tuple]
-    divisor: str | None = None
+_Check = namedtuple("_Check", "uses_m min_n expands_order_n sides divisor", defaults=(None,))
 
 
 _TABLE: dict[str, _Check] = {

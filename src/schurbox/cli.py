@@ -6,7 +6,6 @@ Exit codes: 0 all checks passed, 1 some check failed or raised, 2 usage error.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from .checks import (
@@ -85,6 +84,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
                 )
 
     if args.output == "json":
+        import json  # here and in _cmd_enumerate only: a text run never loads it
         print(json.dumps([r.to_json_dict() for r in results], indent=2))
     else:
         for r in results:
@@ -102,6 +102,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
+    import json  # as in _cmd_verify, only where JSON is printed
     if args.n < 0 or args.m < 0:
         print("error: bounds must be non-negative", file=sys.stderr)
         return 2

@@ -22,13 +22,16 @@ height matrix.  The enumerators and ``ssyt`` walk a flat cursor instead of a
 chain of nested generators.  Objects they build are already canonical, so
 they skip the normalizing constructors, and ``ssyt`` yields each tableau as
 the flat tuple of its entries in row-major order.
+
+``Partition``, ``PlanePartition`` and ``ColumnStrictPP`` are slotted records,
+immutable by convention and equal only within their class; their constructors
+take ints only (``operator.index``: a float or a str raises TypeError).
 """
 
 from __future__ import annotations
 
 import operator
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass
 
 from .poly import LaurentPoly, Monomial
 
@@ -56,15 +59,28 @@ class MalformedInputError(ValueError):
     """Column heights must be strictly decreasing positive odd values."""
 
 
-@dataclass(frozen=True)
-class Partition:
+class _Record:
+    """One slotted field; equal only to its own class with an equal ``_field``."""
+
+    __slots__ = ()
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._field(self) == other._field(other)
+
+    def __hash__(self) -> int:
+        return hash(self._field(self))
+
+
+class Partition(_Record):
     """Weakly decreasing positive parts; () is the empty partition."""
 
-    parts: tuple[int, ...] = ()
+    __slots__ = ("parts",)
+    _field = operator.attrgetter("parts")
 
-    def __post_init__(self):
-        parts = tuple(int(p) for p in self.parts)
-        object.__setattr__(self, "parts", parts)
+    def __init__(self, parts: Iterable[int] = ()):
+        self.parts = parts = tuple(map(operator.index, parts))
         for i, p in enumerate(parts):
             if p < 1 or (i > 0 and parts[i - 1] < p):
                 raise ValueError(f"not weakly decreasing positive parts: {parts}")
@@ -94,8 +110,7 @@ class Partition:
         return f"Partition({list(self.parts)})"
 
 
-@dataclass(frozen=True)
-class PlanePartition:
+class PlanePartition(_Record):
     """Height matrix of a plane partition, kept in the minimal square box.
 
     Equality is equality as sets of lattice points: trailing all-zero
@@ -105,20 +120,21 @@ class PlanePartition:
     ``validate()`` and ``fold`` refuse it.
     """
 
-    heights: tuple[tuple[int, ...], ...] = ()
+    __slots__ = ("heights",)
+    _field = operator.attrgetter("heights")
 
-    def __post_init__(self):
-        rows = [tuple(int(v) for v in row) or (0,) * len(self.heights) for row in self.heights]
+    def __init__(self, heights: Iterable[Iterable[int]] = ()):
+        rows = [tuple(map(operator.index, row)) or (0,) * len(heights) for row in heights]
         if all(len(row) == len(rows) for row in rows):
             while rows and not any(rows[-1]) and not any(r[-1] for r in rows):
                 rows = [r[:-1] for r in rows[:-1]]
-        object.__setattr__(self, "heights", tuple(rows))
+        self.heights = tuple(rows)
 
     @classmethod
     def _make(cls, heights: tuple[tuple[int, ...], ...]) -> PlanePartition:
         """Wrap a height matrix that is already int tuples in its minimal square."""
         pp = object.__new__(cls)
-        object.__setattr__(pp, "heights", heights)
+        pp.heights = heights
         return pp
 
     @property
@@ -161,8 +177,7 @@ class PlanePartition:
         return f"PlanePartition({self.to_json()})"
 
 
-@dataclass(frozen=True)
-class ColumnStrictPP:
+class ColumnStrictPP(_Record):
     """Column-strict plane partition with odd column heights.
 
     ``levels[j-1]`` holds the column heights at y = j in x order: strictly
@@ -170,19 +185,20 @@ class ColumnStrictPP:
     Trailing empty levels are stripped so equality is canonical.
     """
 
-    levels: tuple[tuple[int, ...], ...] = ()
+    __slots__ = ("levels",)
+    _field = operator.attrgetter("levels")
 
-    def __post_init__(self):
-        levels = [tuple(int(v) for v in lvl) for lvl in self.levels]
+    def __init__(self, levels: Iterable[Iterable[int]] = ()):
+        levels = [tuple(map(operator.index, lvl)) for lvl in levels]
         while levels and not levels[-1]:
             levels.pop()
-        object.__setattr__(self, "levels", tuple(levels))
+        self.levels = tuple(levels)
 
     @classmethod
     def _make(cls, levels: tuple[tuple[int, ...], ...]) -> ColumnStrictPP:
         """Wrap levels that are already int tuples with no trailing empty level."""
         cs = object.__new__(cls)
-        object.__setattr__(cs, "levels", levels)
+        cs.levels = levels
         return cs
 
     @property

@@ -68,8 +68,8 @@ import math
 import operator
 import struct
 import sys
+from collections import namedtuple
 from collections.abc import Collection, Iterable, Iterator, Mapping, Sequence
-from dataclasses import dataclass
 from functools import lru_cache
 import re
 
@@ -550,7 +550,7 @@ class LaurentPoly:
         exponent e_p, ``e_p * (image key - key of the variable)``.
         """
         images: list[tuple[int, int]] = []  # (position, image key - variable key)
-        image_bound = 0
+        image_keys: list[int] = []
         for var, target in assignments.items():
             pos = _position(var)
             if isinstance(target, Monomial):
@@ -562,11 +562,16 @@ class LaurentPoly:
             else:
                 raise ValueError(f"unsupported substitution target for {var!r}: {target!r}")
             images.append((pos, image - (1 << (DIGIT_BITS * pos))))
-            image_bound += _bound((image,))
-        # |new exponent of v| <= bound * ([v unassigned] + sum of |image exponents of v|)
-        bound = self._bound * (1 + image_bound)
+            image_keys.append(image)
 
         npos, flat = _digits(self._terms)
+        # |new exponent of v| <= bound * ([v unassigned] + sum of |image exponents of v|),
+        # so a renaming keeps the bound.
+        ipos, iflat = _digits(image_keys, npos)
+        assigned = {pos for pos, _ in images}
+        bound = self._bound * max(
+            (p not in assigned) + sum(abs(d - _HALF) for d in iflat[p::ipos]) for p in range(ipos)
+        )
         if bound > MAX_EXPONENT:
             bound = _substitution_bound(flat, npos, images)
         keys = list(self._terms)
@@ -666,21 +671,21 @@ def parse_poly(text: str) -> LaurentPoly:
 # -- matrices and determinants ----------------------------------------------
 
 
-@dataclass(frozen=True)
-class PolyMatrix:
+class PolyMatrix(namedtuple("PolyMatrix", "entries")):
     """A square matrix of Laurent polynomials."""
 
-    entries: tuple[tuple[LaurentPoly, ...], ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.entries:
+    def __new__(cls, entries: tuple[tuple[LaurentPoly, ...], ...]):
+        if not entries:
             raise ValueError("matrix order must be at least 1")
-        for row in self.entries:
-            if len(row) != len(self.entries):
+        for row in entries:
+            if len(row) != len(entries):
                 raise ValueError("matrix must be square")
             for entry in row:
                 if not isinstance(entry, LaurentPoly):
                     raise TypeError("matrix entries must be LaurentPoly values")
+        return super().__new__(cls, entries)
 
     @property
     def n(self) -> int:

@@ -20,7 +20,8 @@ Gordon q-products.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+import operator
+from collections import namedtuple
 from collections.abc import Sequence
 
 from .combinat import Partition, ssyt
@@ -58,16 +59,16 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class BoxParams:
+class BoxParams(namedtuple("BoxParams", "m n")):
     """Box dimensions: parts at most m, at most n parts / variables."""
 
-    m: int
-    n: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.m < 0 or self.n < 0:
+    def __new__(cls, m: int, n: int):
+        m, n = operator.index(m), operator.index(n)
+        if m < 0 or n < 0:
             raise ValueError("box dimensions must be non-negative")
+        return super().__new__(cls, m, n)
 
 
 def xvars(n: int) -> list[str]:
@@ -222,17 +223,13 @@ def weyl_denominator(n: int, form: str = "determinant") -> LaurentPoly:
     return times_bn_factors(vandermonde(xvars(n)), n)
 
 
-@dataclass(frozen=True)
-class DnReport:
+class DnReport(namedtuple("DnReport", "n root_checks lead expected")):
     """Root and leading-coefficient checks for the Weyl determinant D_n.
 
     ``lead`` is [x1^{2n-1}] D_n and ``expected`` is -x2...xn * D_{n-1}(x2..xn).
     """
 
-    n: int
-    root_checks: tuple[tuple[str, bool], ...]
-    lead: LaurentPoly
-    expected: LaurentPoly
+    __slots__ = ()
 
     @property
     def leading_coefficient_ok(self) -> bool:

@@ -1,14 +1,18 @@
 """The sweep runner and the command-line interface."""
 
 import json
+import os
+import re
 import resource
 import select
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import schurbox
 from schurbox.checks import (
     CHECK_IDS,
     InvalidRangeError,
@@ -249,6 +253,36 @@ def test_cli_out_of_range_m_is_two_error_records_within_seconds():
     for line in lines:
         assert "ERROR  ExponentRangeError: exponent 2147483648 of x1" in line
     assert "2 checks, 0 passed, 2 failed" in proc.stderr
+
+
+def test_cli_import_loads_no_dataclasses_inspect_or_json():
+    # A clean interpreter: no PYTHON* variable, the package's source root put
+    # first on sys.path by hand.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(schurbox.__file__)))
+    env = {k: v for k, v in os.environ.items() if not k.startswith("PYTHON")}
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import schurbox.cli; "
+        "print(schurbox.cli.__file__.startswith(sys.argv[1]), "
+        "sorted(m for m in ('dataclasses', 'inspect', 'json') if m in sys.modules))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code, src], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "True []"
+
+
+# Recorded stdout of `verify --output json` and of `enumerate`, elapsed times
+# masked on both sides: any other byte that differs is a change of CLI output.
+GOLDEN = json.loads((Path(__file__).parent / "data" / "cli_golden.json").read_text())
+ELAPSED = re.compile(r'"elapsed_ms": [0-9.e+-]+')
+
+
+@pytest.mark.parametrize("case", GOLDEN, ids=[" ".join(c["argv"]) for c in GOLDEN])
+def test_cli_output_bytes_match_the_recorded_output(case):
+    proc = run_cli(*case["argv"])
+    assert proc.returncode == case["returncode"]
+    assert ELAPSED.sub('"elapsed_ms": 0', proc.stdout) == case["stdout"]
 
 
 # -- CLI: enumerate -----------------------------------------------------------------

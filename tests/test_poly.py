@@ -3,7 +3,7 @@
 from math import factorial
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
 from schurbox import poly as poly_module
@@ -22,6 +22,7 @@ from schurbox.poly import (
     signed_permutations,
     unit_keys,
 )
+from schurbox.identity import eq6_sides
 from reference_poly import inversion_count
 
 P = LaurentPoly
@@ -150,8 +151,8 @@ def test_product_of_in_range_operands_past_the_range_raises():
 
 
 def test_substitution_whose_exponents_fit_is_not_refused():
-    # The O(1) bound (bound * (1 + image bounds)) passes the range here, so
-    # the exact per-position bound decides.
+    # The per-variable bound keeps 2**30 for the renamings; for the other
+    # maps it passes the range, so the exact per-position bound decides.
     half = P.variable("x1", 2**30)
     assert half.substitute({"x1": "x1"}) == half
     pair = half * P.variable("x2", -(2**30)) + 3 * x2
@@ -237,6 +238,42 @@ assignments = st.dictionaries(
 def test_substitute_is_ring_homomorphism(a, b, sub):
     assert (a * b).substitute(sub) == a.substitute(sub) * b.substitute(sub)
     assert (a + b).substitute(sub) == a.substitute(sub) + b.substitute(sub)
+
+
+def test_renaming_chain_keeps_the_bound():
+    p = x1 + x2**3
+    for _ in range(15):
+        p = p.substitute({"x1": "x2", "x2": "x1"})
+    assert p._bound == 3 and p == x2 + x1**3
+
+
+def largest_exponent(target):
+    """Largest |exponent| of a polynomial's terms or of a substitution target."""
+    if isinstance(target, LaurentPoly):
+        return max((largest_exponent(mono) for mono, _ in target.terms()), default=0)
+    if isinstance(target, Monomial):
+        return max((abs(e) for _, e in target.pairs), default=0)
+    return 1 if isinstance(target, str) else 0
+
+
+@given(polys, st.dictionaries(variables, st.one_of(monomials, variables, st.just(1)), max_size=3))
+@example(P.term(Monomial({"x1": 3, "x2": 3})), {"x2": "x1"})
+@example(P.term(Monomial({"x1": 3, "x2": 3})), {"x1": Monomial({"q": 3}), "x2": Monomial({"q": 3})})
+def test_substitution_bound_covers_every_exponent(p, sub):
+    # Sound, and at most the coarser estimate bound * (1 + sum of image bounds).
+    out = p.substitute(sub)
+    earlier = p._bound * (1 + sum(map(largest_exponent, sub.values())))
+    assert largest_exponent(out) <= out._bound <= earlier
+
+
+def test_eq6_renamings_need_no_exact_bound(monkeypatch):
+    calls = []
+    exact = poly_module._substitution_bound
+    monkeypatch.setattr(
+        poly_module, "_substitution_bound", lambda *args: calls.append(args) or exact(*args)
+    )
+    eq6_sides(6)
+    assert calls == []
 
 
 def test_coefficient_of():
