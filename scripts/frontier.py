@@ -7,6 +7,10 @@ records every result's ``elapsed_ms`` and pass flag, the child's exit code and
 wall time, and its peak resident set size (``ru_maxrss`` from ``os.wait4``,
 so each child's own peak).  The m-free checks run at n = 6 and n = 7 (their
 ``--m`` is ignored); every check that depends on m runs at (m, n) = (4, 5).
+Each child gets the caller's environment without its ``PYTHON*`` settings
+(``PYTHONDONTWRITEBYTECODE`` among them), with ``PYTHONPATH`` set to
+``<root>/src``, and one untimed ``import schurbox.cli`` before the table
+writes the bytecode cache, so no timed child compiles the package.
 
     python3 scripts/frontier.py --label change
     python3 scripts/frontier.py --label parent --root ../parent-checkout
@@ -43,11 +47,18 @@ def cases(max_n: int | None) -> list[tuple[str, int, int]]:
     return list(dict.fromkeys(rows))
 
 
+def child_env(root: str) -> dict[str, str]:
+    """The caller's environment without PYTHON* settings, and PYTHONPATH ``<root>/src``."""
+    env = {k: v for k, v in os.environ.items() if not k.startswith("PYTHON")}
+    env["PYTHONPATH"] = os.path.join(root, "src")
+    return env
+
+
 def run_case(root: str, check: str, m: int, n: int, timeout_s: float) -> dict:
     """One fresh ``schurbox verify`` process; its results, exit code, wall time and peak RSS."""
     argv = [sys.executable, "-m", "schurbox", "verify", "--checks", check,
             "--m", str(m), "--n", str(n), "--output", "json"]
-    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+    env = child_env(root)
     with tempfile.TemporaryFile("w+") as out:
         start = time.perf_counter()
         proc = subprocess.Popen(argv, cwd=root, env=env, stdout=out, stderr=subprocess.DEVNULL)
@@ -91,9 +102,13 @@ def main() -> int:
     parser.add_argument("--max-n", type=int, default=None, help="cap every case's n")
     args = parser.parse_args()
 
+    root = os.path.abspath(args.root)
+    # untimed: writes the package's bytecode cache under <root>/src
+    subprocess.run([sys.executable, "-c", "import schurbox.cli"], cwd=root,
+                   env=child_env(root), check=True)
     rows = []
     for check, m, n in cases(args.max_n):
-        row = run_case(os.path.abspath(args.root), check, m, n, args.timeout)
+        row = run_case(root, check, m, n, args.timeout)
         ms = ", ".join(f"{r['elapsed_ms'] / 1000:.3f} s" for r in row["results"]) or "-"
         status = "TIMEOUT" if row["timed_out"] else f"exit {row['exit_code']}"
         print(f"{check:<12} m={m} n={n}  {status}  check {ms}  "

@@ -18,10 +18,11 @@ The kernels work on plain int tuples and lists.  ``fold`` reads each level's
 hooks straight off the height matrix: the hook at diagonal cell c of the
 slice at height y is ``2 * #{j >= c : h[c][j] >= y} - 1``.  ``unfold`` adds
 each hook's cells (the diagonal cell, its arm and its mirrored leg) into the
-height matrix.  The enumerators and ``ssyt`` walk a flat cursor instead of a
-chain of nested generators.  Objects they build are already canonical, so
-they skip the normalizing constructors, and ``ssyt`` yields each tableau as
-the flat tuple of its entries in row-major order.
+height matrix.  ``partitions_in_box``, ``symmetric_plane_partitions`` and
+``ssyt`` walk a flat cursor; ``column_strict_odd_pps`` nests one generator
+per level and ``_levels_under`` one per column of a level.  The objects they
+build are already canonical, so they skip the normalizing constructors, and
+``ssyt`` yields each tableau as the flat tuple of its entries in row-major order.
 
 ``Partition``, ``PlanePartition`` and ``ColumnStrictPP`` are slotted records,
 immutable by convention and equal only within their class; their constructors

@@ -24,11 +24,10 @@ Orientation bookkeeping: the lemma uses later-minus-earlier differences
 prod_{i<j}(x_j - x_i), the Schur Vandermonde prod_{i<j}(x_i - x_j) up to
 the sign (-1)^C(n,2).
 
-:func:`~schurbox.poly.expand_det` expands every determinant with monomial or
-binomial entries at key level: the eq5 and eq6 left sides, eq6's inner sums
-and the alternant sum of the right side that eq4 and eq5 share.  eq4's left
-side goes through the ring route, :func:`~schurbox.schur.binomial_det`, so
-eq4 and eq5 check one determinant two independent ways.  The lemma's k-th
+:func:`~schurbox.poly.expand_det` expands every determinant at key level:
+the eq6 left side and inner sums, the alternant sum of the right side that
+eq4 and eq5 share, and, through :func:`~schurbox.poly.binomial_det`, the
+left side that they share and the vanishing determinant.  The lemma's k-th
 term and eq6's k-prefactor come from one ``_k_factor(n, k)``.
 """
 
@@ -38,13 +37,12 @@ from collections.abc import Iterable, Iterator
 from itertools import accumulate
 from math import comb
 
-from .poly import LaurentPoly, Monomial, divide_binomials, expand_det, times_binomials
+from .poly import LaurentPoly, Monomial, binomial_det, divide_binomials, expand_det, times_binomials
 from .combinat import partitions_in_box
 from .schur import (
     BoxParams,
     _box_exponents,
     alternant_table,
-    binomial_det,
     times_bn_factors,
     vandermonde,
     vandermonde_factors,
@@ -121,20 +119,19 @@ def _alternant_side(box: BoxParams) -> LaurentPoly:
 
 
 def eq4_sides(box: BoxParams) -> tuple[LaurentPoly, LaurentPoly]:
-    """Determinant form of the theorem with the Weyl denominator cleared; the
-    left side goes through the ring route, :func:`~schurbox.schur.binomial_det`."""
+    """The theorem with the Weyl denominator cleared: det(x_i^{j-1} - x_i^{m+2n-j})
+    by :func:`~schurbox.poly.binomial_det`, and the alternant sum times the B_n factors."""
     if box.n < 1:
         raise ValueError("n must be at least 1")
     return binomial_det(xvars(box.n), *_box_exponents(box.m, box.n)), _alternant_side(box)
 
 
 def eq5_sides(box: BoxParams) -> tuple[LaurentPoly, LaurentPoly]:
-    """eq4 fully expanded: its left determinant over permutations and subsets
-    (tables range-checked before any partition is enumerated), its right side."""
+    """eq4 fully expanded: its left determinant over permutations and subsets, the
+    expansion eq4's left side shares, built before any partition is enumerated."""
     if box.n < 1:
         raise ValueError("n must be at least 1")
-    a, b = ([_row(i, exps) for i in range(1, box.n + 1)] for exps in _box_exponents(box.m, box.n))
-    return LaurentPoly.from_keys(expand_det(a, b)), _alternant_side(box)
+    return binomial_det(xvars(box.n), *_box_exponents(box.m, box.n)), _alternant_side(box)
 
 
 def _revolving_door(n: int, s: int) -> list[tuple[int, ...]]:

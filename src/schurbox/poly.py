@@ -17,9 +17,10 @@ largest digit, and raises :class:`ExponentRangeError` before any key is
 built if some exponent of the product would leave the range.
 :func:`unit_keys` gives the keys of t_i and x_i by index, so callers can
 build terms from exponents without naming variables.
-Determinants take one of two routes: :func:`determinant` multiplies the
-polynomial entries of a :class:`PolyMatrix`, and :func:`expand_det` adds the
-packed keys of monomial or binomial entries straight into terms.
+:func:`expand_det` adds the packed keys of monomial or binomial entries
+into terms, and :func:`binomial_det` builds every det(x_i^{a_j} - x_i^{b_j})
+on it; :func:`determinant`, over a :class:`PolyMatrix` of polynomials, is
+the tests' reference.
 :class:`Monomial` is the boundary value that wraps one key.  It has no
 arithmetic: every product and power is a :class:`LaurentPoly` operation,
 so one exponent check guards them all.  Keys are decoded only at the
@@ -83,6 +84,7 @@ __all__ = [
     "NotDivisibleError",
     "OrderTooLargeError",
     "PolyMatrix",
+    "binomial_det",
     "determinant",
     "divide_binomials",
     "divide_bn_alternants",
@@ -287,7 +289,7 @@ class Monomial:
         merged: dict[int, int] = {}
         for var, exp in items:
             pos = _position(var)
-            merged[pos] = merged.get(pos, 0) + int(exp)
+            merged[pos] = merged.get(pos, 0) + operator.index(exp)
         self.key = sum(
             _checked_exponent(e, p) << (DIGIT_BITS * p) for p, e in merged.items()
         )
@@ -305,7 +307,7 @@ class Monomial:
     @classmethod
     def variable(cls, name: str, exp: int = 1) -> Monomial:
         pos = _position(name)
-        return cls._make(_checked_exponent(int(exp), pos) << (DIGIT_BITS * pos))
+        return cls._make(_checked_exponent(operator.index(exp), pos) << (DIGIT_BITS * pos))
 
     @property
     def pairs(self) -> tuple[tuple[str, int], ...]:
@@ -353,7 +355,7 @@ class LaurentPoly:
         terms: Mapping[Monomial, int] | Iterable[tuple[Monomial, int]] = (),
     ):
         items = terms.items() if isinstance(terms, Mapping) else terms
-        self._terms = _accumulate({}, ((_key_of(mono), int(coeff)) for mono, coeff in items))
+        self._terms = _accumulate({}, ((_key_of(m), operator.index(c)) for m, c in items))
         self._bound = _bound(self._terms)
 
     @classmethod
@@ -373,11 +375,11 @@ class LaurentPoly:
 
     @classmethod
     def constant(cls, value: int) -> LaurentPoly:
-        return cls._make({0: int(value)} if value else {}, 0)
+        return cls._make(_accumulate({}, [(0, operator.index(value))]), 0)
 
     @classmethod
     def variable(cls, name: str, exp: int = 1) -> LaurentPoly:
-        return cls._make({Monomial.variable(name, exp).key: 1}, abs(int(exp)))
+        return cls._make({Monomial.variable(name, exp).key: 1}, abs(operator.index(exp)))
 
     @classmethod
     def from_keys(cls, items: Iterable[tuple[int, int]]) -> LaurentPoly:
@@ -392,7 +394,7 @@ class LaurentPoly:
 
     @classmethod
     def term(cls, mono: Monomial, coeff: int = 1) -> LaurentPoly:
-        return cls._make({mono.key: int(coeff)} if coeff else {}, _bound((mono.key,)))
+        return cls._make(_accumulate({}, [(mono.key, operator.index(coeff))]), _bound((mono.key,)))
 
     # -- queries ----------------------------------------------------------
 
@@ -733,7 +735,7 @@ def expand_det(
     x_i and t_i.  The order guard of :func:`signed_permutations` runs at the
     call.  With ``b``, each permutation's binomial product expands over the
     subsets S of rows taking their b entry, sign (-1)^|S|, doubling the term
-    list once per row.
+    list once per row; a zero factor x^e - x^e drops the permutation there.
     """
     perms = signed_permutations(len(a))
 
@@ -742,10 +744,25 @@ def expand_det(
             out = [(sum([row[s] for row, s in zip(a, images)]), sign)]
             for ra, rb, s in zip(a, b or (), images):
                 delta = rb[s] - ra[s]
+                if not delta:
+                    break
                 out += [(k + delta, -c) for k, c in out]
-            yield from out
+            else:
+                yield from out
 
     return terms()
+
+
+def binomial_det(names: Sequence[str], a: Sequence[int], b: Sequence[int]) -> LaurentPoly:
+    """det(v_i^{a_j} - v_i^{b_j}) for the distinct variables v_i of ``names`` and one
+    (a_j, b_j) per name (ValueError otherwise), by :func:`expand_det` on range-checked
+    :meth:`Monomial.variable` keys.  Row i holds only v_i, so each exponent of a
+    term is an a_j or b_j: the largest |a_j|, |b_j| bounds them with no key decode."""
+    if len(set(names)) != len(names) or not len(a) == len(b) == len(names):
+        raise ValueError(f"binomial_det: want distinct names, one per exponent pair: {names}")
+    ta, tb = ([[Monomial.variable(v, e).key for e in exps] for v in names] for exps in (a, b))
+    bound = max(map(abs, [*a, *b]), default=0)
+    return LaurentPoly._make(_accumulate({}, expand_det(ta, tb)), bound)
 
 
 def determinant(matrix: PolyMatrix) -> LaurentPoly:

@@ -28,8 +28,7 @@ from .combinat import Partition, ssyt
 from .poly import (
     LaurentPoly,
     Monomial,
-    PolyMatrix,
-    determinant,
+    binomial_det,
     divide_binomials,
     divide_bn_alternants,
     expand_det,
@@ -85,20 +84,6 @@ def vandermonde(names: Sequence[str]) -> LaurentPoly:
     """prod_{i<j} (x_i - x_j), the alternant denominator (earlier minus later),
     multiplied out by :func:`~schurbox.poly.times_binomials`."""
     return times_binomials(LaurentPoly.one(), vandermonde_factors(names))
-
-
-def binomial_det(names: Sequence[str], a: Sequence[int], b: Sequence[int]) -> LaurentPoly:
-    """det(v_i^{a_j} - v_i^{b_j}) over the variables v_i of ``names``.
-
-    Row i belongs to ``names[i]`` and column j to ``(a[j], b[j])``; a column
-    with ``a[j] == b[j]`` is zero.  Every exponent must lie within
-    ``±MAX_EXPONENT`` (:class:`~schurbox.poly.ExponentRangeError` otherwise).
-    """
-    rows = [
-        [LaurentPoly.variable(v, aj) - LaurentPoly.variable(v, bj) for aj, bj in zip(a, b)]
-        for v in names
-    ]
-    return determinant(PolyMatrix.from_rows(rows))
 
 
 def _box_exponents(m: int, n: int) -> tuple[list[int], list[int]]:

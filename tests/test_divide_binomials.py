@@ -154,3 +154,14 @@ def test_no_check_falls_back_to_exact_div(monkeypatch):
     results = run_verification(config)
     assert [r.identity for r in results] == ["theorem", "eq6", "macmahon", "gordon", "schur-agree"]
     assert all(r.passed for r in results), [r.error for r in results]
+
+
+def test_no_check_calls_determinant(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("determinant called on a check's path")
+
+    for module in (poly, schur, identity, checks):
+        monkeypatch.setattr(module, "determinant", refuse, raising=False)
+    results = run_verification(RunConfig(("all",), (1, 2), (1, 3)))
+    assert len(results) == 56
+    assert all(r.passed for r in results), [(r.identity, r.m, r.n, r.error) for r in results]

@@ -29,7 +29,8 @@ def dn(n):
 
 
 def alternant(n, g, centre):
-    """A_g = det(x_i^{(C+g_j)/2} - x_i^{(C-g_j)/2}) on the ring route."""
+    """A_g = det(x_i^{(C+g_j)/2} - x_i^{(C-g_j)/2}) by ``binomial_det``, which
+    test_schur.py checks against the polynomial-entry ``determinant``."""
     return schur.binomial_det(
         schur.xvars(n), [(centre + v) // 2 for v in g], [(centre - v) // 2 for v in g]
     )

@@ -15,6 +15,7 @@ from schurbox.poly import (
     NotDivisibleError,
     OrderTooLargeError,
     PolyMatrix,
+    binomial_det,
     determinant,
     exact_div,
     expand_det,
@@ -45,6 +46,25 @@ def test_zero_coefficients_not_stored():
 def test_zero_exponents_not_stored():
     assert Monomial({"x1": 0, "x2": 3}) == Monomial({"x2": 3})
     assert Monomial.variable("q", 0) == Monomial.one()
+
+
+CONSTRUCTORS = {
+    "Monomial": lambda v: Monomial({"x1": v}),
+    "Monomial.variable": lambda v: Monomial.variable("x1", v),
+    "LaurentPoly": lambda v: P([(Monomial.variable("x1"), v)]),
+    "LaurentPoly.constant": P.constant,
+    "LaurentPoly.variable": lambda v: P.variable("x1", v),
+    "LaurentPoly.term": lambda v: P.term(Monomial.variable("x1"), v),
+}
+
+
+@pytest.mark.parametrize("value", [0.4, 2.7, "3"], ids=["float-0.4", "float-2.7", "str"])
+@pytest.mark.parametrize("name", CONSTRUCTORS)
+def test_constructors_take_ints_only(name, value):
+    # a float is not truncated (0.4 would store a 0 coefficient) and a str is not parsed
+    with pytest.raises(TypeError):
+        CONSTRUCTORS[name](value)
+    assert CONSTRUCTORS[name](True) == CONSTRUCTORS[name](1)
 
 
 def test_unknown_variable_rejected():
@@ -457,6 +477,29 @@ def test_expand_det_order_bound_and_empty_table():
     assert P.from_keys(expand_det([])) == P.from_keys(expand_det([], [])) == 1
     # order 8 is accepted: the all-ones matrix, whose 8! terms cancel
     assert P.from_keys(expand_det([[0] * 8 for _ in range(8)])) == 0
+
+
+def test_expand_det_drops_a_table_with_an_equal_column():
+    a = [[u * e for e in (0, 1, 2)] for u in unit_keys("x", 3)]
+    b = [[u * e for e in (3, 1, -2)] for u in unit_keys("x", 3)]  # column 2: x_i - x_i
+    assert list(expand_det(a, b)) == []
+    b = [[u * e for e in (3, 4, -2)] for u in unit_keys("x", 3)]
+    assert len(list(expand_det(a, b))) == 2**3 * factorial(3)
+
+
+def test_binomial_det_refuses_repeated_names_and_ragged_exponents():
+    with pytest.raises(ValueError, match="distinct names"):
+        binomial_det(["x1", "x2", "x1"], [0, 1, 2], [5, 4, 3])
+    with pytest.raises(ValueError, match="distinct names"):
+        binomial_det(["x1", "x2"], [0, 1, 2], [5, 4, 3])
+    with pytest.raises(ValueError, match="distinct names"):
+        binomial_det(["x1", "x2"], [0, 1], [5])
+    # distinct names need not be consecutive, and their bound is the largest |exponent|
+    det = binomial_det(["x3", "q"], [0, 1], [-4, 2])
+    assert det == determinant(PolyMatrix.from_rows(
+        [[1 - P.variable(v, -4), P.variable(v) - P.variable(v, 2)] for v in ("x3", "q")]
+    ))
+    assert det._bound == 4
 
 
 def test_inversion_count():

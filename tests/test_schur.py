@@ -14,6 +14,7 @@ from schurbox.poly import (
 )
 from schurbox.schur import (
     BoxParams,
+    _box_exponents,
     alternant_table,
     binomial_det,
     box_det_ratio,
@@ -25,6 +26,7 @@ from schurbox.schur import (
     schur_via_bialternant,
     schur_via_tableaux,
     weyl_denominator,
+    xvars,
 )
 
 P = LaurentPoly
@@ -138,7 +140,7 @@ def test_weyl_forms_agree(n):
     assert weyl_denominator(n, "determinant") == weyl_denominator(n, "product")
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 @pytest.mark.parametrize("equal_column", [False, True])
 def test_binomial_det_matches_hand_built_determinant(n, equal_column):
     names = [f"x{i}" for i in range(2, n + 2)]  # x2..x(n+1), as dn_checks uses
@@ -150,6 +152,17 @@ def test_binomial_det_matches_hand_built_determinant(n, equal_column):
     expected = determinant(PolyMatrix.from_rows(rows))
     assert binomial_det(names, a, b) == expected
     assert expected.is_zero() == equal_column
+    # the eq4 grid: the theorem's numerator (D_n at m = 0), which eq4 and eq5
+    # both take from binomial_det, against the polynomial-entry determinant
+    for m in range(5) if n < 5 else (0, 1, 2):
+        a, b = _box_exponents(m, n)
+        if equal_column:
+            a[-1] = b[-1]
+        rows = [[P.variable(v, aj) - P.variable(v, bj) for aj, bj in zip(a, b)]
+                for v in xvars(n)]
+        expected = determinant(PolyMatrix.from_rows(rows))
+        assert binomial_det(xvars(n), a, b) == expected
+        assert expected.is_zero() == equal_column
 
 
 def test_binomial_det_keeps_the_exponent_range_check():

@@ -1,8 +1,10 @@
 """Smoke runs of the scripts in ``scripts/`` on the smallest interesting box, and of
 the benchmark's self-test, which patches the CLI and check functions from outside."""
 
+import importlib.util
 import json
 import os
+import shutil
 import subprocess
 import sys
 
@@ -45,15 +47,48 @@ def test_benchmark_selftest_passes():
     assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
-def run_frontier(tmp_path, *args):
+def run_frontier(tmp_path, *args, env=None):
     return subprocess.run(
         [sys.executable, os.path.join(ROOT, "scripts", "frontier.py"), "--label", "smoke",
          "--out-dir", str(tmp_path), *args],
         cwd=ROOT,
+        env=env,
         capture_output=True,
         text=True,
         timeout=120,
     )
+
+
+def load_frontier():
+    spec = importlib.util.spec_from_file_location(
+        "frontier", os.path.join(ROOT, "scripts", "frontier.py")
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_frontier_child_env_drops_python_settings(monkeypatch):
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    monkeypatch.setenv("PYTHONHASHSEED", "7")
+    monkeypatch.setenv("PYTHONPATH", "/elsewhere")
+    monkeypatch.setenv("FRONTIER_TEST_KEEP", "kept")
+    env = load_frontier().child_env("/checkout")
+    assert [k for k in env if k.startswith("PYTHON")] == ["PYTHONPATH"]
+    assert env["PYTHONPATH"] == os.path.join("/checkout", "src")
+    assert env["FRONTIER_TEST_KEEP"] == "kept"
+
+
+def test_frontier_warms_the_bytecode_cache_of_a_fresh_checkout(tmp_path):
+    checkout = tmp_path / "checkout"
+    shutil.copytree(os.path.join(ROOT, "src"), checkout / "src",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    # every timed child is killed at once, so only the untimed import can write the cache
+    proc = run_frontier(tmp_path, "--max-n", "1", "--timeout", "0", "--root", str(checkout),
+                        env=env)
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    assert list((checkout / "src" / "schurbox" / "__pycache__").glob("cli.*.pyc"))
 
 
 def test_frontier_table_cut_to_small_n(tmp_path):
