@@ -6,8 +6,11 @@ order-n determinant or multiplies n!-term Vandermonde products),
 ``sides(m, n)``, which builds both sides of one identity and returns
 ``(lhs, rhs)`` or ``(lhs, rhs, ok)`` with ``ok`` a structural verdict (fold
 inverses, D_n roots), and the divisor form the check records, if any (the
-theorem's is ``"bn-alternant"``: the numerator and D_n are divided as type-B
-alternants).  Multi-stage checks return their first disagreeing pair.  The
+theorem's is ``"bn-alternant"``: its ratio is solved from the dominant
+weights of the numerator and D_n as type-B alternants).  The theorem expands
+no determinant, yet keeps its n! flag: its quotient has (m+1)^n terms, and
+until a cost budget refuses large inputs the order bound is what stops it
+at n = 9.  Multi-stage checks return their first disagreeing pair.  The
 runner records each outcome as a :class:`CheckResult` with
 ``passed = lhs == rhs and ok``; a ``sides`` call that raises becomes a failed
 result with the error text, and the sweep goes on.

@@ -10,8 +10,8 @@ Laurent polynomials, so a check is literal equality (the runner in
 * ``eq4_sides``: the theorem with denominators cleared,
   det(x_i^{j-1}-x_i^{m+2n-j}) == sum_lambda det(x_i^{lambda_j+n-j})
   * prod(1-x_i) * prod_{i<j}(x_i x_j - 1).
-* ``eq5_sides``: the same with every determinant expanded over permutations
-  and sign-split binomials expanded over subsets S.
+* ``eq5_sides``: the paper's eq4 expanded over permutations and subsets S;
+  eq4's sides are built expanded already, so these are exactly eq4's sides.
 * ``eq6_sides``: the m-free restatement after replacing x_i^{m+1} by
   t_i x_i^{2-2n}; the per-subset geometric-sum denominators (1 - prod x_i)
   are cleared by exact division.  Its right side builds the subset term of
@@ -127,8 +127,9 @@ def eq4_sides(box: BoxParams) -> tuple[LaurentPoly, LaurentPoly]:
 
 
 def eq5_sides(box: BoxParams) -> tuple[LaurentPoly, LaurentPoly]:
-    """eq4 fully expanded: its left determinant over permutations and subsets, the
-    expansion eq4's left side shares, built before any partition is enumerated."""
+    """The paper's eq4 fully expanded, which is how :func:`eq4_sides` builds it, so
+    these are exactly eq4's sides and the eq5 row adds no evidence of its own
+    (ROADMAP.md, "Give eq5 its own construction", plans one from eq6)."""
     if box.n < 1:
         raise ValueError("n must be at least 1")
     return binomial_det(xvars(box.n), *_box_exponents(box.m, box.n)), _alternant_side(box)

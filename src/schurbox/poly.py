@@ -24,9 +24,8 @@ the tests' reference.
 :class:`Monomial` is the boundary value that wraps one key.  It has no
 arithmetic: every product and power is a :class:`LaurentPoly` operation,
 so one exponent check guards them all.  Keys are decoded only at the
-boundary (canonical text, ``Monomial.pairs``, ``variables()``, substitution,
-the entry of :func:`divide_bn_alternants` and the entry and exit of
-:func:`exact_div`), in bulk: every digit is
+boundary (canonical text, ``Monomial.pairs``, ``variables()``, substitution
+and the entry and exit of :func:`exact_div`), in bulk: every digit is
 biased to an unsigned value, and all keys of one polynomial are read
 through one ``memoryview``.  :func:`divide_binomials` reads only the one
 digit it steps along, with a shift and a mask per key.
@@ -38,16 +37,16 @@ variable by variable in that order.  Canonical text output lists terms in
 ascending order, so q-series read naturally: ``1 + q + q^3 + q^4``.
 
 Exact division takes one of three routes.  :func:`divide_bn_alternants`
-divides the theorem's numerator by the Weyl determinant D_n: both are
-type-B_n alternants, so after each is checked against its own expansion the
-quotient is solved on their few dominant terms.  :func:`divide_binomials`
-is the route of every other ratio a check takes: each of those divisors is a
-product of binomials x^a - x^b (a Vandermonde, 1 - prod x_i,
-prod (1 - q^e)), and dividing by one of them is a prefix sum along v = b - a
-inside each coset k + Z*v of the packed keys, exact if and only if every
-coset sums to 0.  :func:`exact_div` divides by any divisor and is the
-general reference both fast routes are tested against: it packs each shifted
-exponent vector once more, into base ``2**bits`` digits
+divides type-B_n alternants given by their dominant weights, as the
+theorem's numerator and the Weyl determinant D_n are: the quotient is a
+triangular solve on weights, and neither determinant is expanded.
+:func:`divide_binomials` is the route of every other ratio a check takes:
+each of those divisors is a product of binomials x^a - x^b (a Vandermonde,
+1 - prod x_i, prod (1 - q^e)), and dividing by one of them is a prefix sum
+along v = b - a inside each coset k + Z*v of the packed keys, exact if and
+only if every coset sums to 0.  :func:`exact_div` divides by any divisor
+and is the general reference both fast routes are tested against: it packs
+each shifted exponent vector once more, into base ``2**bits`` digits
 ``(total degree, e_1, ..., e_k)`` with non-negative digits, so integer order
 is graded-lex order, and finds leading terms with a heap that shares its int
 keys with the remainder dict.  Its docstring gives the digit-width bound.
@@ -65,7 +64,6 @@ from __future__ import annotations
 
 import heapq
 import itertools
-import math
 import operator
 import struct
 import sys
@@ -321,7 +319,10 @@ class Monomial:
         return dict(self.pairs)
 
     def exponent(self, var: str) -> int:
-        return self.exponents().get(var, 0)
+        """The exponent of ``var`` (ValueError for a name outside the namespace)."""
+        pos = _position(var)
+        _, flat = _digits((self.key,), pos + 1)
+        return flat[pos] - _HALF
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Monomial) and self.key == other.key
@@ -516,6 +517,7 @@ class LaurentPoly:
     __rmul__ = __mul__
 
     def __pow__(self, exp: int) -> LaurentPoly:
+        exp = operator.index(exp)
         if exp < 0:
             raise ValueError("negative powers of polynomials are not defined")
         result = LaurentPoly.one()
@@ -1033,61 +1035,6 @@ def times_binomials(poly: LaurentPoly, factors: Iterable[LaurentPoly]) -> Lauren
     return LaurentPoly._make(terms, bound)
 
 
-def _bn_dominant(poly: LaurentPoly, n: int, npos: int, role: str) -> tuple[int, dict]:
-    """The centre C of ``poly`` in x1..xn and its dominant part.
-
-    C is min + max exponent of each x_i, the same for every i (otherwise
-    ArithmeticError).  The dominant part maps g = 2e - C, for each term x^e
-    whose g is strictly decreasing and positive, to the coefficient; the
-    candidate terms are narrowed one digit comparison at a time.  A term in
-    q or some t_i raises ValueError.
-    """
-    if not poly:
-        return 0, {}
-    _, flat = _digits(poly._terms, npos)
-    zeros = _HALF.to_bytes(DIGIT_BITS // 8, sys.byteorder) * len(poly)
-    if any(flat[p::npos].tobytes() != zeros for p in (0, *range(1, npos, 2))):
-        raise ValueError(f"divide_bn_alternants: the {role} is not a polynomial in x1..x{n} only")
-    cols = [flat[2 * i::npos].tolist() for i in range(1, n + 1)]
-    centres = {min(col) + max(col) - 2 * _HALF for col in cols}
-    if len(centres) > 1:
-        raise ArithmeticError(
-            f"divide_bn_alternants: the {role} has no common centre "
-            f"(min + max exponents {sorted(centres)})"
-        )
-    centre = centres.pop() if centres else 0
-    off = 2 * _HALF + centre  # g = 2 * digit - off, and g > 0 iff digit > off // 2
-    keep = [t for t, d in enumerate(cols[-1]) if d > off // 2] if cols else [0]
-    for hi, lo in zip(cols, cols[1:]):
-        keep = [t for t in keep if hi[t] > lo[t]]
-    coeffs = list(poly._terms.values())
-    return centre, {tuple([2 * col[t] - off for col in cols]): coeffs[t] for t in keep}
-
-
-def _check_alternant(poly: LaurentPoly, n: int, centre: int, dominant: dict, role: str) -> None:
-    """Raise ArithmeticError unless ``poly`` is the sum of c * A_g over its dominant
-    part, A_g = det(x_i^{(C+g_j)/2} - x_i^{(C-g_j)/2}) expanded by :func:`expand_det`.
-
-    The |g_j| are distinct and nonzero, so A_g has 2^n n! distinct terms, and
-    distinct dominant g have disjoint orbits: ``poly`` is that sum exactly when
-    it has that many terms and each expanded term matches its coefficient.
-    """
-    units = unit_keys("x", n)
-    get = poly._terms.get
-    ok = len(poly) == len(dominant) * 2**n * math.factorial(n)
-    for g, c in dominant.items():
-        if not ok:
-            break
-        a = [[(centre + gj) // 2 * u for gj in g] for u in units]
-        b = [[(centre - gj) // 2 * u for gj in g] for u in units]
-        ok = all([get(k) == c * s for k, s in expand_det(a, b)])
-    if not ok:
-        raise ArithmeticError(
-            f"divide_bn_alternants: the {role} is not the sum of the type-B alternants "
-            f"of its {len(dominant)} dominant term(s) about the centre {centre}"
-        )
-
-
 def _signed_orbit(mu: tuple[int, ...]) -> list[tuple[int, ...]]:
     """The distinct signed permutations of ``mu``, ``mu`` itself first."""
     return [
@@ -1097,47 +1044,45 @@ def _signed_orbit(mu: tuple[int, ...]) -> list[tuple[int, ...]]:
     ]
 
 
-def divide_bn_alternants(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
-    """Exact division of two type-B_n alternants in x1..xn, solved on dominant terms.
+def divide_bn_alternants(
+    num: Mapping[tuple[int, ...], int], rho: Sequence[int], shift: int = 0
+) -> LaurentPoly:
+    """sum c * A_g over ``num``'s (g, c), divided exactly by A_rho, in x1..xn.
 
-    In doubled centred coordinates g = 2e - C, with C the operand's centre
-    (min + max exponent of every x_i), a type-B alternant is
-    A_g = det(x_i^{(C+g_j)/2} - x_i^{(C-g_j)/2}) = sum over signed
-    permutations w of sign(w) x^w(g), and its one term with g strictly
-    decreasing and positive (dominant) is x^g itself.  Both operands are
-    first checked to equal the sum of c * A_g over their dominant parts,
-    re-expanded by :func:`expand_det` (ArithmeticError otherwise).  ``den``
-    must have exactly one dominant term c_rho x^rho (ValueError otherwise).
+    Weights are n-tuples in doubled centred coordinates: the type-B_n
+    alternant A_g = sum over signed permutations w of sign(w) x^w(g) is
+    det(x_i^{(C+g_j)/2} - x_i^{(C-g_j)/2}) about its centre C, and g is
+    dominant (strictly decreasing and positive) when x^g leads it.  ``num``
+    is the dividend's dominant part, and ``rho`` must be dominant
+    (ValueError otherwise).
 
-    The quotient chi is then invariant under signed permutations, a sum of
-    orbit sums chi_mu m_mu, and m_mu * A_rho is the sum of the straightened
+    The quotient chi is invariant under signed permutations, a sum of orbit
+    sums chi_mu m_mu, and m_mu * A_rho is the sum of the straightened
     A_{nu+rho} over nu in the orbit of mu (flip negative entries, sort, take
     the sign; a zero or repeated |entry| vanishes).  Each A_{nu+rho} with
     nu != mu lies below mu + rho in dominance order, so a triangular solve
-    recovers chi: take the lex-largest remaining dominant term mu + rho of
-    ``num``, record chi_mu = its coefficient / c_rho, and subtract
-    chi_mu * c_rho * m_mu * A_rho.  A leading mu that is not weakly
-    decreasing and >= 0, or a coefficient that c_rho does not divide, raises
-    :class:`NotDivisibleError`.  When nothing remains, chi * den has
-    ``num``'s dominant part and both are alternants, so chi * den == num
-    (Fulton & Harris, Representation Theory, section 24).  The work is the
-    size of the operands and the quotient.  chi is expanded over its orbits
-    with every exponent shifted by (C_num - C_den) / 2; a quotient exponent
-    outside ``±MAX_EXPONENT`` raises :class:`ExponentRangeError`.
+    recovers chi: take the lex-largest remaining weight mu + rho, record
+    chi_mu = its coefficient, and subtract chi_mu * m_mu * A_rho.  A leading
+    mu that is not weakly decreasing and >= 0 raises
+    :class:`NotDivisibleError` (Fulton & Harris, Representation Theory,
+    section 24; Macdonald, Symmetric Functions and Hall Polynomials, I.3).
+    The work is the size of the quotient plus the orbits it subtracts.
+    Each weight nu of chi becomes the exponents (nu_i + shift) / 2, with
+    ``shift`` the dividend's centre minus the divisor's; an odd
+    nu_i + shift raises ValueError, and an exponent outside
+    ``±MAX_EXPONENT`` raises :class:`ExponentRangeError`.
     """
-    npos = max(_span(num._terms), _span(den._terms))
-    n = (npos - 1) // 2
-    den_centre, den_dom = _bn_dominant(den, n, npos, "divisor")
-    if len(den_dom) != 1:
+    rho = tuple(rho)
+    n = len(rho)
+    residual = {tuple(g): c for g, c in num.items() if c}
+    if not all(map(operator.gt, rho, rho[1:] + (0,))) or any(len(g) != n for g in residual):
         raise ValueError(
-            f"divide_bn_alternants: the divisor has {len(den_dom)} dominant terms, not one"
+            f"divide_bn_alternants: the divisor weight {rho} is not dominant, "
+            f"or a dividend weight is not of its length"
         )
-    num_centre, num_dom = _bn_dominant(num, n, npos, "dividend")
-    _check_alternant(den, n, den_centre, den_dom, "divisor")
-    _check_alternant(num, n, num_centre, num_dom, "dividend")
-    ((rho, c_rho),) = den_dom.items()
-
-    residual = dict(num_dom)
+    # no later mu_1 exceeds the largest first one, so this bounds every exponent
+    top = max([g[0] - rho[0] for g in residual], default=0) if n else 0
+    bound = _checked_bound((max(top, 0) + abs(shift)) // 2)
     heap = [tuple([-v for v in g]) for g in residual]
     heapq.heapify(heap)
     chi: list[tuple[list[tuple[int, ...]], int]] = []  # (orbit of mu, chi_mu)
@@ -1148,15 +1093,15 @@ def divide_bn_alternants(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
         if coeff is None:
             continue
         mu = tuple(map(operator.sub, lead, rho))
-        if not all(map(operator.ge, mu, mu[1:] + (0,))) or coeff % c_rho:
-            exps = {f"x{i}": (g + num_centre) // 2 for i, g in enumerate(lead, 1)}
+        if not all(map(operator.ge, mu, mu[1:] + (0,))):
             raise NotDivisibleError(
-                f"nonzero remainder: the leading remaining dividend term has exponents "
-                f"{exps} and coefficient {coeff}; the divisor's leading dominant term, "
-                f"coefficient {c_rho}, does not divide it"
+                f"nonzero remainder: the leading remaining dividend weight {lead} "
+                f"(coefficient {coeff}) minus the divisor weight {rho} is not dominant"
             )
+        if any([(v + shift) & 1 for v in mu]):
+            raise ValueError(f"divide_bn_alternants: the weight {mu} + {shift} has an odd entry")
         orbit = _signed_orbit(mu)
-        chi.append((orbit, coeff // c_rho))
+        chi.append((orbit, coeff))
         for nu in orbit:
             gamma = list(map(operator.add, nu, rho))
             mags = [abs(v) for v in gamma]
@@ -1173,9 +1118,6 @@ def divide_bn_alternants(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
             else:
                 del residual[g]
 
-    shift = num_centre - den_centre
-    top = max((max(orbit[0], default=0) for orbit, _ in chi), default=0)  # the largest mu_1
-    bound = _checked_bound((top + abs(shift)) // 2)
     units = unit_keys("x", n)
     out = {
         sum([(v + shift) // 2 * u for v, u in zip(nu, units)]): c

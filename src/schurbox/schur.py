@@ -8,7 +8,9 @@ determinants
     det(x_i^{j-1} - x_i^{m+2n-j}) / det(x_i^{j-1} - x_i^{2n-j}),
 
 whose denominator is the type-B_n Weyl denominator.  Both determinants are
-type-B_n alternants, and the ratio is solved on their dominant terms.  The
+type-B_n alternants, each with one dominant weight read off its exponent
+columns, and the ratio is solved from those two weights without expanding
+either determinant; weyl, dn and eq4 check the expansions.  The
 box sum counts semistandard tableaux by content, as chains of interlacing
 shapes; the tableau Schur polynomial enumerates them shape by shape, and
 the bialternant form det(x_i^{lambda_j+n-j}) / prod_{i<j}(x_i - x_j) is the
@@ -171,16 +173,14 @@ def bn_factors(n: int) -> list[LaurentPoly]:
 def box_det_ratio(box: BoxParams) -> LaurentPoly:
     """det(x_i^{j-1} - x_i^{m+2n-j}) / det(x_i^{j-1} - x_i^{2n-j}), exactly.
 
-    Both determinants are built by :func:`binomial_det`, and each is one
-    type-B_n alternant (the divisor is D_n), so
-    :func:`~schurbox.poly.divide_bn_alternants` checks each against its own
-    key-level expansion and solves the ratio on their dominant terms.
+    Column j pairs the exponents j - 1 and C - (j - 1), so each determinant is
+    (-1)^n times one type-B_n alternant about its centre C: in the weights of
+    :func:`~schurbox.poly.divide_bn_alternants`, D_n (C = 2n - 1) is A_rho with
+    rho = (2n-1, 2n-3, ..., 1) and the numerator (C = m + 2n - 1) is
+    A_{m+rho}.  The ratio is solved from these weights; neither is expanded.
     """
-    m, n = box.m, box.n
-    if n == 0:
-        return LaurentPoly.one()
-    num = binomial_det(xvars(n), *_box_exponents(m, n))
-    return divide_bn_alternants(num, binomial_det(xvars(n), *_box_exponents(0, n)))
+    rho = tuple(range(2 * box.n - 1, 0, -2))
+    return divide_bn_alternants({tuple([box.m + r for r in rho]): 1}, rho, shift=box.m)
 
 
 def times_bn_factors(poly: LaurentPoly, n: int) -> LaurentPoly:

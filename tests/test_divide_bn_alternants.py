@@ -1,6 +1,8 @@
 """``divide_bn_alternants`` against ``divide_binomials`` and ``exact_div``, its
 refusals, and the theorem that routes through it."""
 
+import operator
+
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
@@ -28,6 +30,10 @@ def dn(n):
     return numerator(0, n)
 
 
+def rho(n):
+    return tuple(range(2 * n - 1, 0, -2))
+
+
 def alternant(n, g, centre):
     """A_g = det(x_i^{(C+g_j)/2} - x_i^{(C-g_j)/2}) by ``binomial_det``, which
     test_schur.py checks against the polynomial-entry ``determinant``."""
@@ -36,62 +42,69 @@ def alternant(n, g, centre):
     )
 
 
+def dominant(poly, n):
+    """The centre C of a type-B_n alternant ``poly`` in x1..xn (min + max exponent
+    of x1) and its dominant part: g = 2e - C over the terms x^e whose g is
+    strictly decreasing and positive, mapped to their coefficients."""
+    rows = [([mono.exponent(v) for v in schur.xvars(n)], c) for mono, c in poly.terms()]
+    centre = min(e[0] for e, _ in rows) + max(e[0] for e, _ in rows)
+    weights = {tuple([2 * v - centre for v in e]): c for e, c in rows}
+    return centre, {g: c for g, c in weights.items() if all(map(operator.gt, g, g[1:] + (0,)))}
+
+
 @pytest.mark.parametrize(
     "m,n", [(m, n) for n in range(1, 5) for m in range(1, 4)] + [(1, 5), (2, 5)]
 )
 def test_matches_binomial_and_long_division(m, n):
     num, den = numerator(m, n), dn(n)
-    quotient = divide_bn_alternants(num, den)
+    quotient = schur.box_det_ratio(schur.BoxParams(m, n))
     assert quotient == divide_binomials(num, schur.bn_factors(n))
     assert quotient == exact_div(num, den)
-    assert quotient == schur.box_det_ratio(schur.BoxParams(m, n))
+
+
+def test_matches_binomial_division_at_n6():
+    assert schur.box_det_ratio(schur.BoxParams(1, 6)) == divide_binomials(
+        numerator(1, 6), schur.bn_factors(6)
+    )
 
 
 def test_divisor_by_dividend_is_refused():
-    with pytest.raises(NotDivisibleError, match="leading remaining dividend term"):
-        divide_bn_alternants(dn(3), numerator(2, 3))
+    with pytest.raises(NotDivisibleError, match="leading remaining dividend weight"):
+        divide_bn_alternants({rho(3): 1}, [2 + r for r in rho(3)], shift=-2)
 
 
-def test_perturbed_dividend_is_no_alternant():
-    x1 = P.variable("x1")
-    with pytest.raises(ArithmeticError, match="the dividend is not the sum") as info:
-        divide_bn_alternants(numerator(2, 3) + x1, dn(3))
-    assert not isinstance(info.value, NotDivisibleError)
-
-
-def test_coefficient_not_divisible_is_refused():
-    with pytest.raises(NotDivisibleError, match="coefficient -1"):
-        divide_bn_alternants(numerator(2, 3), 2 * dn(3))
-
-
-def test_divisor_with_two_dominant_terms_is_refused():
-    den = dn(2) + alternant(2, (5, 1), 3)  # both about the centre 3
-    with pytest.raises(ValueError, match="the divisor has 2 dominant terms"):
-        divide_bn_alternants(numerator(1, 2) * den, den)
-
-
-def test_operands_without_a_common_centre_are_refused():
-    x1 = P.variable("x1")
-    with pytest.raises(ArithmeticError, match="no common centre"):
-        divide_bn_alternants(numerator(1, 2), dn(2) * x1)
-
-
-def test_operand_outside_x_is_refused():
-    with pytest.raises(ValueError, match="not a polynomial in x1..x2 only"):
-        divide_bn_alternants(numerator(1, 2) * P.variable("q"), dn(2))
+def test_malformed_weights_are_refused():
+    for bad in ((1, 3), (3, 0), (3, 3, 1)):
+        with pytest.raises(ValueError, match="not dominant"):
+            divide_bn_alternants({(5, 3, 1): 1}, bad)
+    for weight in ((5, 3, 1), ()):
+        with pytest.raises(ValueError, match="not of its length"):
+            divide_bn_alternants({weight: 1}, (3, 1))
+    with pytest.raises(ValueError, match="odd entry"):
+        divide_bn_alternants({(4, 2): 1}, (3, 1), shift=0)
+    quotient = divide_bn_alternants({(4, 2): 1}, (3, 1), shift=1)
+    assert quotient == exact_div(numerator(1, 2), dn(2))
 
 
 def test_quotient_outside_the_exponent_range_is_refused():
-    num = alternant(1, (1,), 2 * MAX_EXPONENT - 1)  # x1^M - x1^(M-1)
-    den = alternant(1, (1,), 1 - 2 * MAX_EXPONENT)  # x1^(1-M) - x1^-M
+    # A_(1) about the centres 2M - 1 and 1 - 2M: x1^M - x1^(M-1) over x1^(1-M) - x1^-M
     with pytest.raises(ExponentRangeError):
-        divide_bn_alternants(num, den)
-    assert divide_bn_alternants(num, num) == P.one()
+        divide_bn_alternants({(1,): 1}, (1,), shift=4 * MAX_EXPONENT - 2)
+    assert divide_bn_alternants({(1,): 1}, (1,), shift=2 * MAX_EXPONENT) == P.variable(
+        "x1", MAX_EXPONENT
+    )
+    # refused before the solve, whose quotient would have (m + 1)^n terms
+    with pytest.raises(ExponentRangeError):
+        schur.box_det_ratio(schur.BoxParams(MAX_EXPONENT + 1, 2))
 
 
 def test_zero_dividend_and_constants():
-    assert divide_bn_alternants(P.zero(), dn(3)) == P.zero()
-    assert divide_bn_alternants(P.constant(6), P.constant(-3)) == P.constant(-2)
+    assert divide_bn_alternants({}, rho(3)) == P.zero()
+    assert divide_bn_alternants({rho(3): 0}, rho(3)) == P.zero()
+    assert divide_bn_alternants({(): 6}, ()) == P.constant(6)
+    assert divide_bn_alternants({rho(2): -2}, rho(2), shift=4) == -2 * (
+        P.variable("x1", 2) * P.variable("x2", 2)
+    )
 
 
 # An invariant quotient about its own centre: prod (1 + x_i)^a, (x1...xn)^k and a
@@ -119,29 +132,28 @@ def alternant_quotients(draw):
     rho = sorted(draw(st.lists(st.integers(1, 4), min_size=n, max_size=n, unique=True)),
                  reverse=True)
     parity = draw(st.integers(0, 1))
-    rho = [2 * v - parity for v in rho]
+    rho = tuple([2 * v - parity for v in rho])
     centre = parity + 2 * draw(st.integers(-2, 2))
-    sign = draw(st.sampled_from([1, -1, 2]))
     chi = invariant(n, draw(st.integers(0, 2)), draw(st.integers(-1, 1)),
                     draw(st.lists(st.integers(-3, 3), min_size=n + 1, max_size=n + 1)))
-    return chi, sign * alternant(n, rho, centre)
+    return n, chi, rho, centre
 
 
 @given(alternant_quotients())
 @settings(max_examples=60, deadline=None)
 def test_recovers_any_invariant_quotient(case):
-    chi, den = case
-    num = chi * den
-    assert divide_bn_alternants(num, den) == chi
-    if chi:
-        with pytest.raises(ArithmeticError):
-            divide_bn_alternants(num + P.variable("x1", 9), den)
+    n, chi, rho, centre = case
+    if not chi:
+        assert divide_bn_alternants({}, rho) == chi
+        return
+    num_centre, num_dom = dominant(chi * alternant(n, rho, centre), n)
+    assert divide_bn_alternants(num_dom, rho, shift=num_centre - centre) == chi
 
 
 # -- the theorem ------------------------------------------------------------------
 
 
-def test_corrupted_divisor_fails_the_theorem(monkeypatch, capsys):
+def test_corrupted_divisor_fails_weyl_and_dn(monkeypatch, capsys):
     real = schur.binomial_det
 
     def corrupt_dn(names, a, b):
@@ -149,19 +161,35 @@ def test_corrupted_divisor_fails_the_theorem(monkeypatch, capsys):
         return real(names, a, b) + (1 if b[0] == 2 * len(names) - 1 else 0)
 
     monkeypatch.setattr(schur, "binomial_det", corrupt_dn)
-    assert cli.main(["verify", "--checks", "theorem", "--m", "1", "--n", "2"]) == 1
-    out = capsys.readouterr().out
-    assert "PASS" not in out
-    assert "ERROR  ArithmeticError: divide_bn_alternants: the divisor is not the sum" in out
+    argv = ["verify", "--checks", "theorem,weyl,dn", "--m", "1", "--n", "2"]
+    assert cli.main(argv) == 1
+    lines = capsys.readouterr().out.splitlines()[:3]
+    status = {line.split()[0]: line.split()[3] for line in lines}
+    # the theorem solves N / D_n from their weights and never reads D_n's terms
+    assert status == {"theorem": "PASS", "weyl": "FAIL", "dn": "FAIL"}
 
 
 def test_theorem_never_divides_by_binomials(monkeypatch):
     def refuse(*args):
-        raise AssertionError("divide_binomials called on the theorem's path")
+        raise AssertionError("a general division called on the theorem's path")
 
     for module in (poly, schur):
         monkeypatch.setattr(module, "divide_binomials", refuse)
+    monkeypatch.setattr(poly, "exact_div", refuse)
     results = run_verification(RunConfig(("theorem",), (1, 3), (1, 4)))
     assert len(results) == 12
     assert all(r.passed for r in results), [r.error for r in results]
     assert {r.divisor for r in results} == {"bn-alternant"}
+
+
+def test_theorem_never_expands_a_determinant(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a determinant expanded on the theorem's path")
+
+    for module in (poly, schur):
+        for name in ("expand_det", "binomial_det"):
+            monkeypatch.setattr(module, name, refuse)
+    monkeypatch.setattr(poly, "determinant", refuse)
+    results = run_verification(RunConfig(("theorem",), (1, 3), (1, 4)))
+    assert len(results) == 12
+    assert all(r.passed for r in results), [r.error for r in results]

@@ -74,6 +74,21 @@ def test_unknown_variable_rejected():
         Monomial.variable("x0")
 
 
+def test_exponent_refuses_names_outside_the_namespace():
+    mono = Monomial({"x1": 2, "t3": -1})
+    assert [mono.exponent(v) for v in ("x1", "t3", "q", "x2", "t1", "x9")] == [2, -1, 0, 0, 0, 0]
+    for name in ("y1", "x0", "X1"):
+        with pytest.raises(ValueError, match="unknown variable"):
+            mono.exponent(name)
+
+
+def test_power_takes_int_exponents_only():
+    with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+        x1 ** 1.0
+    assert (1 + x1) ** True == 1 + x1
+    assert (1 + x1) ** 0 == 1
+
+
 def test_unit_keys_are_the_keys_of_single_variables():
     assert unit_keys("x", 0) == ()
     for letter in "tx":

@@ -100,6 +100,7 @@ def test_frontier_table_cut_to_small_n(tmp_path):
         *[(c, 4, 3) for c in (
             "theorem", "eq4", "eq5", "macmahon", "gordon", "bijection", "schur-agree",
         )],
+        *[("theorem", m, 3) for m in (1, 2, 3)],  # (4, 3) is a repeat
     ]
     for case in table["cases"]:
         assert case["exit_code"] == 0 and not case["timed_out"]
