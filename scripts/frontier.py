@@ -6,8 +6,9 @@ run against ``<root>/src`` in its own process, under a timeout.  The table
 records every result's ``elapsed_ms`` and pass flag, the child's exit code and
 wall time, and its peak resident set size (``ru_maxrss`` from ``os.wait4``,
 so each child's own peak).  The m-free checks run at n = 6 and n = 7 (their
-``--m`` is ignored); every check that depends on m runs at (m, n) = (4, 5),
-and the theorem also at n = 7 and n = 8 for m = 1..4.
+``--m`` is ignored); every check that depends on m runs at (m, n) = (4, 5)
+and at n = 6 for m = 1..4, and the theorem also at n = 7 and n = 8 for
+m = 1..4.
 Each child gets the caller's environment without its ``PYTHON*`` settings
 (``PYTHONDONTWRITEBYTECODE`` among them), with ``PYTHONPATH`` set to
 ``<root>/src``, and one untimed ``import schurbox.cli`` before the table
@@ -39,6 +40,7 @@ M_DEPENDENT = ("theorem", "eq4", "eq5", "macmahon", "gordon", "bijection", "schu
 TABLE = (
     [(check, 1, n) for n in (6, 7) for check in M_FREE]
     + [(check, 4, 5) for check in M_DEPENDENT]
+    + [(check, m, 6) for m in range(1, 5) for check in M_DEPENDENT]
     + [("theorem", m, n) for n in (7, 8) for m in range(1, 5)]
 )
 

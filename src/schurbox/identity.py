@@ -10,8 +10,9 @@ Laurent polynomials, so a check is literal equality (the runner in
 * ``eq4_sides``: the theorem with denominators cleared,
   det(x_i^{j-1}-x_i^{m+2n-j}) == sum_lambda det(x_i^{lambda_j+n-j})
   * prod(1-x_i) * prod_{i<j}(x_i x_j - 1).
-* ``eq5_sides``: the paper's eq4 expanded over permutations and subsets S;
-  eq4's sides are built expanded already, so these are exactly eq4's sides.
+* ``eq5_sides``: the paper's eq4 expanded over permutations and subsets S,
+  which is how ``expand_det`` expands eq4's left side; its right side is
+  eq6's with m put back by t_i := x_i^{m+2n-1}.
 * ``eq6_sides``: the m-free restatement after replacing x_i^{m+1} by
   t_i x_i^{2-2n}; the per-subset geometric-sum denominators (1 - prod x_i)
   are cleared by exact division.  Its right side builds the subset term of
@@ -25,10 +26,11 @@ prod_{i<j}(x_j - x_i), the Schur Vandermonde prod_{i<j}(x_i - x_j) up to
 the sign (-1)^C(n,2).
 
 :func:`~schurbox.poly.expand_det` expands every determinant at key level:
-the eq6 left side and inner sums, the alternant sum of the right side that
-eq4 and eq5 share, and, through :func:`~schurbox.poly.binomial_det`, the
-left side that they share and the vanishing determinant.  The lemma's k-th
-term and eq6's k-prefactor come from one ``_k_factor(n, k)``.
+the eq6 left side and inner sums, eq4's alternant sum, and, through
+:func:`~schurbox.poly.binomial_det`, the left side that eq4 and eq5 share
+and the vanishing determinant.  eq5 and eq6 share eq6's right side
+(``_eq6_rhs_terms``), so eq5 and eq4 meet only in their left side.  The
+lemma's k-th term and eq6's k-prefactor come from one ``_k_factor(n, k)``.
 """
 
 from __future__ import annotations
@@ -111,28 +113,27 @@ def f_function(n: int) -> LaurentPoly:
     return divide_binomials(_lemma_lhs(n), later_minus_earlier)
 
 
-def _alternant_side(box: BoxParams) -> LaurentPoly:
-    """eq4's and eq5's right side: sum_lambda det(x_i^{lambda_j+n-j}) * B_n factors."""
-    m, n = box.m, box.n
-    terms = (t for lam in partitions_in_box(m, n) for t in expand_det(alternant_table(lam, n)))
-    return times_bn_factors(LaurentPoly.from_keys(terms), n)
-
-
 def eq4_sides(box: BoxParams) -> tuple[LaurentPoly, LaurentPoly]:
     """The theorem with the Weyl denominator cleared: det(x_i^{j-1} - x_i^{m+2n-j})
     by :func:`~schurbox.poly.binomial_det`, and the alternant sum times the B_n factors."""
-    if box.n < 1:
+    m, n = box
+    if n < 1:
         raise ValueError("n must be at least 1")
-    return binomial_det(xvars(box.n), *_box_exponents(box.m, box.n)), _alternant_side(box)
+    lhs = binomial_det(xvars(n), *_box_exponents(m, n))
+    terms = (t for lam in partitions_in_box(m, n) for t in expand_det(alternant_table(lam, n)))
+    return lhs, times_bn_factors(LaurentPoly.from_keys(terms), n)
 
 
 def eq5_sides(box: BoxParams) -> tuple[LaurentPoly, LaurentPoly]:
-    """The paper's eq4 fully expanded, which is how :func:`eq4_sides` builds it, so
-    these are exactly eq4's sides and the eq5 row adds no evidence of its own
-    (ROADMAP.md, "Give eq5 its own construction", plans one from eq6)."""
-    if box.n < 1:
+    """The paper's eq4 expanded over permutations and subsets: the left side is
+    eq4's, and the right side is eq6's with m put back by t_i := x_i^{m+2n-1},
+    the inverse of the step x_i^{m+1} -> t_i x_i^{2-2n} from eq5 to eq6."""
+    m, n = box
+    if n < 1:
         raise ValueError("n must be at least 1")
-    return binomial_det(xvars(box.n), *_box_exponents(box.m, box.n)), _alternant_side(box)
+    lhs = binomial_det(xvars(n), *_box_exponents(m, n))
+    t_values = {f"t{i}": Monomial.variable(f"x{i}", m + 2 * n - 1) for i in range(1, n + 1)}
+    return lhs, LaurentPoly.from_keys(_eq6_rhs_terms(n)).substitute(t_values)
 
 
 def _revolving_door(n: int, s: int) -> list[tuple[int, ...]]:
@@ -159,14 +160,10 @@ def _transpositions(n: int, s: int) -> Iterator[dict[str, str]]:
         yield {f"{v}{i}": f"{v}{j}" for i, j in ((a, b), (b, a)) for v in "tx"}
 
 
-def eq6_sides(n: int) -> tuple[LaurentPoly, LaurentPoly]:
-    """The m-free restatement over x1..xn, t1..tn.
+def _eq6_rhs_terms(n: int) -> Iterator[tuple[int, int]]:
+    """The terms of eq6's right side, which :func:`eq5_sides` also uses.
 
-    Left side: sum over permutations sigma and subsets S of
-    (-1)^{inv+|S|} prod_{i in S} t_i x_i^{1-sigma(i)} prod_{i not in S} x_i^{sigma(i)-1},
-    that is det(x_i^{j-1} - t_i x_i^{1-j}), expanded in full.
-
-    Right side: the sum over proper subsets S of (-1)^|S| term_S.  term_S is
+    The side is the sum over proper subsets S of (-1)^|S| term_S.  term_S is
     the k-sum over k not in S of (-1)^{n+k}(1-x_k) prod_{i!=k}(x_i x_k - 1)
     times the inner sum over bijections {1..n}\\{k} -> {1..n-1}, times the
     geometric-sum fraction
@@ -195,33 +192,38 @@ def eq6_sides(n: int) -> tuple[LaurentPoly, LaurentPoly]:
     single transposition, which flips the sign.  All images are added into
     one term map, and the side is built once.
     """
+    cols = range(1, n + 1)
+    k_factors = [_k_factor(n, k) for k in cols]
+    for s in range(n):
+        comp = cols[s:]
+        rows = [_row(i, range(-1, -n, -1), 1) for i in cols[:s]]
+        rows += [_row(i, range(1, n)) for i in comp]
+        ksum = LaurentPoly.zero()
+        for k in comp:
+            inner = LaurentPoly.from_keys(expand_det(rows[:k - 1] + rows[k:]))
+            ksum = ksum + k_factors[k - 1] * inner
+        t_numerator = 1 - _x_product(comp, 2 - 2 * n, 1)
+        term = times_binomials(divide_binomials(ksum, [1 - _x_product(comp)]), [t_numerator])
+        images = accumulate(_transpositions(n, s), LaurentPoly.substitute, initial=term)
+        for r, image in enumerate(images, s):
+            sign = -1 if r & 1 else 1
+            yield from ((key, sign * c) for key, c in image.key_terms())
+
+
+def eq6_sides(n: int) -> tuple[LaurentPoly, LaurentPoly]:
+    """The m-free restatement over x1..xn, t1..tn.
+
+    Left side: sum over permutations sigma and subsets S of
+    (-1)^{inv+|S|} prod_{i in S} t_i x_i^{1-sigma(i)} prod_{i not in S} x_i^{sigma(i)-1},
+    that is det(x_i^{j-1} - t_i x_i^{1-j}), expanded in full.  Right side: the
+    terms of :func:`_eq6_rhs_terms`.
+    """
     if n < 1:
         raise ValueError("n must be at least 1")
     cols = range(1, n + 1)
     a = [_row(i, range(n)) for i in cols]
     b = [_row(i, range(0, -n, -1), 1) for i in cols]
-    lhs = LaurentPoly.from_keys(expand_det(a, b))
-
-    k_factors = [_k_factor(n, k) for k in cols]
-
-    def terms() -> Iterator[tuple[int, int]]:
-        for s in range(n):
-            comp = cols[s:]
-            rows = [_row(i, range(-1, -n, -1), 1) for i in cols[:s]]
-            rows += [_row(i, range(1, n)) for i in comp]
-            ksum = LaurentPoly.zero()
-            for k in comp:
-                inner = LaurentPoly.from_keys(expand_det(rows[:k - 1] + rows[k:]))
-                ksum = ksum + k_factors[k - 1] * inner
-            t_numerator = 1 - _x_product(comp, 2 - 2 * n, 1)
-            term = times_binomials(divide_binomials(ksum, [1 - _x_product(comp)]), [t_numerator])
-            images = accumulate(_transpositions(n, s), LaurentPoly.substitute, initial=term)
-            for r, image in enumerate(images, s):
-                sign = -1 if r & 1 else 1
-                yield from ((key, sign * c) for key, c in image.key_terms())
-
-    rhs = LaurentPoly.from_keys(terms())
-    return lhs, rhs
+    return LaurentPoly.from_keys(expand_det(a, b)), LaurentPoly.from_keys(_eq6_rhs_terms(n))
 
 
 def vanishing_det(n: int) -> LaurentPoly:

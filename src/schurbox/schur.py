@@ -134,12 +134,16 @@ def schur_box_sum(box: BoxParams) -> LaurentPoly:
     interlaces lambda^(k-1) (a Gelfand-Tsetlin pattern).  Level k maps each
     lambda^k, padded to k parts, to the content monomials in x_1..x_k of the
     chains that reach it, counted, so the chains through one shape are
-    extended together; the box sum is the sum over level n.
-    :func:`schur_via_tableaux` enumerates the same tableaux one at a time.
+    extended together; level n, never extended, counts all chains into one
+    dict, the box sum.  An m past ``MAX_EXPONENT`` raises at once, since no
+    x_k exponent exceeds m.  :func:`schur_via_tableaux` enumerates the same
+    tableaux one at a time.
     """
-    m = box.m
+    m, n = box
+    if n:
+        Monomial.variable("x1", m)  # range-checks m
     level: dict[tuple[int, ...], dict[int, int]] = {(): {0: 1}}
-    for unit in unit_keys("x", box.n):
+    for k, unit in enumerate(unit_keys("x", n), 1):
         above: dict[tuple[int, ...], dict[int, int]] = {}
         for mu, counts in level.items():
             # lambda_1 in [mu_1, m], lambda_i in [mu_i, mu_(i-1)], lambda_k in [0, mu_(k-1)]
@@ -147,13 +151,13 @@ def schur_box_sum(box: BoxParams) -> LaurentPoly:
             size = sum(mu)
             for lam in itertools.product(*ranges):
                 shift = (sum(lam) - size) * unit
-                target = above.setdefault(lam, {})
+                target = above.setdefault(lam if k < n else (), {})
                 get = target.get
                 for key, c in counts.items():
                     key += shift
                     target[key] = get(key, 0) + c
         level = above
-    return LaurentPoly.from_keys(item for counts in level.values() for item in counts.items())
+    return LaurentPoly.from_keys(level[()].items())
 
 
 def bn_factors(n: int) -> list[LaurentPoly]:

@@ -255,6 +255,22 @@ def test_cli_out_of_range_m_is_two_error_records_within_seconds():
     assert "2 checks, 0 passed, 2 failed" in proc.stderr
 
 
+def test_cli_theorem_m_past_the_exponent_range_is_an_error_record_within_seconds():
+    # the box sum refuses m before it lists range(m + 1), which would not fit the cap
+    start = time.monotonic()
+    proc = subprocess.run(
+        [sys.executable, "-m", "schurbox", "verify", "--checks", "theorem",
+         "--m", "2147483648", "--n", "1"],
+        capture_output=True, text=True, timeout=60, preexec_fn=limit_memory,
+    )
+    assert time.monotonic() - start < 30
+    assert proc.returncode == 1
+    (line,) = proc.stdout.strip().splitlines()
+    assert line.startswith("theorem ")
+    assert "ERROR  ExponentRangeError: exponent 2147483648 of x1" in line
+    assert "1 checks, 0 passed, 1 failed" in proc.stderr
+
+
 def test_cli_import_loads_no_dataclasses_inspect_or_json():
     # A clean interpreter: no PYTHON* variable, the package's source root put
     # first on sys.path by hand.

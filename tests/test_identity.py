@@ -8,7 +8,7 @@ import pytest
 from reference_identity import all_subsets_rhs, subset_terms
 from reference_poly import inversion_count
 from schurbox import identity
-from schurbox.checks import CheckResult
+from schurbox.checks import CheckResult, RunConfig, run_verification
 from schurbox.identity import (
     eq4_sides,
     eq5_sides,
@@ -211,6 +211,32 @@ def test_eq5_checks_its_tables_before_enumerating_partitions(monkeypatch):
     # m + 2n - 1 = 2**31 packed unchecked would carry into t2
     with pytest.raises(ExponentRangeError, match="exponent 2147483648 of x1"):
         eq5_sides(BoxParams(2**31 - 1, 1))
+
+
+def test_eq5_builds_none_of_eq4s_alternant_sum(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("eq5 built part of eq4's alternant sum")
+
+    monkeypatch.setattr(identity, "alternant_table", refuse)
+    monkeypatch.setattr(identity, "times_bn_factors", refuse)
+    for n in range(1, 5):
+        for m in range(1, 4):
+            lhs, rhs = eq5_sides(BoxParams(m, n))
+            assert lhs == rhs
+
+
+def test_a_wrong_eq6_builder_fails_eq5_and_eq6_but_not_eq4(monkeypatch):
+    k_factor = identity._k_factor
+
+    def wrong_k_factor(n, k):
+        # the k = 1 prefactor negated: eq6's right side is wrong, or its division is not exact
+        return -k_factor(n, k) if k == 1 else k_factor(n, k)
+
+    monkeypatch.setattr(identity, "_k_factor", wrong_k_factor)
+    results = run_verification(RunConfig(("eq4", "eq5", "eq6"), (1, 2), (2, 3)))
+    assert [(r.identity, r.passed) for r in results] == (
+        [("eq4", True)] * 4 + [("eq5", False)] * 4 + [("eq6", False)] * 2
+    )
 
 
 def test_eq6_order_one():

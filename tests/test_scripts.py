@@ -97,10 +97,9 @@ def test_frontier_table_cut_to_small_n(tmp_path):
     table = json.loads((tmp_path / "BENCH_frontier_smoke.json").read_text())
     assert [(c["check"], c["m"], c["n"]) for c in table["cases"]] == [
         *[(c, 1, 3) for c in ("weyl", "lemma", "eq6", "vanishing", "dn")],
-        *[(c, 4, 3) for c in (
+        *[(c, m, 3) for m in (4, 1, 2, 3) for c in (  # the n = 6 rows, (4, 3) first
             "theorem", "eq4", "eq5", "macmahon", "gordon", "bijection", "schur-agree",
-        )],
-        *[("theorem", m, 3) for m in (1, 2, 3)],  # (4, 3) is a repeat
+        )],  # the theorem's n = 7, 8 rows are all repeats
     ]
     for case in table["cases"]:
         assert case["exit_code"] == 0 and not case["timed_out"]
