@@ -45,11 +45,9 @@ each of those divisors is a product of binomials x^a - x^b (a Vandermonde,
 1 - prod x_i, prod (1 - q^e)), and dividing by one of them is a prefix sum
 along v = b - a inside each coset k + Z*v of the packed keys, exact if and
 only if every coset sums to 0.  :func:`exact_div` divides by any divisor
-and is the general reference both fast routes are tested against: it packs
-each shifted exponent vector once more, into base ``2**bits`` digits
-``(total degree, e_1, ..., e_k)`` with non-negative digits, so integer order
-is graded-lex order, and finds leading terms with a heap that shares its int
-keys with the remainder dict.  Its docstring gives the digit-width bound.
+and no check calls it: it is plain long division under the graded-lex
+order on exponent tuples, the general reference both fast routes are
+tested against.
 
 Multiplication takes two routes.  ``LaurentPoly.__mul__`` multiplies any two
 polynomials, one row per term of the smaller operand.  :func:`times_binomials`
@@ -798,22 +796,11 @@ def exact_div(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
     message gives the remainder's leading exponents in the dividend's
     (unshifted) Laurent coordinates.
 
-    The operands' keys are decoded once, and each shifted exponent vector
-    (over the variables either operand uses, in variable order) is packed
-    into one int whose base ``2**bits`` digits are
-    ``(total degree, e_1, ..., e_k)``, most significant first, so integer
-    order is graded-lex order and multiplying monomials is adding keys.
-    Every remainder term has total degree at most the larger total degree of
-    the shifted operands (each step replaces the leading term by terms below
-    it), and every digit is at most that bound, so with ``bits`` one more
-    than its bit length no digit can carry.
-
-    The remainder is a dict from negated key to coefficient, and a heap
-    holds the same int objects, so ``heapq``'s minimum is the graded-lex
-    leading term (Johnson 1974; Monagan & Pearce 2011).  A key is pushed
-    once, when it first enters the dict, and popped from both at once; a key
-    whose coefficient cancelled to 0 stays in both until it is popped and
-    skipped.  Sharing the objects keeps one copy of each key in memory.
+    The operands' keys are decoded once into exponent tuples over the
+    variables either operand uses, in variable order.  The remainder maps
+    tuple to coefficient, and a heap of ``(-degree, negated tuple)`` entries
+    gives its leading term.  A tuple is pushed when it first enters the
+    remainder; one whose coefficient cancelled to 0 stays until it is popped.
     """
     if den.is_zero():
         raise ZeroDivisionError("exact_div: divisor is the zero polynomial")
@@ -834,53 +821,37 @@ def exact_div(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
         vecs = (tuple(d - lo for d, lo in zip(row, lows)) for row in rows)
         return dict(zip(vecs, poly._terms.values())), [lo - _HALF for lo in lows]
 
-    num_vecs, num_min = to_vectors(num, num_flat)
-    den_vecs, den_min = to_vectors(den, den_flat)
-    bits = max(sum(vec) for vec in itertools.chain(num_vecs, den_vecs)).bit_length() + 1
-    mask = (1 << bits) - 1
-    low_shifts = [bits * (len(universe) - 1 - i) for i in range(len(universe))]
-
-    def neg_key(vec: tuple[int, ...]) -> int:
-        key = sum(vec)
-        for e in vec:
-            key = (key << bits) | e
-        return -key
-
-    def unpack(key: int) -> tuple[int, ...]:
-        return tuple((key >> s) & mask for s in low_shifts)
-
-    den_rest = {neg_key(vec): c for vec, c in den_vecs.items()}
-    neg_den_lead = min(den_rest)
-    den_lead = unpack(-neg_den_lead)
+    remainder, num_min = to_vectors(num, num_flat)
+    den_rest, den_min = to_vectors(den, den_flat)
+    den_lead = max(den_rest, key=lambda vec: (sum(vec), vec))
     # The divisor's leading term cancels the remainder's by construction.
-    den_lead_coeff = den_rest.pop(neg_den_lead)
+    den_lead_coeff = den_rest.pop(den_lead)
+    den_rest = [(vec, sum(vec) - sum(den_lead), c) for vec, c in den_rest.items()]
 
-    remainder = {neg_key(vec): c for vec, c in num_vecs.items()}
-    del num_vecs, den_vecs  # from here on only the packed keys are held
-    heap = list(remainder)
+    heap = [(-sum(vec), tuple(map(operator.neg, vec))) for vec in remainder]
     heapq.heapify(heap)
+    get = remainder.get
     quotient: dict[tuple[int, ...], int] = {}
     while heap:
-        neg_lead = heapq.heappop(heap)
-        lead_coeff = remainder.pop(neg_lead)
+        neg_deg, neg_lead = heapq.heappop(heap)
+        lead = tuple(map(operator.neg, neg_lead))
+        lead_coeff = remainder.pop(lead)
         if not lead_coeff:
             continue
-        lead = unpack(-neg_lead)
-        q_vec = tuple(a - b for a, b in zip(lead, den_lead))
+        q_vec = tuple(map(operator.sub, lead, den_lead))
         if any(e < 0 for e in q_vec) or lead_coeff % den_lead_coeff:
             exps = {_name(p): e + lo for p, e, lo in zip(universe, lead, num_min)}
             raise NotDivisibleError(f"nonzero remainder: leading term has exponents {exps}")
         q_coeff = lead_coeff // den_lead_coeff
         quotient[q_vec] = q_coeff
-        neg_q = neg_lead - neg_den_lead
-        for neg_d, d_coeff in den_rest.items():
-            t_key = neg_q + neg_d
-            c = remainder.get(t_key)
+        for d_vec, d_deg, d_coeff in den_rest:
+            t_vec = tuple(map(operator.add, q_vec, d_vec))
+            c = get(t_vec)
             if c is None:
-                remainder[t_key] = -q_coeff * d_coeff
-                heapq.heappush(heap, t_key)
+                remainder[t_vec] = -q_coeff * d_coeff
+                heapq.heappush(heap, (neg_deg - d_deg, tuple(map(operator.neg, t_vec))))
             else:
-                remainder[t_key] = c - q_coeff * d_coeff
+                remainder[t_vec] = c - q_coeff * d_coeff
 
     shift = [a - b for a, b in zip(num_min, den_min)]
     bound = _checked_bound(

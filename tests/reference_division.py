@@ -1,12 +1,12 @@
-"""The quadratic long division that ``schurbox.poly.exact_div`` replaced.
+"""``schurbox.poly.exact_div``'s graded-lex long division, read through the public API.
 
-Kept only as a reference for differential tests: it finds each leading term
-with a linear ``max`` over the remainder, so it costs
-O(|quotient| * |remainder|) key builds, but its logic is the plain textbook
-algorithm.  It reads and builds polynomials through the public API only
-(``terms()``, ``Monomial.exponent`` and the ``LaurentPoly`` constructor).  Its
-NotDivisibleError message gives the remainder's leading exponents in the
-dividend's Laurent coordinates, as ``exact_div`` does.
+Kept as a reference for differential tests.  It is the same algorithm as
+``exact_div``, but it finds each leading term with a linear ``max`` over the
+remainder instead of a heap, so it costs O(|quotient| * |remainder|), and it
+reads and builds polynomials through the public API only (``terms()``,
+``Monomial.exponent`` and the ``LaurentPoly`` constructor), not from packed
+keys.  Its NotDivisibleError message gives the remainder's leading exponents
+in the dividend's Laurent coordinates, as ``exact_div`` does.
 """
 
 from __future__ import annotations

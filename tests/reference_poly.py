@@ -1,7 +1,8 @@
 """The sorted-pairs monomial arithmetic that the packed-int ring replaced,
 the nested-loop packed-key product that ``LaurentPoly.__mul__`` used before
 it looped over the smaller operand, and the inversion count that gave
-determinant signs before ``signed_permutations``.
+determinant signs before ``signed_permutations``, plus
+``largest_exponent``, the oracle for a polynomial's exponent bound.
 
 Kept only as a reference for differential tests.  A monomial is a tuple of
 ``(variable, exponent)`` pairs with no zero exponent, sorted in the variable
@@ -192,3 +193,12 @@ def inversion_count(seq: Sequence[int]) -> int:
             if seq[i] > seq[j]:
                 count += 1
     return count
+
+
+def largest_exponent(target):
+    """Largest |exponent| of a polynomial's terms or of a substitution target."""
+    if isinstance(target, LaurentPoly):
+        return max((largest_exponent(mono) for mono, _ in target.terms()), default=0)
+    if isinstance(target, Monomial):
+        return max((abs(e) for _, e in target.pairs), default=0)
+    return 1 if isinstance(target, str) else 0

@@ -7,6 +7,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
+from reference_poly import largest_exponent
 from schurbox import checks, identity, poly, schur
 from schurbox.checks import RunConfig, run_verification
 from schurbox.poly import (
@@ -63,8 +64,11 @@ def product(factors):
 def test_divide_binomials_matches_exact_div(a, factors):
     num = a * product(factors)
     quotient = divide_binomials(num, factors)
+    long_quotient = exact_div(num, product(factors))
     assert quotient == a
-    assert quotient == exact_div(num, product(factors))
+    assert quotient == long_quotient
+    for got in (quotient, long_quotient):
+        assert largest_exponent(got) <= got._bound
 
 
 @given(polys, st.lists(unit_binomials, min_size=1, max_size=3), monomials, st.integers(1, 5))
@@ -150,10 +154,9 @@ def test_no_check_falls_back_to_exact_div(monkeypatch):
 
     for module in (poly, schur, identity, checks):
         monkeypatch.setattr(module, "exact_div", refuse, raising=False)
-    config = RunConfig(("theorem", "schur-agree", "macmahon", "gordon", "eq6"), (2, 2), (3, 3))
-    results = run_verification(config)
-    assert [r.identity for r in results] == ["theorem", "eq6", "macmahon", "gordon", "schur-agree"]
-    assert all(r.passed for r in results), [r.error for r in results]
+    results = run_verification(RunConfig(("all",), (1, 2), (1, 3)))
+    assert len(results) == 56
+    assert all(r.passed for r in results), [(r.identity, r.m, r.n, r.error) for r in results]
 
 
 def test_no_check_calls_determinant(monkeypatch):

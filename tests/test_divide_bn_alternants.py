@@ -7,6 +7,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
+from reference_poly import largest_exponent
 from schurbox import cli, poly, schur
 from schurbox.checks import RunConfig, run_verification
 from schurbox.poly import (
@@ -58,8 +59,12 @@ def dominant(poly, n):
 def test_matches_binomial_and_long_division(m, n):
     num, den = numerator(m, n), dn(n)
     quotient = schur.box_det_ratio(schur.BoxParams(m, n))
-    assert quotient == divide_binomials(num, schur.bn_factors(n))
-    assert quotient == exact_div(num, den)
+    binomial_quotient = divide_binomials(num, schur.bn_factors(n))
+    long_quotient = exact_div(num, den)
+    assert quotient == binomial_quotient
+    assert quotient == long_quotient
+    for got in (quotient, binomial_quotient, long_quotient):
+        assert largest_exponent(got) <= got._bound
 
 
 def test_matches_binomial_division_at_n6():

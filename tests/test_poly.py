@@ -24,7 +24,7 @@ from schurbox.poly import (
     unit_keys,
 )
 from schurbox.identity import eq6_sides
-from reference_poly import inversion_count
+from reference_poly import inversion_count, largest_exponent
 
 P = LaurentPoly
 x1, x2, x3, q = P.variable("x1"), P.variable("x2"), P.variable("x3"), P.variable("q")
@@ -280,15 +280,6 @@ def test_renaming_chain_keeps_the_bound():
     for _ in range(15):
         p = p.substitute({"x1": "x2", "x2": "x1"})
     assert p._bound == 3 and p == x2 + x1**3
-
-
-def largest_exponent(target):
-    """Largest |exponent| of a polynomial's terms or of a substitution target."""
-    if isinstance(target, LaurentPoly):
-        return max((largest_exponent(mono) for mono, _ in target.terms()), default=0)
-    if isinstance(target, Monomial):
-        return max((abs(e) for _, e in target.pairs), default=0)
-    return 1 if isinstance(target, str) else 0
 
 
 @given(polys, st.dictionaries(variables, st.one_of(monomials, variables, st.just(1)), max_size=3))
