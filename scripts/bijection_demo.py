@@ -18,6 +18,8 @@ def main() -> None:
     parser.add_argument("--n", type=int, default=2, help="box side (x, y <= n)")
     parser.add_argument("--m", type=int, default=2, help="height bound (z <= m)")
     args = parser.parse_args()
+    if args.n < 0 or args.m < 0:
+        parser.error("bounds must be non-negative")
 
     objects = list(symmetric_plane_partitions(args.n, args.m))
     for sp in objects:

@@ -9,7 +9,7 @@ expansions and box-sum enumerations grow.
 import argparse
 import sys
 
-from schurbox.checks import RunConfig, run_verification
+from schurbox.checks import InvalidRangeError, RunConfig, UnknownCheckError, run_verification
 
 
 def main() -> int:
@@ -18,12 +18,13 @@ def main() -> int:
     parser.add_argument("--n-max", type=int, default=3)
     args = parser.parse_args()
 
-    results = run_verification(RunConfig(("all",), (1, args.m_max), (1, args.n_max)))
+    try:
+        results = run_verification(RunConfig(("all",), (1, args.m_max), (1, args.n_max)))
+    except (UnknownCheckError, InvalidRangeError) as exc:
+        parser.error(str(exc))
     by_identity: dict[str, float] = {}
     for r in results:
-        m_text = "-" if r.m is None else str(r.m)
-        status = "PASS" if r.passed else "FAIL"
-        print(f"{r.identity:<12} m={m_text:<3} n={r.n:<3} {status}  {r.elapsed_ms:9.2f} ms")
+        print(r.to_text_line())
         by_identity[r.identity] = by_identity.get(r.identity, 0.0) + r.elapsed_ms
 
     print()

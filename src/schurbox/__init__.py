@@ -23,7 +23,6 @@ from .poly import (
     Monomial,
     NotDivisibleError,
     OrderTooLargeError,
-    PolyMatrix,
     determinant,
     divide_binomials,
     divide_bn_alternants,
@@ -95,7 +94,6 @@ __all__ = [
     "OrderTooLargeError",
     "Partition",
     "PlanePartition",
-    "PolyMatrix",
     "RunConfig",
     "UnknownCheckError",
     "box_det_ratio",

@@ -92,6 +92,15 @@ class CheckResult(namedtuple(
             out["error"] = self.error
         return out
 
+    def to_text_line(self) -> str:
+        """One line of ``schurbox verify`` text output: PASS/FAIL and the time, or
+        ``ERROR  <Type>: <message>`` for a check that raised."""
+        m_text = "-" if self.m is None else str(self.m)
+        head = f"{self.identity:<12} m={m_text:<3} n={self.n:<3}"
+        if self.error is not None:
+            return f"{head} ERROR  {self.error}"
+        return f"{head} {'PASS' if self.passed else 'FAIL'}  {self.elapsed_ms:8.1f} ms"
+
 
 class RunConfig(namedtuple(
     "RunConfig", "checks m_range n_range", defaults=(("all",), (1, 3), (1, 3))

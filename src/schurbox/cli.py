@@ -88,13 +88,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         print(json.dumps([r.to_json_dict() for r in results], indent=2))
     else:
         for r in results:
-            m_text = "-" if r.m is None else str(r.m)
-            head = f"{r.identity:<12} m={m_text:<3} n={r.n:<3}"
-            if r.error is not None:
-                print(f"{head} ERROR  {r.error}")
-            else:
-                status = "PASS" if r.passed else "FAIL"
-                print(f"{head} {status}  {r.elapsed_ms:8.1f} ms")
+            print(r.to_text_line())
     failed = sum(1 for r in results if not r.passed)
     print(f"{len(results)} checks, {len(results) - failed} passed, {failed} failed",
           file=sys.stderr)

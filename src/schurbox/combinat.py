@@ -125,7 +125,8 @@ class PlanePartition(_Record):
     _field = operator.attrgetter("heights")
 
     def __init__(self, heights: Iterable[Iterable[int]] = ()):
-        rows = [tuple(map(operator.index, row)) or (0,) * len(heights) for row in heights]
+        rows = [tuple(map(operator.index, row)) for row in heights]
+        rows = [row or (0,) * len(rows) for row in rows]
         if all(len(row) == len(rows) for row in rows):
             while rows and not any(rows[-1]) and not any(r[-1] for r in rows):
                 rows = [r[:-1] for r in rows[:-1]]

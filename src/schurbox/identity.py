@@ -21,9 +21,8 @@ Laurent polynomials, so a check is literal equality (the runner in
   determinant), while its left side stays the full expansion.
 * ``vanishing_det``: det(x_i^{j+1-2n} - x_i^{1-j}), which is identically 0.
 
-Orientation bookkeeping: the lemma uses later-minus-earlier differences
-prod_{i<j}(x_j - x_i), the Schur Vandermonde prod_{i<j}(x_i - x_j) up to
-the sign (-1)^C(n,2).
+The lemma's later-minus-earlier product prod_{i<j}(x_j - x_i) is the Schur
+Vandermonde prod_{i<j}(x_i - x_j) of the variables in reverse order.
 
 :func:`~schurbox.poly.expand_det` expands every determinant at key level:
 the eq6 left side and inner sums, eq4's alternant sum, and, through
@@ -37,7 +36,6 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
 from itertools import accumulate
-from math import comb
 
 from .poly import LaurentPoly, Monomial, binomial_det, divide_binomials, expand_det, times_binomials
 from .combinat import partitions_in_box
@@ -72,10 +70,8 @@ def _x_product(indices: Iterable[int], exp: int = 1, t: int = 0) -> LaurentPoly:
 
 
 def _later_minus_earlier(indices: list[int]) -> LaurentPoly:
-    """prod over pairs i<j of (x_j - x_i): the Vandermonde of the same variables,
-    negated when C(k, 2) is odd for k indices."""
-    product = vandermonde([f"x{i}" for i in indices])
-    return -product if comb(len(indices), 2) & 1 else product
+    """prod over pairs i<j of (x_j - x_i): the Vandermonde of the variables in reverse order."""
+    return vandermonde([f"x{i}" for i in reversed(indices)])
 
 
 def _k_factor(n: int, k: int) -> LaurentPoly:
@@ -109,8 +105,7 @@ def f_function(n: int) -> LaurentPoly:
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    later_minus_earlier = [-f for f in vandermonde_factors(xvars(n))]
-    return divide_binomials(_lemma_lhs(n), later_minus_earlier)
+    return divide_binomials(_lemma_lhs(n), vandermonde_factors(xvars(n)[::-1]))
 
 
 def eq4_sides(box: BoxParams) -> tuple[LaurentPoly, LaurentPoly]:

@@ -19,8 +19,8 @@ built if some exponent of the product would leave the range.
 build terms from exponents without naming variables.
 :func:`expand_det` adds the packed keys of monomial or binomial entries
 into terms, and :func:`binomial_det` builds every det(x_i^{a_j} - x_i^{b_j})
-on it; :func:`determinant`, over a :class:`PolyMatrix` of polynomials, is
-the tests' reference.
+on it; :func:`determinant`, which expands rows of polynomials over
+permutations, is the tests' reference.
 :class:`Monomial` is the boundary value that wraps one key.  It has no
 arithmetic: every product and power is a :class:`LaurentPoly` operation,
 so one exponent check guards them all.  Keys are decoded only at the
@@ -65,7 +65,6 @@ import itertools
 import operator
 import struct
 import sys
-from collections import namedtuple
 from collections.abc import Collection, Iterable, Iterator, Mapping, Sequence
 from functools import lru_cache
 import re
@@ -79,7 +78,6 @@ __all__ = [
     "Monomial",
     "NotDivisibleError",
     "OrderTooLargeError",
-    "PolyMatrix",
     "binomial_det",
     "determinant",
     "divide_binomials",
@@ -343,8 +341,8 @@ class LaurentPoly:
     """Sparse Laurent polynomial with exact integer coefficients.
 
     Instances are immutable by convention; all operations return new values,
-    so they are safe to share across threads.  ``_bound`` is at least the
-    largest absolute exponent of any term.
+    so builders may share one value.  ``_bound`` is at least the largest
+    absolute exponent of any term.
     """
 
     __slots__ = ("_terms", "_bound")
@@ -673,35 +671,6 @@ def parse_poly(text: str) -> LaurentPoly:
 # -- matrices and determinants ----------------------------------------------
 
 
-class PolyMatrix(namedtuple("PolyMatrix", "entries")):
-    """A square matrix of Laurent polynomials."""
-
-    __slots__ = ()
-
-    def __new__(cls, entries: tuple[tuple[LaurentPoly, ...], ...]):
-        if not entries:
-            raise ValueError("matrix order must be at least 1")
-        for row in entries:
-            if len(row) != len(entries):
-                raise ValueError("matrix must be square")
-            for entry in row:
-                if not isinstance(entry, LaurentPoly):
-                    raise TypeError("matrix entries must be LaurentPoly values")
-        return super().__new__(cls, entries)
-
-    @property
-    def n(self) -> int:
-        return len(self.entries)
-
-    @classmethod
-    def from_rows(cls, rows: Iterable[Iterable[LaurentPoly | int]]) -> PolyMatrix:
-        coerced = tuple(
-            tuple(e if isinstance(e, LaurentPoly) else LaurentPoly.constant(e) for e in row)
-            for row in rows
-        )
-        return cls(coerced)
-
-
 def signed_permutations(n: int) -> list[tuple[tuple[int, ...], int]]:
     """Every permutation of range(n) as ``(images, sign)``, sign (-1)^inversions.
 
@@ -765,10 +734,15 @@ def binomial_det(names: Sequence[str], a: Sequence[int], b: Sequence[int]) -> La
     return LaurentPoly._make(_accumulate({}, expand_det(ta, tb)), bound)
 
 
-def determinant(matrix: PolyMatrix) -> LaurentPoly:
-    """Signed permutation expansion: sum over sigma of (-1)^inv(sigma) prod M[i][sigma(i)]."""
-    n = matrix.n
-    rows = matrix.entries
+def determinant(rows: Iterable[Iterable[LaurentPoly | int]]) -> LaurentPoly:
+    """Signed permutation expansion: sum over sigma of (-1)^inv(sigma) prod M[i][sigma(i)].
+
+    Int entries are constants; an empty or non-square matrix raises ValueError."""
+    rows = [[e if isinstance(e, LaurentPoly) else LaurentPoly.constant(e) for e in row]
+            for row in rows]
+    n = len(rows)
+    if not n or any(len(row) != n for row in rows):
+        raise ValueError("determinant: want a square matrix of order at least 1")
     total: dict[int, int] = {}
     bound = 0
     for perm, sign in signed_permutations(n):

@@ -131,6 +131,8 @@ def test_plane_partition_normalizes_to_minimal_square():
     assert PlanePartition(((0, 0), (0, 0))) == PlanePartition()
     # an empty row counts as all zero
     assert PlanePartition(((),)) == PlanePartition(())
+    # rows may come from an iterator, as the signature allows
+    assert PlanePartition(r for r in [[1, 0], []]) == PlanePartition([[1]])
     # asymmetric content keeps the square box
     assert PlanePartition(((1, 1), (0, 0))).n == 2
 

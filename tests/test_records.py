@@ -7,7 +7,7 @@ import pytest
 
 from schurbox.checks import CheckResult, RunConfig
 from schurbox.combinat import ColumnStrictPP, Partition, PlanePartition
-from schurbox.poly import LaurentPoly, PolyMatrix
+from schurbox.poly import LaurentPoly
 from schurbox.schur import BoxParams, DnReport
 
 ZERO, ONE = LaurentPoly.zero(), LaurentPoly.one()
@@ -23,7 +23,6 @@ def test_reprs():
         "CheckResult(identity='dn', m=None, n=2, lhs=<LaurentPoly 0>, rhs=<LaurentPoly 1>, "
         "passed=False, elapsed_ms=1.5, error=None, divisor=None)"
     )
-    assert repr(PolyMatrix(((ONE,),))) == "PolyMatrix(entries=((<LaurentPoly 1>,),))"
     assert repr(DnReport(2, (("x1:=1", True),), ONE, ONE)) == (
         "DnReport(n=2, root_checks=(('x1:=1', True),), lead=<LaurentPoly 1>, "
         "expected=<LaurentPoly 1>)"
@@ -73,7 +72,6 @@ def test_tuple_records_are_read_only():
         (BoxParams(1, 2), "m"),
         (RunConfig(), "checks"),
         (CheckResult("dn", None, 2, ZERO, ZERO, True, 1.0), "passed"),
-        (PolyMatrix(((ONE,),)), "entries"),
     ]:
         with pytest.raises(AttributeError):
             setattr(record, field, None)

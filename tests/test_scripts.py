@@ -1,5 +1,6 @@
-"""Smoke runs of the scripts in ``scripts/`` on the smallest interesting box, and of
-the benchmark's self-test, which patches the CLI and check functions from outside."""
+"""Smoke runs of the scripts in ``scripts/`` on the smallest interesting box and on bad
+bounds, and of the benchmark's self-test, which patches the CLI and check functions from
+outside, with a guard that every name the benchmark's tracer wraps still exists."""
 
 import importlib.util
 import json
@@ -10,7 +11,24 @@ import sys
 
 import pytest
 
+from schurbox.checks import CheckResult
+from schurbox.poly import LaurentPoly
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def run_script(script, args):
+    env = dict(os.environ)
+    src = os.path.join(ROOT, "src")
+    env["PYTHONPATH"] = src + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else src
+    return subprocess.run(
+        [sys.executable, os.path.join(ROOT, "scripts", script), *args],
+        cwd=ROOT,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
 
 
 @pytest.mark.parametrize(
@@ -21,19 +39,47 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     ],
 )
 def test_script_runs(script, args):
-    env = dict(os.environ)
-    src = os.path.join(ROOT, "src")
-    env["PYTHONPATH"] = src + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else src
-    proc = subprocess.run(
-        [sys.executable, os.path.join(ROOT, "scripts", script), *args],
-        cwd=ROOT,
-        env=env,
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
+    proc = run_script(script, args)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout
+
+
+@pytest.mark.parametrize(
+    "script,args",
+    [
+        ("run_full_sweep.py", ["--n-max", "9"]),
+        ("run_full_sweep.py", ["--m-max", "0"]),
+        ("bijection_demo.py", ["--n", "-1"]),
+    ],
+)
+def test_script_refuses_bad_bounds_with_a_usage_error(script, args):
+    proc = run_script(script, args)
+    assert proc.returncode == 2, proc.stdout + proc.stderr
+    assert "Traceback" not in proc.stderr and not proc.stdout
+    assert len([line for line in proc.stderr.splitlines() if "error:" in line]) == 1
+
+
+def test_sweep_script_prints_the_error_of_a_raising_check(monkeypatch, capsys):
+    sweep = load_by_path("scripts", "run_full_sweep.py")
+    record = CheckResult("theorem", 1, 1, LaurentPoly.zero(), LaurentPoly.zero(), False, 0.5,
+                         "ValueError: boom")
+    monkeypatch.setattr(sweep, "run_verification", lambda config: [record])
+    monkeypatch.setattr(sys, "argv", ["run_full_sweep.py"])
+    assert sweep.main() == 1
+    assert capsys.readouterr().out.splitlines()[0] == (
+        "theorem      m=1   n=1   ERROR  ValueError: boom"
+    )
+
+
+def test_benchmark_traced_names_exist():
+    # a traced name that is gone would otherwise show only as a crash inside the
+    # benchmark self-test's child process
+    tracer = load_by_path("perfbench", "tracer.py")
+    for layer, name, _ in tracer.FUNCTIONS:
+        assert hasattr(importlib.import_module(f"schurbox.{layer}"), name), (layer, name)
+    for _, methods, _ in tracer.METHODS:
+        for method in methods:
+            assert method in vars(LaurentPoly), method
 
 
 def test_benchmark_selftest_passes():
@@ -59,13 +105,17 @@ def run_frontier(tmp_path, *args, env=None):
     )
 
 
-def load_frontier():
+def load_by_path(*parts):
     spec = importlib.util.spec_from_file_location(
-        "frontier", os.path.join(ROOT, "scripts", "frontier.py")
+        os.path.splitext(parts[-1])[0], os.path.join(ROOT, *parts)
     )
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def load_frontier():
+    return load_by_path("scripts", "frontier.py")
 
 
 def test_frontier_child_env_drops_python_settings(monkeypatch):
