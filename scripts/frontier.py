@@ -19,7 +19,8 @@ writes the bytecode cache, so no timed child compiles the package.
     python3 scripts/frontier.py --label smoke --max-n 3 --out-dir /tmp
 
 ``--max-n K`` runs each case at n = min(n, K) instead, dropping repeats, for a
-quick run of every check.  Uses the standard library only.
+quick run of every check; a K below 1 is refused with exit 2 before anything
+runs.  Uses the standard library only.
 """
 
 from __future__ import annotations
@@ -105,6 +106,8 @@ def main() -> int:
     parser.add_argument("--timeout", type=float, default=900.0, help="seconds per case")
     parser.add_argument("--max-n", type=int, default=None, help="cap every case's n")
     args = parser.parse_args()
+    if args.max_n is not None and args.max_n < 1:
+        parser.error("--max-n must be at least 1")
 
     root = os.path.abspath(args.root)
     # untimed: writes the package's bytecode cache under <root>/src

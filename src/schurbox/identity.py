@@ -22,14 +22,17 @@ Laurent polynomials, so a check is literal equality (the runner in
 * ``vanishing_det``: det(x_i^{j+1-2n} - x_i^{1-j}), which is identically 0.
 
 The lemma's later-minus-earlier product prod_{i<j}(x_j - x_i) is the Schur
-Vandermonde prod_{i<j}(x_i - x_j) of the variables in reverse order.
+Vandermonde prod_{i<j}(x_i - x_j) of the variables in reverse order.  eq4's
+right side, each lemma term (+-prod_{i!=k} x_i times the later-minus-earlier
+factors of the other variables, then the k-factors of ``_k_factor(n, k)``), the
+lemma's right side and eq6's k-prefactors are each one
+:func:`~schurbox.poly.times_binomials` call on a list of binomial factors.
 
 :func:`~schurbox.poly.expand_det` expands every determinant at key level:
 the eq6 left side and inner sums, eq4's alternant sum, and, through
 :func:`~schurbox.poly.binomial_det`, the left side that eq4 and eq5 share
 and the vanishing determinant.  eq5 and eq6 share eq6's right side
-(``_eq6_rhs_terms``), so eq5 and eq4 meet only in their left side.  The
-lemma's k-th term and eq6's k-prefactor come from one ``_k_factor(n, k)``.
+(``_eq6_rhs_terms``), so eq5 and eq4 meet only in their left side.
 """
 
 from __future__ import annotations
@@ -43,8 +46,7 @@ from .schur import (
     BoxParams,
     _box_exponents,
     alternant_table,
-    times_bn_factors,
-    vandermonde,
+    bn_factors,
     vandermonde_factors,
     xvars,
 )
@@ -69,31 +71,33 @@ def _x_product(indices: Iterable[int], exp: int = 1, t: int = 0) -> LaurentPoly:
     return LaurentPoly.from_keys([(sum(_row(i, [exp], t)[0] for i in indices), 1)])
 
 
-def _later_minus_earlier(indices: list[int]) -> LaurentPoly:
-    """prod over pairs i<j of (x_j - x_i): the Vandermonde of the variables in reverse order."""
-    return vandermonde([f"x{i}" for i in reversed(indices)])
+def _later_minus_earlier(indices: list[int]) -> list[LaurentPoly]:
+    """The factors (x_j - x_i), i < j: the Vandermonde factors of the variables reversed."""
+    return vandermonde_factors([f"x{i}" for i in reversed(indices)])
 
 
-def _k_factor(n: int, k: int) -> LaurentPoly:
-    """(-1)^(n+k) (1 - x_k) prod_{i!=k}(x_i x_k - 1), eq6's k-prefactor; x_k^-1 times
-    it is the lemma's k-th signed term before the later-minus-earlier product."""
-    factors = [1 - _x_product([k])] + [_x_product([i, k]) - 1 for i in range(1, n + 1) if i != k]
-    return times_binomials(LaurentPoly.constant((-1) ** (n + k)), factors)
+def _k_factor(n: int, k: int) -> list[LaurentPoly]:
+    """The factors (1 - x_k) and (x_i x_k - 1), i != k, of eq6's k-prefactor
+    (-1)^(n+k) (1 - x_k) prod_{i!=k}(x_i x_k - 1); times x1..xn / x_k, the
+    prefactor is the lemma's k-th signed term before the later-minus-earlier product."""
+    return [1 - _x_product([k])] + [_x_product([i, k]) - 1 for i in range(1, n + 1) if i != k]
 
 
 def _lemma_lhs(n: int) -> LaurentPoly:
     total = LaurentPoly.zero()
     for k in range(1, n + 1):
         others = [i for i in range(1, n + 1) if i != k]
-        total = total + _x_product([k], -1) * _k_factor(n, k) * _later_minus_earlier(others)
-    return _x_product(range(1, n + 1)) * total
+        monomial = (-1) ** (n + k) * _x_product(others)
+        total = total + times_binomials(monomial, _later_minus_earlier(others) + _k_factor(n, k))
+    return total
 
 
 def lemma_sides(n: int) -> tuple[LaurentPoly, LaurentPoly]:
     """Both sides of the alternating k-sum identity (see module docstring)."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    rhs = (1 - _x_product(range(1, n + 1))) * _later_minus_earlier(list(range(1, n + 1)))
+    cols = list(range(1, n + 1))
+    rhs = times_binomials(LaurentPoly.one(), [1 - _x_product(cols)] + _later_minus_earlier(cols))
     return _lemma_lhs(n), rhs
 
 
@@ -116,7 +120,7 @@ def eq4_sides(box: BoxParams) -> tuple[LaurentPoly, LaurentPoly]:
         raise ValueError("n must be at least 1")
     lhs = binomial_det(xvars(n), *_box_exponents(m, n))
     terms = (t for lam in partitions_in_box(m, n) for t in expand_det(alternant_table(lam, n)))
-    return lhs, times_bn_factors(LaurentPoly.from_keys(terms), n)
+    return lhs, times_binomials(LaurentPoly.from_keys(terms), bn_factors(n))
 
 
 def eq5_sides(box: BoxParams) -> tuple[LaurentPoly, LaurentPoly]:
@@ -188,7 +192,8 @@ def _eq6_rhs_terms(n: int) -> Iterator[tuple[int, int]]:
     one term map, and the side is built once.
     """
     cols = range(1, n + 1)
-    k_factors = [_k_factor(n, k) for k in cols]
+    k_factors = [times_binomials(LaurentPoly.constant((-1) ** (n + k)), _k_factor(n, k))
+                 for k in cols]
     for s in range(n):
         comp = cols[s:]
         rows = [_row(i, range(-1, -n, -1), 1) for i in cols[:s]]

@@ -628,7 +628,7 @@ def _key_of(mono: object) -> int:
 
 # -- parsing ----------------------------------------------------------------
 
-_FACTOR_RE = re.compile(r"(?:(\d+)|(q|[tx][1-9][0-9]*)(?:\^(-?\d+))?)\Z")
+_FACTOR_RE = re.compile(r"(?:([0-9]+)|(q|[tx][1-9][0-9]*)(?:\^(-?[0-9]+))?)\Z")
 
 
 def parse_poly(text: str) -> LaurentPoly:

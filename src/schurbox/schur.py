@@ -10,10 +10,13 @@ determinants
 whose denominator is the type-B_n Weyl denominator.  Both determinants are
 type-B_n alternants, each with one dominant weight read off its exponent
 columns, and the ratio is solved from those two weights without expanding
-either determinant; weyl, dn and eq4 check the expansions.  The
-box sum counts semistandard tableaux by content, as chains of interlacing
-shapes; the tableau Schur polynomial enumerates them shape by shape, and
-the bialternant form det(x_i^{lambda_j+n-j}) / prod_{i<j}(x_i - x_j) is the
+either determinant; weyl, dn and eq4 check the expansions.  The product
+form of that denominator, D_n, is its binomial factors,
+:func:`vandermonde_factors` then :func:`bn_factors`, multiplied out by one
+:func:`~schurbox.poly.times_binomials` call.  The box sum counts
+semistandard tableaux by content, as chains of interlacing shapes; the
+tableau Schur polynomial enumerates them shape by shape, and the
+bialternant form det(x_i^{lambda_j+n-j}) / prod_{i<j}(x_i - x_j) is the
 second, independent backend that the schur-agree check compares with it.
 Principal specializations x_i := q^e turn the box sum into the MacMahon and
 Gordon q-products.
@@ -52,7 +55,6 @@ __all__ = [
     "schur_box_sum",
     "schur_via_bialternant",
     "schur_via_tableaux",
-    "times_bn_factors",
     "vandermonde",
     "vandermonde_factors",
     "weyl_denominator",
@@ -161,17 +163,16 @@ def schur_box_sum(box: BoxParams) -> LaurentPoly:
 
 
 def bn_factors(n: int) -> list[LaurentPoly]:
-    """The n^2 binomial factors of the type-B_n Weyl denominator D_n:
-    (x_i x_j - 1) and (x_i - x_j) pair by pair for i < j, then each (1 - x_i).
+    """The binomial factors of D_n / prod_{i<j}(x_i - x_j), in the order they are
+    multiplied: each (1 - x_i), then (x_i x_j - 1) for i < j.
 
-    :func:`times_bn_factors` multiplies by all but the (x_i - x_j); dividing by
-    them all with :func:`~schurbox.poly.divide_binomials` is the reference
-    that :func:`box_det_ratio`'s alternant division is tested against.
+    :func:`vandermonde_factors` followed by these is D_n's full list, which
+    :func:`weyl_denominator` multiplies out; dividing by it with
+    :func:`~schurbox.poly.divide_binomials` is the reference that
+    :func:`box_det_ratio`'s alternant division is tested against.
     """
     xs = [LaurentPoly.variable(v) for v in xvars(n)]
-    pairs = zip([xi * xj - 1 for i, xi in enumerate(xs) for xj in xs[i + 1:]],
-                vandermonde_factors(xvars(n)))
-    return [f for pair in pairs for f in pair] + [1 - xi for xi in xs]
+    return [1 - xi for xi in xs] + [xi * xj - 1 for i, xi in enumerate(xs) for xj in xs[i + 1:]]
 
 
 def box_det_ratio(box: BoxParams) -> LaurentPoly:
@@ -187,21 +188,11 @@ def box_det_ratio(box: BoxParams) -> LaurentPoly:
     return divide_bn_alternants({tuple([box.m + r for r in rho]): 1}, rho, shift=box.m)
 
 
-def times_bn_factors(poly: LaurentPoly, n: int) -> LaurentPoly:
-    """poly * prod_i (1 - x_i) * prod_{i<j} (x_i x_j - 1), one binomial at a time.
-
-    These are the factors of :func:`bn_factors` other than the (x_i - x_j).
-    :func:`~schurbox.poly.times_binomials` multiplies them in, so each step
-    costs one copy of the running product and len(running product) updates.
-    """
-    factors = bn_factors(n)
-    return times_binomials(poly, factors[len(factors) - n:] + factors[:len(factors) - n:2])
-
-
 def weyl_denominator(n: int, form: str = "determinant") -> LaurentPoly:
     """Type-B_n Weyl denominator, as a determinant or as the product
 
-    prod_i (1 - x_i) * prod_{i<j} (x_i - x_j)(x_i x_j - 1), built one binomial at a time.
+    prod_{i<j} (x_i - x_j) * prod_i (1 - x_i) * prod_{i<j} (x_i x_j - 1), multiplied
+    out one binomial at a time by :func:`~schurbox.poly.times_binomials`.
     """
     if n < 1:
         raise ValueError("order must be at least 1")
@@ -209,7 +200,7 @@ def weyl_denominator(n: int, form: str = "determinant") -> LaurentPoly:
         return binomial_det(xvars(n), *_box_exponents(0, n))
     if form != "product":
         raise ValueError(f"unknown form {form!r}")
-    return times_bn_factors(vandermonde(xvars(n)), n)
+    return times_binomials(LaurentPoly.one(), vandermonde_factors(xvars(n)) + bn_factors(n))
 
 
 class DnReport(namedtuple("DnReport", "n root_checks lead expected")):

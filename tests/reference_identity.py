@@ -18,7 +18,8 @@ from schurbox.poly import LaurentPoly, divide_binomials, expand_det, times_binom
 def subset_terms(n: int) -> Iterator[tuple[int, LaurentPoly]]:
     """``(mask, (-1)^|S| term_S)`` for every proper subset S of {1..n}, masks ascending."""
     cols = range(1, n + 1)
-    k_factors = [_k_factor(n, k) for k in cols]
+    k_factors = [times_binomials(LaurentPoly.constant((-1) ** (n + k)), _k_factor(n, k))
+                 for k in cols]
     for mask in range((1 << n) - 1):
         comp = [i for i in cols if not mask >> (i - 1) & 1]
         rows = [

@@ -31,6 +31,11 @@ def dn(n):
     return numerator(0, n)
 
 
+def dn_factors(n):
+    """D_n's binomial factors: the Vandermonde's, then ``bn_factors``."""
+    return schur.vandermonde_factors(schur.xvars(n)) + schur.bn_factors(n)
+
+
 def rho(n):
     return tuple(range(2 * n - 1, 0, -2))
 
@@ -59,7 +64,7 @@ def dominant(poly, n):
 def test_matches_binomial_and_long_division(m, n):
     num, den = numerator(m, n), dn(n)
     quotient = schur.box_det_ratio(schur.BoxParams(m, n))
-    binomial_quotient = divide_binomials(num, schur.bn_factors(n))
+    binomial_quotient = divide_binomials(num, dn_factors(n))
     long_quotient = exact_div(num, den)
     assert quotient == binomial_quotient
     assert quotient == long_quotient
@@ -69,7 +74,7 @@ def test_matches_binomial_and_long_division(m, n):
 
 def test_matches_binomial_division_at_n6():
     assert schur.box_det_ratio(schur.BoxParams(1, 6)) == divide_binomials(
-        numerator(1, 6), schur.bn_factors(6)
+        numerator(1, 6), dn_factors(6)
     )
 
 

@@ -23,12 +23,13 @@ from schurbox.poly import (
     Monomial,
     OrderTooLargeError,
     signed_permutations,
+    times_binomials,
 )
 from schurbox.schur import (
     BoxParams,
     box_det_ratio,
+    bn_factors,
     schur_box_sum,
-    times_bn_factors,
     vandermonde,
     weyl_denominator,
     xvars,
@@ -165,7 +166,7 @@ def mul_chain_vandermonde(n):
 def whole_product_rhs(inner, n):
     """inner * prod_i (1 - x_i) * prod_{i<j} (x_i x_j - 1), each product built whole.
 
-    The form the eq4/eq5 right sides had before ``times_bn_factors``; kept
+    The form the eq4/eq5 right sides had before ``times_binomials``; kept
     only as the reference for the binomial-at-a-time path.
     """
     xs = [P.variable(v) for v in xvars(n)]
@@ -191,7 +192,9 @@ def test_eq4_eq5_rhs_match_whole_product_reference(m, n):
 
 @pytest.mark.parametrize("n", range(1, 6))
 def test_bn_factor_builder_gives_the_weyl_determinant(n):
-    assert times_bn_factors(vandermonde(xvars(n)), n) == weyl_denominator(n, "determinant")
+    assert times_binomials(vandermonde(xvars(n)), bn_factors(n)) == weyl_denominator(
+        n, "determinant"
+    )
     assert vandermonde(xvars(n)) == mul_chain_vandermonde(n)
 
 
@@ -218,7 +221,7 @@ def test_eq5_builds_none_of_eq4s_alternant_sum(monkeypatch):
         raise AssertionError("eq5 built part of eq4's alternant sum")
 
     monkeypatch.setattr(identity, "alternant_table", refuse)
-    monkeypatch.setattr(identity, "times_bn_factors", refuse)
+    monkeypatch.setattr(identity, "bn_factors", refuse)
     for n in range(1, 5):
         for m in range(1, 4):
             lhs, rhs = eq5_sides(BoxParams(m, n))
@@ -230,13 +233,31 @@ def test_a_wrong_eq6_builder_fails_eq5_and_eq6_but_not_eq4(monkeypatch):
 
     def wrong_k_factor(n, k):
         # the k = 1 prefactor negated: eq6's right side is wrong, or its division is not exact
-        return -k_factor(n, k) if k == 1 else k_factor(n, k)
+        first, *rest = k_factor(n, k)
+        return [-first if k == 1 else first, *rest]
 
     monkeypatch.setattr(identity, "_k_factor", wrong_k_factor)
     results = run_verification(RunConfig(("eq4", "eq5", "eq6"), (1, 2), (2, 3)))
     assert [(r.identity, r.passed) for r in results] == (
         [("eq4", True)] * 4 + [("eq5", False)] * 4 + [("eq6", False)] * 2
     )
+
+
+def test_weyl_eq4_and_lemma_multiply_sums_only_through_times_binomials(monkeypatch):
+    """Their product sides are times_binomials calls on factor lists, so no check among
+    them multiplies two polynomials of several terms each."""
+    mul = P.__mul__
+
+    def mul_with_a_monomial(self, other):
+        if isinstance(other, P) and len(self) > 1 and len(other) > 1:
+            raise AssertionError(f"{len(self)}-term times {len(other)}-term polynomial")
+        return mul(self, other)
+
+    monkeypatch.setattr(P, "__mul__", mul_with_a_monomial)
+    monkeypatch.setattr(P, "__rmul__", mul_with_a_monomial)
+    results = run_verification(RunConfig(("weyl", "eq4", "lemma"), (1, 2), (1, 4)))
+    assert len(results) == 16
+    assert [r for r in results if not r.passed] == []
 
 
 def test_eq6_order_one():

@@ -545,6 +545,10 @@ def test_parse_rejects_junk():
         parse_poly("")
     with pytest.raises(ValueError):
         parse_poly("q^")
+    # U+0663 ARABIC-INDIC DIGIT THREE: int() reads it, to_text never writes it
+    for text in ["q^\u0663", "\u0663*x1", "x1^-\u0663"]:
+        with pytest.raises(ValueError, match="bad factor"):
+            parse_poly(text)
 
 
 @given(polys)

@@ -1,7 +1,9 @@
 """Smoke runs of the scripts in ``scripts/`` on the smallest interesting box and on bad
 bounds, and of the benchmark's self-test, which patches the CLI and check functions from
-outside, with a guard that every name the benchmark's tracer wraps still exists."""
+outside, with guards that every name the benchmark's tracer wraps still exists and that
+every workload result matches the benchmark's reference digests."""
 
+import hashlib
 import importlib.util
 import json
 import os
@@ -11,7 +13,7 @@ import sys
 
 import pytest
 
-from schurbox.checks import CheckResult
+from schurbox.checks import CheckResult, RunConfig, run_verification
 from schurbox.poly import LaurentPoly
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -80,6 +82,26 @@ def test_benchmark_traced_names_exist():
     for _, methods, _ in tracer.METHODS:
         for method in methods:
             assert method in vars(LaurentPoly), method
+
+
+def test_benchmark_workloads_match_the_reference_digests():
+    # the benchmark's self-test checks these digests only for m, n <= 2
+    bench = load_by_path("perfbench", "run.py")
+    result_id = load_by_path("perfbench", "child.py").result_id
+    with open(bench.REFERENCE) as fh:
+        reference = json.load(fh)
+    seen = []
+    for checks, m_range, n_range in bench.WORKLOADS.values():
+        results = run_verification(RunConfig(tuple(checks.split(",")), m_range, n_range))
+        ids = [result_id(r.identity, r.m, r.n) for r in results]
+        assert sorted(ids) == sorted(bench.expected_ids(checks, m_range, n_range))
+        for rid, r in zip(ids, results):
+            assert r.passed, (rid, r.error)
+            digests = [hashlib.sha256(side.to_text().encode()).hexdigest()
+                       for side in (r.lhs, r.rhs)]
+            assert digests == reference[rid], rid
+        seen += ids
+    assert sorted(seen) == sorted(reference)
 
 
 def test_benchmark_selftest_passes():
@@ -157,6 +179,14 @@ def test_frontier_table_cut_to_small_n(tmp_path):
         ((result,),) = [case["results"]]
         assert result["identity"] == case["check"] and result["pass"]
         assert result["elapsed_ms"] >= 0
+
+
+@pytest.mark.parametrize("max_n", ["0", "-1"])
+def test_frontier_refuses_max_n_below_one(tmp_path, max_n):
+    proc = run_frontier(tmp_path, "--max-n", max_n)
+    assert proc.returncode == 2, proc.stdout + proc.stderr
+    assert "--max-n must be at least 1" in proc.stderr and not proc.stdout
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_frontier_records_a_timed_out_case(tmp_path):
