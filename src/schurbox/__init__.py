@@ -55,7 +55,6 @@ from .schur import (
     schur_box_sum,
     schur_via_bialternant,
     schur_via_tableaux,
-    vandermonde,
     weyl_denominator,
 )
 from .identity import (
@@ -123,7 +122,6 @@ __all__ = [
     "ssyt",
     "symmetric_plane_partitions",
     "unfold",
-    "vandermonde",
     "vanishing_det",
     "weyl_denominator",
 ]

@@ -5,7 +5,7 @@ per n), its minimum n, whether its cost grows like n! (it expands an
 order-n determinant or multiplies n!-term Vandermonde products),
 ``sides(m, n)``, which builds both sides of one identity and returns
 ``(lhs, rhs)`` or ``(lhs, rhs, ok)`` with ``ok`` a structural verdict (fold
-inverses, D_n roots), and the divisor form the check records, if any (the
+an injection, D_n roots), and the divisor form the check records, if any (the
 theorem's is ``"bn-alternant"``: its ratio is solved from the dominant
 weights of the numerator and D_n as type-B alternants).  The theorem expands
 no determinant, yet keeps its n! flag: its quotient has (m+1)^n terms, and
@@ -19,8 +19,8 @@ result with the error text, and the sweep goes on.
 from __future__ import annotations
 
 import time
-from collections import Counter, namedtuple
-from collections.abc import Iterable
+from collections import namedtuple
+from collections.abc import Iterable, Iterator
 
 from .combinat import (
     column_strict_odd_pps,
@@ -130,21 +130,27 @@ def _macmahon_sides(m: int, n: int) -> tuple[LaurentPoly, LaurentPoly]:
 
 
 def _bijection_sides(m: int, n: int) -> tuple[LaurentPoly, LaurentPoly, bool]:
-    """fold/unfold are mutually inverse and weight-preserving on full enumerations.
+    """fold is a weight-preserving bijection onto the strict arrays; one pass per side.
 
-    Two passes suffice: ``unfold(fold(sp)) == sp`` with equal weights for every
-    sp, and the folded list equals ``strict`` as a multiset.  Then each cs in
-    ``strict`` is ``fold(sp)`` for some sp, so ``fold(unfold(cs)) = fold(sp) = cs``,
-    for any fold and unfold that are functions of their argument's value.
+    ``unfold(fold(sp)) == sp`` makes fold injective, and ``unfold`` validates
+    the levels; with at most m levels, none empty, and a first hook of at
+    most 2n - 1, fold(sp) is one of the arrays ``column_strict_odd_pps``
+    enumerates.  Equal generating functions then give both sets as many
+    objects in every weight, so the injection is onto.
     """
-    sym = list(symmetric_plane_partitions(n, m))
-    strict = list(column_strict_odd_pps(n, m))
-    folded = [fold(sp) for sp in sym]
-    ok = (
-        all(cs.weight == sp.weight and unfold(cs) == sp for sp, cs in zip(sym, folded))
-        and Counter(folded) == Counter(strict)
-    )
-    return generating_function(sym), generating_function(strict), ok
+    ok = True
+
+    def checked() -> Iterator:
+        nonlocal ok
+        for sp in symmetric_plane_partitions(n, m):
+            cs = fold(sp)
+            lv = cs.levels
+            in_strict_set = len(lv) <= m and all(lv) and (not lv or lv[0][0] < 2 * n)
+            ok = ok and in_strict_set and cs.weight == sp.weight and unfold(cs) == sp
+            yield sp
+
+    lhs = generating_function(checked())
+    return lhs, generating_function(column_strict_odd_pps(n, m)), ok
 
 
 def _schur_agree_sides(m: int, n: int) -> tuple[LaurentPoly, LaurentPoly]:

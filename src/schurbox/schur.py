@@ -55,7 +55,6 @@ __all__ = [
     "schur_box_sum",
     "schur_via_bialternant",
     "schur_via_tableaux",
-    "vandermonde",
     "vandermonde_factors",
     "weyl_denominator",
     "xvars",
@@ -82,12 +81,6 @@ def vandermonde_factors(names: Sequence[str]) -> list[LaurentPoly]:
     """The factors (x_i - x_j), i < j, of the Vandermonde, pair by pair."""
     xs = [LaurentPoly.variable(v) for v in names]
     return [xi - xj for i, xi in enumerate(xs) for xj in xs[i + 1:]]
-
-
-def vandermonde(names: Sequence[str]) -> LaurentPoly:
-    """prod_{i<j} (x_i - x_j), the alternant denominator (earlier minus later),
-    multiplied out by :func:`~schurbox.poly.times_binomials`."""
-    return times_binomials(LaurentPoly.one(), vandermonde_factors(names))
 
 
 def _box_exponents(m: int, n: int) -> tuple[list[int], list[int]]:

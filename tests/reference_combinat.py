@@ -14,14 +14,18 @@ and ``PlanePartition`` and are plain functions on parts tuples here; the
 bodies are otherwise kept as they were, so the differential tests in
 ``test_combinat_reference.py`` compare against what ran before.  Only valid
 inputs are compared for ``fold``: this one does not check that its
-argument is a plane partition.
+argument is a plane partition.  ``bijection_sides`` is the two-pass
+bijection check that ``schurbox.checks`` ran before it streamed; it calls
+the package's own fold, unfold and enumerators.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
+from schurbox import combinat
 from schurbox.combinat import (
     ColumnStrictPP,
     MalformedInputError,
@@ -229,3 +233,21 @@ def schur_via_tableaux(shape: Partition, n: int) -> LaurentPoly:
         mono = tab.content_monomial()
         acc[mono] = acc.get(mono, 0) + 1
     return LaurentPoly(acc)
+
+
+def bijection_sides(m: int, n: int) -> tuple[LaurentPoly, LaurentPoly, bool]:
+    """fold/unfold are mutually inverse and weight-preserving on full enumerations.
+
+    Two passes suffice: ``unfold(fold(sp)) == sp`` with equal weights for every
+    sp, and the folded list equals ``strict`` as a multiset.  Then each cs in
+    ``strict`` is ``fold(sp)`` for some sp, so ``fold(unfold(cs)) = fold(sp) = cs``,
+    for any fold and unfold that are functions of their argument's value.
+    """
+    sym = list(combinat.symmetric_plane_partitions(n, m))
+    strict = list(combinat.column_strict_odd_pps(n, m))
+    folded = [combinat.fold(sp) for sp in sym]
+    ok = (
+        all(cs.weight == sp.weight and combinat.unfold(cs) == sp for sp, cs in zip(sym, folded))
+        and Counter(folded) == Counter(strict)
+    )
+    return combinat.generating_function(sym), combinat.generating_function(strict), ok

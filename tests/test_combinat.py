@@ -247,9 +247,13 @@ SYM_2_2 = list(symmetric_plane_partitions(2, 2))
 STRICT_2_2 = list(column_strict_odd_pps(2, 2))
 
 
+def bijection_result(m=2, n=2):
+    (result,) = checks.run_verification(checks.RunConfig(("bijection",), (m, m), (n, n)))
+    return result
+
+
 def bijection_check_passes():
-    (result,) = checks.run_verification(checks.RunConfig(("bijection",), (2, 2), (2, 2)))
-    return result.passed
+    return bijection_result().passed
 
 
 def test_bijection_check_passes_on_the_real_maps():
@@ -259,7 +263,8 @@ def test_bijection_check_passes_on_the_real_maps():
 @pytest.mark.parametrize("target", range(len(SYM_2_2)))
 def test_bijection_check_fails_when_fold_is_wrong_on_one_object(monkeypatch, target):
     """fold sends one plane partition to its neighbour's image, a valid array that
-    now appears twice; the check has no inverse pass over ``strict`` to catch it."""
+    now appears twice; unfold(fold(sp)) is then the neighbour, not sp, and the
+    streaming pass catches it at that object."""
     wrong = SYM_2_2[(target + 1) % len(SYM_2_2)]
     monkeypatch.setattr(checks, "fold", lambda sp: fold(wrong if sp == SYM_2_2[target] else sp))
     assert not bijection_check_passes()
@@ -267,13 +272,59 @@ def test_bijection_check_fails_when_fold_is_wrong_on_one_object(monkeypatch, tar
 
 @pytest.mark.parametrize("target", range(len(STRICT_2_2)))
 def test_bijection_check_fails_when_unfold_is_wrong_on_one_object(monkeypatch, target):
-    """unfold sends one array to its neighbour's preimage, so fold(unfold(cs)) != cs
-    for that cs alone; the pass over the folded list still sees it."""
+    """unfold sends one array to its neighbour's preimage, so unfold(fold(sp)) != sp
+    for the sp that folds to that array; the streaming pass sees it there."""
     wrong = STRICT_2_2[(target + 1) % len(STRICT_2_2)]
     monkeypatch.setattr(
         checks, "unfold", lambda cs: unfold(wrong if cs == STRICT_2_2[target] else cs)
     )
     assert not bijection_check_passes()
+
+
+# (m, n, sp's height matrix, the array fold sends it to): the array has sp's
+# weight and breaks exactly one condition of column_strict_odd_pps(n, m).
+IMAGES_OUTSIDE_THE_STRICT_SET = {
+    "more-than-m-levels": (1, 2, [[1, 1], [1, 0]], ((1,), (1,), (1,))),
+    "empty-level": (2, 1, [[1]], ((1,), ())),
+    "first-hook-above-2n-1": (3, 1, [[3]], ((3,),)),
+}
+
+
+@pytest.mark.parametrize(
+    "m,n,heights,levels",
+    IMAGES_OUTSIDE_THE_STRICT_SET.values(),
+    ids=IMAGES_OUTSIDE_THE_STRICT_SET,
+)
+def test_bijection_check_fails_when_fold_leaves_the_strict_set(monkeypatch, m, n, heights, levels):
+    """fold sends one plane partition to a weight-equal array outside the strict set,
+    and unfold (rebound unless the real one already does so) sends it back, so
+    the maps stay mutually inverse and weight-preserving; only the membership
+    condition that the array breaks can catch it."""
+    sp, image = PlanePartition(heights), ColumnStrictPP._make(levels)
+    assert sp in set(symmetric_plane_partitions(n, m))
+    assert image.weight == sp.weight and image not in set(column_strict_odd_pps(n, m))
+    monkeypatch.setattr(checks, "fold", lambda x: image if x == sp else fold(x))
+    if unfold(image) != sp:
+        monkeypatch.setattr(checks, "unfold", lambda cs: sp if cs == image else unfold(cs))
+    result = bijection_result(m, n)
+    assert result.error is None and not result.passed
+
+
+def test_bijection_check_folds_each_object_before_enumerating_the_next(monkeypatch):
+    """Whenever the enumeration resumes, fold has already seen every object it
+    yielded, so the check holds one plane partition at a time, not a list."""
+    folded = []
+
+    def enumeration_that_waits_for_fold(n, m):
+        for count, sp in enumerate(symmetric_plane_partitions(n, m), 1):
+            yield sp
+            assert len(folded) == count and folded[-1] is sp
+
+    monkeypatch.setattr(checks, "fold", lambda sp: folded.append(sp) or fold(sp))
+    monkeypatch.setattr(checks, "symmetric_plane_partitions", enumeration_that_waits_for_fold)
+    result = bijection_result()
+    assert result.error is None and result.passed
+    assert len(folded) == len(SYM_2_2)
 
 
 # -- generating functions ---------------------------------------------------------------

@@ -1,13 +1,15 @@
 """The int-tuple combinatorial kernels against the object-building ones they
 replaced (``reference_combinat``): fold, unfold, the enumerators, ssyt (its
-flat entry tuples against the reference's row-tuple tableaux) and the
-tableau Schur sum."""
+flat entry tuples against the reference's row-tuple tableaux), the
+tableau Schur sum and the streaming bijection check against the two-pass
+one."""
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
 import reference_combinat as ref
+from schurbox import checks
 from schurbox.combinat import (
     ColumnStrictPP,
     MalformedInputError,
@@ -60,6 +62,15 @@ def test_fold_and_unfold_match_reference_on_full_enumerations(n, m):
         sp = unfold(cs)
         assert sp.heights == ref.unfold(cs).heights
         assert fold(sp).levels == ref.fold(sp).levels == cs.levels
+
+
+@pytest.mark.parametrize("n", range(1, 5))
+@pytest.mark.parametrize("m", range(1, 5))
+def test_streaming_bijection_check_matches_the_two_pass_reference(m, n):
+    lhs, rhs, ok = checks._bijection_sides(m, n)
+    ref_lhs, ref_rhs, ref_ok = ref.bijection_sides(m, n)
+    assert (lhs.to_text(), rhs.to_text(), ok) == (ref_lhs.to_text(), ref_rhs.to_text(), ref_ok)
+    assert ok
 
 
 @pytest.mark.parametrize("n,m", GRID)

@@ -30,7 +30,7 @@ from schurbox.schur import (
     box_det_ratio,
     bn_factors,
     schur_box_sum,
-    vandermonde,
+    vandermonde_factors,
     weyl_denominator,
     xvars,
 )
@@ -153,8 +153,8 @@ def test_eq5_sides_equal_and_match_eq4(m, n):
 
 
 def mul_chain_vandermonde(n):
-    """prod_{i<j} (x_i - x_j) by ``LaurentPoly.__mul__``; ``vandermonde`` itself goes
-    through ``times_binomials``, the kernel under test."""
+    """prod_{i<j} (x_i - x_j) by ``LaurentPoly.__mul__``; the checks multiply
+    ``vandermonde_factors`` through ``times_binomials``, the kernel under test."""
     xs = [P.variable(v) for v in xvars(n)]
     out = P.one()
     for i in range(n):
@@ -192,10 +192,9 @@ def test_eq4_eq5_rhs_match_whole_product_reference(m, n):
 
 @pytest.mark.parametrize("n", range(1, 6))
 def test_bn_factor_builder_gives_the_weyl_determinant(n):
-    assert times_binomials(vandermonde(xvars(n)), bn_factors(n)) == weyl_denominator(
-        n, "determinant"
-    )
-    assert vandermonde(xvars(n)) == mul_chain_vandermonde(n)
+    vandermonde = times_binomials(LaurentPoly.one(), vandermonde_factors(xvars(n)))
+    assert times_binomials(vandermonde, bn_factors(n)) == weyl_denominator(n, "determinant")
+    assert vandermonde == mul_chain_vandermonde(n)
 
 
 @pytest.mark.parametrize("m", [1, 2])
