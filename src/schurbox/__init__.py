@@ -3,8 +3,8 @@
 The package splits into:
 
 * :mod:`schurbox.poly` -- sparse Laurent polynomials over exact integers,
-  substitution, exact division (general, and by binomial factors), signed
-  permutations and determinants;
+  substitution, exact division (general, by binomial factors, and of type-A
+  and type-B alternants), signed permutations and determinants;
 * :mod:`schurbox.combinat` -- plane partitions, odd-column-strict arrays,
   tableau entry tuples, the weight-preserving fold bijection, brute-force
   generating functions;
@@ -24,8 +24,8 @@ from .poly import (
     NotDivisibleError,
     OrderTooLargeError,
     determinant,
+    divide_alternants,
     divide_binomials,
-    divide_bn_alternants,
     exact_div,
     parse_poly,
     signed_permutations,
@@ -98,8 +98,8 @@ __all__ = [
     "box_det_ratio",
     "column_strict_odd_pps",
     "determinant",
+    "divide_alternants",
     "divide_binomials",
-    "divide_bn_alternants",
     "dn_checks",
     "eq4_sides",
     "eq5_sides",

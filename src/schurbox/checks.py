@@ -5,15 +5,16 @@ per n), its minimum n, whether its cost grows like n! (it expands an
 order-n determinant or multiplies n!-term Vandermonde products),
 ``sides(m, n)``, which builds both sides of one identity and returns
 ``(lhs, rhs)`` or ``(lhs, rhs, ok)`` with ``ok`` a structural verdict (fold
-an injection, D_n roots), and the divisor form the check records, if any (the
-theorem's is ``"bn-alternant"``: its ratio is solved from the dominant
-weights of the numerator and D_n as type-B alternants).  The theorem expands
-no determinant, yet keeps its n! flag: its quotient has (m+1)^n terms, and
-until a cost budget refuses large inputs the order bound is what stops it
-at n = 9.  Multi-stage checks return their first disagreeing pair.  The
-runner records each outcome as a :class:`CheckResult` with
-``passed = lhs == rhs and ok``; a ``sides`` call that raises becomes a failed
-result with the error text, and the sweep goes on.
+an injection, D_n roots), and the divisor form the check records, if any:
+``"bn-alternant"`` for the theorem and ``"a-alternant"`` for schur-agree,
+whose ratios are solved from dominant weights as type-B and type-A
+alternants.  Neither expands a determinant, yet both keep their n! flag:
+the theorem's quotient has (m+1)^n terms, and schur-agree's shapes and
+tableaux grow with the box, so until a cost budget refuses large inputs the
+order bound is what stops them at n = 9.  Multi-stage checks return their
+first disagreeing pair.  The runner records each outcome as a
+:class:`CheckResult` with ``passed = lhs == rhs and ok``; a ``sides`` call
+that raises becomes a failed result with the error text, and the sweep goes on.
 """
 
 from __future__ import annotations
@@ -190,7 +191,7 @@ _TABLE: dict[str, _Check] = {
         principal_specialization(schur_box_sum(BoxParams(m, n)), list(range(n, 0, -1))),
         gordon_product(BoxParams(m, n)))),
     "bijection": _Check(True, 1, False, _bijection_sides),
-    "schur-agree": _Check(True, 1, True, _schur_agree_sides),
+    "schur-agree": _Check(True, 1, True, _schur_agree_sides, "a-alternant"),
     "dn": _Check(False, 2, True, _dn_sides),
 }
 

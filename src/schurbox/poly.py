@@ -36,15 +36,17 @@ lexicographic: total degree first, then the exponent vector compared
 variable by variable in that order.  Canonical text output lists terms in
 ascending order, so q-series read naturally: ``1 + q + q^3 + q^4``.
 
-Exact division takes one of three routes.  :func:`divide_bn_alternants`
-divides type-B_n alternants given by their dominant weights, as the
-theorem's numerator and the Weyl determinant D_n are: the quotient is a
-triangular solve on weights, and neither determinant is expanded.
-:func:`divide_binomials` is the route of every other ratio a check takes:
-each of those divisors is a product of binomials x^a - x^b (a Vandermonde,
-1 - prod x_i, prod (1 - q^e)), and dividing by one of them is a prefix sum
-along v = b - a inside each coset k + Z*v of the packed keys, exact if and
-only if every coset sums to 0.  :func:`exact_div` divides by any divisor
+Exact division takes one of three routes.  :func:`divide_alternants`
+divides alternants of the Weyl group S_n (type A) or B_n (type B) given by
+their dominant weights, as the bialternant a_{lambda+delta} / a_delta and
+the theorem's numerator over the Weyl determinant D_n are: the quotient is
+one triangular solve on weights, over orbits stepped by next-permutation,
+and no determinant is expanded.  :func:`divide_binomials` is the route of
+the lemma's ``f_function``, eq6 and the q-ratios: each of those divisors is
+a product of binomials x^a - x^b (a Vandermonde, 1 - prod x_i,
+prod (1 - q^e)), and dividing by one of them is a prefix sum along v = b - a
+inside each coset k + Z*v of the packed keys, exact if and only if every
+coset sums to 0.  :func:`exact_div` divides by any divisor
 and no check calls it: it is plain long division under the graded-lex
 order on exponent tuples, the general reference both fast routes are
 tested against.
@@ -80,8 +82,8 @@ __all__ = [
     "OrderTooLargeError",
     "binomial_det",
     "determinant",
+    "divide_alternants",
     "divide_binomials",
-    "divide_bn_alternants",
     "exact_div",
     "expand_det",
     "parse_poly",
@@ -980,54 +982,71 @@ def times_binomials(poly: LaurentPoly, factors: Iterable[LaurentPoly]) -> Lauren
     return LaurentPoly._make(terms, bound)
 
 
-def _signed_orbit(mu: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """The distinct signed permutations of ``mu``, ``mu`` itself first."""
-    return [
-        nu
-        for perm in dict.fromkeys(itertools.permutations(mu))
-        for nu in itertools.product(*[(v, -v) if v else (0,) for v in perm])
-    ]
+def _orbit(mu: Sequence[int], signed: bool) -> Iterator[tuple[int, ...]]:
+    """The distinct permutations of the weakly decreasing ``mu``, ``mu`` first, by
+    next-permutation in decreasing lex order (Knuth, TAOCP 4A, 7.2.1.2, Algorithm L);
+    with ``signed``, each with every sign choice on its nonzero entries."""
+    a, n = list(mu), len(mu)
+    while True:
+        yield from (itertools.product(*[(v, -v) if v else (0,) for v in a]) if signed
+                    else (tuple(a),))
+        j = n - 2
+        while j >= 0 and a[j] <= a[j + 1]:
+            j -= 1
+        if j < 0:
+            return
+        k = n - 1
+        while a[k] >= a[j]:
+            k -= 1
+        a[j], a[k] = a[k], a[j]
+        a[j + 1:] = a[:j:-1]
 
 
-def divide_bn_alternants(
-    num: Mapping[tuple[int, ...], int], rho: Sequence[int], shift: int = 0
+def divide_alternants(
+    num: Mapping[tuple[int, ...], int], rho: Sequence[int], group: str, shift: int = 0
 ) -> LaurentPoly:
     """sum c * A_g over ``num``'s (g, c), divided exactly by A_rho, in x1..xn.
 
-    Weights are n-tuples in doubled centred coordinates: the type-B_n
-    alternant A_g = sum over signed permutations w of sign(w) x^w(g) is
-    det(x_i^{(C+g_j)/2} - x_i^{(C-g_j)/2}) about its centre C, and g is
-    dominant (strictly decreasing and positive) when x^g leads it.  ``num``
-    is the dividend's dominant part, and ``rho`` must be dominant
-    (ValueError otherwise).
+    ``group`` is the Weyl group, ``"A"`` for S_n or ``"B"`` for B_n, and A_g is
+    the sum over its elements w of sign(w) x^w(g), for n-tuples g.  For A that is
+    det(x_i^{g_j}), and g is dominant when strictly decreasing.  For B weights
+    are doubled centred coordinates, A_g is det(x_i^{(C+g_j)/2} - x_i^{(C-g_j)/2})
+    about its centre C, and g is dominant when strictly decreasing and positive.
+    ``num`` is the dividend's dominant part, and ``rho`` must be dominant
+    (ValueError otherwise, as for another group or a nonzero ``shift`` for A).
 
-    The quotient chi is invariant under signed permutations, a sum of orbit
-    sums chi_mu m_mu, and m_mu * A_rho is the sum of the straightened
-    A_{nu+rho} over nu in the orbit of mu (flip negative entries, sort, take
-    the sign; a zero or repeated |entry| vanishes).  Each A_{nu+rho} with
-    nu != mu lies below mu + rho in dominance order, so a triangular solve
-    recovers chi: take the lex-largest remaining weight mu + rho, record
-    chi_mu = its coefficient, and subtract chi_mu * m_mu * A_rho.  A leading
-    mu that is not weakly decreasing and >= 0 raises
-    :class:`NotDivisibleError` (Fulton & Harris, Representation Theory,
-    section 24; Macdonald, Symmetric Functions and Hall Polynomials, I.3).
-    The work is the size of the quotient plus the orbits it subtracts.
-    Each weight nu of chi becomes the exponents (nu_i + shift) / 2, with
-    ``shift`` the dividend's centre minus the divisor's; an odd
-    nu_i + shift raises ValueError, and an exponent outside
-    ``±MAX_EXPONENT`` raises :class:`ExponentRangeError`.
+    The quotient chi is invariant, a sum of orbit sums chi_mu m_mu, and
+    m_mu * A_rho is the sum of the straightened A_{nu+rho} over nu in the orbit
+    of mu (for B flip negative entries; sort and take the sign; a repeated
+    entry, and for B a zero, vanishes).  Each A_{nu+rho} with nu != mu lies
+    below mu + rho in dominance order, so a triangular solve recovers chi: take
+    the lex-largest remaining weight mu + rho, record chi_mu = its coefficient,
+    and subtract chi_mu * m_mu * A_rho.  A leading mu that is not weakly
+    decreasing (and, for B, >= 0) raises :class:`NotDivisibleError` (Fulton &
+    Harris, Representation Theory, section 24; Macdonald, Symmetric Functions
+    and Hall Polynomials, I.3 and I.6).  The work is the size of the quotient
+    plus the orbits it subtracts.  Each weight nu of chi becomes the exponents
+    nu for A and (nu_i + shift) / 2 for B, with ``shift`` the dividend's centre
+    minus the divisor's; an odd nu_i + shift raises ValueError, and an exponent
+    outside ``±MAX_EXPONENT`` raises :class:`ExponentRangeError`.
     """
-    rho = tuple(rho)
-    n = len(rho)
+    signed = {"A": False, "B": True}.get(group)
+    if signed is None or shift and not signed:
+        raise ValueError(f"divide_alternants: expected 'A' with shift 0 or 'B', got {group!r}")
+    rho, n = tuple(rho), len(rho)
+    floor = (0,) if signed else ()  # B weights are positive: compare the last entry to 0
     residual = {tuple(g): c for g, c in num.items() if c}
-    if not all(map(operator.gt, rho, rho[1:] + (0,))) or any(len(g) != n for g in residual):
+    if not all(map(operator.gt, rho, rho[1:] + floor)) or any(len(g) != n for g in residual):
         raise ValueError(
-            f"divide_bn_alternants: the divisor weight {rho} is not dominant, "
+            f"divide_alternants: the divisor weight {rho} is not dominant, "
             f"or a dividend weight is not of its length"
         )
-    # no later mu_1 exceeds the largest first one, so this bounds every exponent
-    top = max([g[0] - rho[0] for g in residual], default=0) if n else 0
-    bound = _checked_bound((max(top, 0) + abs(shift)) // 2)
+    # chi is invariant, so x1 takes all its exponents; each mu + rho is dominated by a
+    # dividend weight, so mu_1 <= hi and, for A, mu_n >= lo (B's orbits flip signs)
+    hi = max([g[0] - rho[0] for g in residual], default=0) if n else 0
+    lo = -hi if signed else min([g[-1] - rho[-1] for g in residual], default=0) if n else 0
+    ends = [(v + shift) // 2 for v in (lo, hi)] if signed else [lo, hi]
+    bound = max([abs(_checked_exponent(e, _position("x1"))) for e in ends])
     heap = [tuple([-v for v in g]) for g in residual]
     heapq.heapify(heap)
     chi: list[tuple[list[tuple[int, ...]], int]] = []  # (orbit of mu, chi_mu)
@@ -1038,21 +1057,21 @@ def divide_bn_alternants(
         if coeff is None:
             continue
         mu = tuple(map(operator.sub, lead, rho))
-        if not all(map(operator.ge, mu, mu[1:] + (0,))):
+        if not all(map(operator.ge, mu, mu[1:] + floor)):
             raise NotDivisibleError(
                 f"nonzero remainder: the leading remaining dividend weight {lead} "
                 f"(coefficient {coeff}) minus the divisor weight {rho} is not dominant"
             )
-        if any([(v + shift) & 1 for v in mu]):
-            raise ValueError(f"divide_bn_alternants: the weight {mu} + {shift} has an odd entry")
-        orbit = _signed_orbit(mu)
+        if signed and any([(v + shift) & 1 for v in mu]):
+            raise ValueError(f"divide_alternants: the weight {mu} + {shift} has an odd entry")
+        orbit = list(_orbit(mu, signed))
         chi.append((orbit, coeff))
         for nu in orbit:
             gamma = list(map(operator.add, nu, rho))
-            mags = [abs(v) for v in gamma]
-            if 0 in mags or len(set(mags)) < n:
+            mags = [abs(v) for v in gamma] if signed else gamma
+            if signed and 0 in mags or len(set(mags)) < n:
                 continue
-            flips = sum([v < 0 for v in gamma])
+            flips = sum([v < 0 for v in gamma]) if signed else 0
             flips += sum([a < b for i, a in enumerate(mags) for b in mags[i + 1:]])
             g = tuple(sorted(mags, reverse=True))
             c = get(g, 0) - (coeff if flips % 2 == 0 else -coeff)
@@ -1063,10 +1082,8 @@ def divide_bn_alternants(
             else:
                 del residual[g]
 
-    units = unit_keys("x", n)
-    out = {
-        sum([(v + shift) // 2 * u for v, u in zip(nu, units)]): c
-        for orbit, c in chi
-        for nu in orbit
-    }
+    units = unit_keys("x", n)  # for B, a key is sum((nu_i + shift) * units_i) / 2, exactly
+    offset, scale = (shift * sum(units), 2) if signed else (0, 1)
+    out = {(sum(map(operator.mul, nu, units)) + offset) // scale: c
+           for orbit, c in chi for nu in orbit}
     return LaurentPoly._make(out, bound)

@@ -16,8 +16,9 @@ form of that denominator, D_n, is its binomial factors,
 :func:`~schurbox.poly.times_binomials` call.  The box sum counts
 semistandard tableaux by content, as chains of interlacing shapes; the
 tableau Schur polynomial enumerates them shape by shape, and the
-bialternant form det(x_i^{lambda_j+n-j}) / prod_{i<j}(x_i - x_j) is the
-second, independent backend that the schur-agree check compares with it.
+bialternant form det(x_i^{lambda_j+n-j}) / prod_{i<j}(x_i - x_j), solved
+like the theorem's ratio but as type-A alternants, is the second,
+independent backend that the schur-agree check compares with it.
 Principal specializations x_i := q^e turn the box sum into the MacMahon and
 Gordon q-products.
 """
@@ -34,9 +35,8 @@ from .poly import (
     LaurentPoly,
     Monomial,
     binomial_det,
+    divide_alternants,
     divide_binomials,
-    divide_bn_alternants,
-    expand_det,
     times_binomials,
     unit_keys,
 )
@@ -113,11 +113,12 @@ def alternant_table(shape: Partition, n: int) -> list[list[int]]:
 
 
 def schur_via_bialternant(shape: Partition, n: int) -> LaurentPoly:
-    """det(x_i^{lambda_j + n - j}) divided exactly by prod_{i<j}(x_i - x_j)."""
+    """det(x_i^{lambda_j + n - j}) / prod_{i<j}(x_i - x_j), solved as S_n alternants by
+    :func:`~schurbox.poly.divide_alternants` from lambda + delta and delta = (n-1, ..., 0)."""
     if len(shape.parts) > n:
         return LaurentPoly.zero()
-    alternant = LaurentPoly.from_keys(expand_det(alternant_table(shape, n)))
-    return divide_binomials(alternant, vandermonde_factors(xvars(n)))
+    delta = tuple(range(n - 1, -1, -1))
+    return divide_alternants({tuple(map(operator.add, shape.padded(n), delta)): 1}, delta, "A")
 
 
 def schur_box_sum(box: BoxParams) -> LaurentPoly:
@@ -173,12 +174,12 @@ def box_det_ratio(box: BoxParams) -> LaurentPoly:
 
     Column j pairs the exponents j - 1 and C - (j - 1), so each determinant is
     (-1)^n times one type-B_n alternant about its centre C: in the weights of
-    :func:`~schurbox.poly.divide_bn_alternants`, D_n (C = 2n - 1) is A_rho with
+    :func:`~schurbox.poly.divide_alternants` for B_n, D_n (C = 2n - 1) is A_rho with
     rho = (2n-1, 2n-3, ..., 1) and the numerator (C = m + 2n - 1) is
     A_{m+rho}.  The ratio is solved from these weights; neither is expanded.
     """
     rho = tuple(range(2 * box.n - 1, 0, -2))
-    return divide_bn_alternants({tuple([box.m + r for r in rho]): 1}, rho, shift=box.m)
+    return divide_alternants({tuple([box.m + r for r in rho]): 1}, rho, "B", shift=box.m)
 
 
 def weyl_denominator(n: int, form: str = "determinant") -> LaurentPoly:

@@ -218,6 +218,15 @@ def test_cli_json_records_the_theorem_divisor():
     ]
 
 
+def test_cli_json_records_the_schur_agree_divisor():
+    args = ("verify", "--checks", "schur-agree,theorem", "--m", "1", "--n", "2")
+    records = json.loads(run_cli(*args, "--output", "json").stdout)
+    assert [(rec["identity"], rec.get("divisor")) for rec in records] == [
+        ("theorem", "bn-alternant"), ("schur-agree", "a-alternant")
+    ]
+    assert "a-alternant" not in run_cli(*args).stdout
+
+
 def test_cli_parallel_option_is_gone():
     proc = run_cli("verify", "--checks", "lemma", "--parallel", "2")
     assert proc.returncode == 2

@@ -1,12 +1,15 @@
-"""``divide_bn_alternants`` against ``divide_binomials`` and ``exact_div``, its
-refusals, and the theorem that routes through it."""
+"""``divide_alternants`` for types B and A against ``divide_binomials`` and
+``exact_div``, its orbits against the all-permutations form, its refusals, and
+the theorem and the bialternant that route through it."""
 
+import itertools
 import operator
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
+from reference_alternant import orbit_by_permutations
 from reference_poly import largest_exponent
 from schurbox import cli, poly, schur
 from schurbox.checks import RunConfig, run_verification
@@ -14,10 +17,12 @@ from schurbox.poly import (
     MAX_EXPONENT,
     ExponentRangeError,
     LaurentPoly,
+    Monomial,
     NotDivisibleError,
+    divide_alternants,
     divide_binomials,
-    divide_bn_alternants,
     exact_div,
+    expand_det,
 )
 
 P = LaurentPoly
@@ -80,27 +85,27 @@ def test_matches_binomial_division_at_n6():
 
 def test_divisor_by_dividend_is_refused():
     with pytest.raises(NotDivisibleError, match="leading remaining dividend weight"):
-        divide_bn_alternants({rho(3): 1}, [2 + r for r in rho(3)], shift=-2)
+        divide_alternants({rho(3): 1}, [2 + r for r in rho(3)], "B", shift=-2)
 
 
 def test_malformed_weights_are_refused():
     for bad in ((1, 3), (3, 0), (3, 3, 1)):
         with pytest.raises(ValueError, match="not dominant"):
-            divide_bn_alternants({(5, 3, 1): 1}, bad)
+            divide_alternants({(5, 3, 1): 1}, bad, "B")
     for weight in ((5, 3, 1), ()):
         with pytest.raises(ValueError, match="not of its length"):
-            divide_bn_alternants({weight: 1}, (3, 1))
+            divide_alternants({weight: 1}, (3, 1), "B")
     with pytest.raises(ValueError, match="odd entry"):
-        divide_bn_alternants({(4, 2): 1}, (3, 1), shift=0)
-    quotient = divide_bn_alternants({(4, 2): 1}, (3, 1), shift=1)
+        divide_alternants({(4, 2): 1}, (3, 1), "B", shift=0)
+    quotient = divide_alternants({(4, 2): 1}, (3, 1), "B", shift=1)
     assert quotient == exact_div(numerator(1, 2), dn(2))
 
 
 def test_quotient_outside_the_exponent_range_is_refused():
     # A_(1) about the centres 2M - 1 and 1 - 2M: x1^M - x1^(M-1) over x1^(1-M) - x1^-M
     with pytest.raises(ExponentRangeError):
-        divide_bn_alternants({(1,): 1}, (1,), shift=4 * MAX_EXPONENT - 2)
-    assert divide_bn_alternants({(1,): 1}, (1,), shift=2 * MAX_EXPONENT) == P.variable(
+        divide_alternants({(1,): 1}, (1,), "B", shift=4 * MAX_EXPONENT - 2)
+    assert divide_alternants({(1,): 1}, (1,), "B", shift=2 * MAX_EXPONENT) == P.variable(
         "x1", MAX_EXPONENT
     )
     # refused before the solve, whose quotient would have (m + 1)^n terms
@@ -109,10 +114,10 @@ def test_quotient_outside_the_exponent_range_is_refused():
 
 
 def test_zero_dividend_and_constants():
-    assert divide_bn_alternants({}, rho(3)) == P.zero()
-    assert divide_bn_alternants({rho(3): 0}, rho(3)) == P.zero()
-    assert divide_bn_alternants({(): 6}, ()) == P.constant(6)
-    assert divide_bn_alternants({rho(2): -2}, rho(2), shift=4) == -2 * (
+    assert divide_alternants({}, rho(3), "B") == P.zero()
+    assert divide_alternants({rho(3): 0}, rho(3), "B") == P.zero()
+    assert divide_alternants({(): 6}, (), "B") == P.constant(6)
+    assert divide_alternants({rho(2): -2}, rho(2), "B", shift=4) == -2 * (
         P.variable("x1", 2) * P.variable("x2", 2)
     )
 
@@ -154,10 +159,125 @@ def alternant_quotients(draw):
 def test_recovers_any_invariant_quotient(case):
     n, chi, rho, centre = case
     if not chi:
-        assert divide_bn_alternants({}, rho) == chi
+        assert divide_alternants({}, rho, "B") == chi
         return
     num_centre, num_dom = dominant(chi * alternant(n, rho, centre), n)
-    assert divide_bn_alternants(num_dom, rho, shift=num_centre - centre) == chi
+    assert divide_alternants(num_dom, rho, "B", shift=num_centre - centre) == chi
+
+
+# -- type A: the symmetric group ---------------------------------------------------
+
+
+def a_alternant(g):
+    """a_g = det(x_i^{g_j}) by ``expand_det`` on a monomial table."""
+    names = schur.xvars(len(g))
+    return P.from_keys(expand_det([[Monomial.variable(v, e).key for e in g] for v in names]))
+
+
+def test_type_a_leading_weight_below_the_divisor_is_refused():
+    # (2, 3) - delta = (1, 3) is not weakly decreasing
+    with pytest.raises(NotDivisibleError, match="leading remaining dividend weight"):
+        divide_alternants({(2, 3): 1}, (1, 0), "A")
+    # a_(3,0) / a_(2,0) = (x1^2 + x1 x2 + x2^2) / (x1 + x2) is not Laurent: after
+    # chi_(1,0) the remainder leads with -a_(2,1), and (2,1) - (2,0) = (0,1)
+    with pytest.raises(NotDivisibleError, match=r"weight \(2, 1\) \(coefficient -1\)"):
+        divide_alternants({(3, 0): 1}, (2, 0), "A")
+
+
+def test_type_a_malformed_weights_and_unknown_groups_are_refused():
+    for bad in ((0, 1), (1, 1), (2, 2, 0)):
+        with pytest.raises(ValueError, match="not dominant"):
+            divide_alternants({(3, 1, 0): 1}, bad, "A")
+    for weight in ((3, 1, 0), ()):
+        with pytest.raises(ValueError, match="not of its length"):
+            divide_alternants({weight: 1}, (1, 0), "A")
+    for group, shift in (("C", 0), ("b", 0), (None, 0), ("A", 2)):
+        with pytest.raises(ValueError, match="expected 'A' with shift 0 or 'B', got"):
+            divide_alternants({(1, 0): 1}, (1, 0), group, shift=shift)
+
+
+def test_type_a_zero_dividend_constants_and_laurent_quotients():
+    x1, x2 = P.variable("x1"), P.variable("x2")
+    assert divide_alternants({}, (1, 0), "A") == P.zero()
+    assert divide_alternants({(1, 0): 0}, (1, 0), "A") == P.zero()
+    assert divide_alternants({(): 6}, (), "A") == P.constant(6)
+    # a negative divisor weight is dominant for S_n, and quotients may be Laurent
+    assert divide_alternants({(1, -1): 1}, (0, -1), "A") == x1 + x2
+    assert divide_alternants({(-1, -2): -3}, (1, 0), "A") == -3 * (
+        P.variable("x1", -2) * P.variable("x2", -2)
+    )
+    assert divide_alternants({(2, 0): 1, (1, 0): 1}, (1, 0), "A") == x1 + x2 + 1
+
+
+def test_type_a_quotient_outside_the_exponent_range_is_refused():
+    # m_(0,-M) * a_(1,0) = a_(1,-M) - a_(0,1-M): the quotient x1^-M + x2^-M fits
+    M = MAX_EXPONENT
+    assert divide_alternants({(1, -M): 1, (0, 1 - M): -1}, (1, 0), "A") == (
+        P.variable("x1", -M) + P.variable("x2", -M)
+    )
+    # one lower does not, and neither does mu_1 = M + 1; both refused before the solve
+    for num in ({(1, -M - 1): 1, (0, -M): -1}, {(M + 2, 0): 1}):
+        with pytest.raises(ExponentRangeError, match="of x1 is outside"):
+            divide_alternants(num, (1, 0), "A")
+
+
+def symmetric(n, a, k, coeffs):
+    """prod (1 + x_i)^a * (x1...xn)^k * sum c_i e_i(x1..xn)."""
+    xs = [P.variable(v) for v in schur.xvars(n)]
+    elementary = [P.one()]
+    for x in xs:
+        shifted = zip(elementary + [P.zero()], [P.zero()] + elementary)
+        elementary = [e + x * prev for e, prev in shifted]
+    out = P.zero()
+    for e, c in zip(elementary, coeffs):
+        out = out + c * e
+    for x, v in zip(xs, schur.xvars(n)):
+        out = out * (1 + x) ** a * P.variable(v, k)
+    return out
+
+
+@st.composite
+def symmetric_quotients(draw):
+    n = draw(st.integers(1, 3))
+    rho = tuple(sorted(draw(st.lists(st.integers(-3, 4), min_size=n, max_size=n, unique=True)),
+                       reverse=True))
+    chi = symmetric(n, draw(st.integers(0, 2)), draw(st.integers(-1, 1)),
+                    draw(st.lists(st.integers(-3, 3), min_size=n + 1, max_size=n + 1)))
+    return n, chi, rho
+
+
+@given(symmetric_quotients())
+@settings(max_examples=60, deadline=None)
+def test_type_a_recovers_any_symmetric_quotient(case):
+    n, chi, rho = case
+    names = schur.xvars(n)
+    terms = [(tuple([mono.exponent(v) for v in names]), c)
+             for mono, c in (chi * a_alternant(rho)).terms()]
+    num_dom = {g: c for g, c in terms if all(map(operator.gt, g, g[1:]))}
+    assert divide_alternants(num_dom, rho, "A") == chi
+
+
+# -- the orbits ---------------------------------------------------------------------
+
+
+def orbit_weights(n, signed):
+    """Weakly decreasing n-tuples with repeated entries and zeros (and, for A,
+    negative entries), and one with n distinct entries."""
+    values = (2, 1, 0) if signed else (1, 0, -1)
+    repeated = itertools.combinations_with_replacement(values, n)
+    distinct = range(n - 1, -1, -1) if signed else range(n // 2, n // 2 - n, -1)
+    return [*repeated, tuple(distinct)]
+
+
+@pytest.mark.parametrize("signed", [False, True], ids=["A", "B"])
+def test_orbits_match_the_all_permutations_form(signed):
+    for n in range(8):
+        for mu in orbit_weights(n, signed):
+            got = list(poly._orbit(mu, signed))
+            want = orbit_by_permutations(mu, signed)
+            assert got[0] == mu
+            assert len(set(got)) == len(got), mu
+            assert set(got) == set(want), mu
 
 
 # -- the theorem ------------------------------------------------------------------
@@ -198,8 +318,24 @@ def test_theorem_never_expands_a_determinant(monkeypatch):
 
     for module in (poly, schur):
         for name in ("expand_det", "binomial_det"):
-            monkeypatch.setattr(module, name, refuse)
+            # schur no longer imports expand_det; set it anyway, so a new import is caught
+            monkeypatch.setattr(module, name, refuse, raising=False)
     monkeypatch.setattr(poly, "determinant", refuse)
     results = run_verification(RunConfig(("theorem",), (1, 3), (1, 4)))
     assert len(results) == 12
     assert all(r.passed for r in results), [r.error for r in results]
+
+
+def test_schur_agree_neither_divides_by_binomials_nor_expands(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("schur-agree divided by binomials or expanded a determinant")
+
+    for module in (poly, schur):
+        for name in ("divide_binomials", "expand_det", "binomial_det"):
+            monkeypatch.setattr(module, name, refuse, raising=False)
+    for name in ("exact_div", "determinant"):
+        monkeypatch.setattr(poly, name, refuse)
+    results = run_verification(RunConfig(("schur-agree",), (1, 3), (1, 4)))
+    assert len(results) == 12
+    assert all(r.passed for r in results), [r.error for r in results]
+    assert {r.divisor for r in results} == {"a-alternant"}

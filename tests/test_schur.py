@@ -2,6 +2,8 @@
 
 import pytest
 
+from reference_alternant import bialternant_by_division
+from reference_poly import largest_exponent
 from schurbox.combinat import Partition, generating_function, partitions_in_box, symmetric_plane_partitions
 from schurbox.poly import (
     MAX_EXPONENT,
@@ -69,6 +71,15 @@ def test_alternant_table_is_range_checked():
 def test_backends_agree_on_box(m, n):
     for lam in partitions_in_box(m, n):
         assert schur_via_tableaux(lam, n) == schur_via_bialternant(lam, n), lam
+
+
+def test_bialternant_solve_matches_expand_and_divide():
+    # every shape of the 4 x 5 box at n = 0..5: more parts than n gives 0 both ways
+    for n in range(6):
+        for lam in partitions_in_box(4, 5):
+            got = schur_via_bialternant(lam, n)
+            assert got == bialternant_by_division(lam, n), (lam, n)
+            assert largest_exponent(got) <= got._bound
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
