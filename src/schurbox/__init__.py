@@ -60,6 +60,7 @@ from .schur import (
 from .identity import (
     eq4_sides,
     eq5_sides,
+    eq6_rhs,
     eq6_sides,
     f_function,
     lemma_sides,
@@ -103,6 +104,7 @@ __all__ = [
     "dn_checks",
     "eq4_sides",
     "eq5_sides",
+    "eq6_rhs",
     "eq6_sides",
     "exact_div",
     "f_function",

@@ -3,7 +3,7 @@
 Each check is one table row: whether it depends on m (if not, it runs once
 per n), its minimum n, whether its cost grows like n! (it expands an
 order-n determinant or multiplies n!-term Vandermonde products),
-``sides(m, n)``, which builds both sides of one identity and returns
+``sides(m, n, shared)``, which builds both sides of one identity and returns
 ``(lhs, rhs)`` or ``(lhs, rhs, ok)`` with ``ok`` a structural verdict (fold
 an injection, D_n roots), and the divisor form the check records, if any:
 ``"bn-alternant"`` for the theorem and ``"a-alternant"`` for schur-agree,
@@ -12,16 +12,22 @@ alternants.  Neither expands a determinant, yet both keep their n! flag:
 the theorem's quotient has (m+1)^n terms, and schur-agree's shapes and
 tableaux grow with the box, so until a cost budget refuses large inputs the
 order bound is what stops them at n = 9.  Multi-stage checks return their
-first disagreeing pair.  The runner records each outcome as a
-:class:`CheckResult` with ``passed = lhs == rhs and ok``; a ``sides`` call
-that raises becomes a failed result with the error text, and the sweep goes on.
+first disagreeing pair.  ``shared`` is the run's store of sides that
+several checks at one n use: eq6's right side, which eq5 puts m back into at
+every m, and D_n, which weyl compares with its product form and dn
+substitutes into.  :func:`run_verification` makes one per call, so a side
+is built once per n and dropped at the next n or when the call returns.
+The runner records each outcome as a :class:`CheckResult` with
+``passed = lhs == rhs and ok``; a ``sides`` call that raises, a shared
+build included, becomes a failed result with the error text, and the sweep
+goes on.
 """
 
 from __future__ import annotations
 
 import time
 from collections import namedtuple
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 
 from .combinat import (
     column_strict_odd_pps,
@@ -31,7 +37,7 @@ from .combinat import (
     symmetric_plane_partitions,
     unfold,
 )
-from .identity import eq4_sides, eq5_sides, eq6_sides, lemma_sides, vanishing_det
+from .identity import eq4_sides, eq5_sides, eq6_rhs, eq6_sides, lemma_sides, vanishing_det
 from .poly import DEFAULT_MAX_ORDER, LaurentPoly
 from .schur import (
     BoxParams,
@@ -72,7 +78,11 @@ class CheckResult(namedtuple(
 )):
     """Outcome of one identity verification at concrete parameters; ``error`` is
     ``"<Type>: <message>"`` if building the sides raised (then both sides are 0),
-    and ``divisor`` names the divisor form of the check's table row, if any."""
+    and ``divisor`` names the divisor form of the check's table row, if any.
+
+    ``elapsed_ms`` includes the build of any shared side (eq6's right side,
+    D_n) that this check was the first at its n to need; the checks after it
+    at that n reuse the side and do not pay for it."""
 
     __slots__ = ()
 
@@ -167,9 +177,32 @@ def _schur_agree_sides(m: int, n: int) -> tuple[LaurentPoly, LaurentPoly]:
     return total_tab, total_alt
 
 
-def _dn_sides(_: int | None, n: int) -> tuple[LaurentPoly, LaurentPoly, bool]:
+def _share(shared: dict, kind: str, n: int, build: Callable[[int], LaurentPoly]) -> LaurentPoly:
+    """The ``kind`` side at n from the run's store, ``build(n)`` on a miss.
+
+    The store holds one ``(n, side)`` slot per kind.  A miss drops the slot
+    before it builds, and a build that raises leaves it empty, so the next
+    check at n builds again and records its own error.
+    """
+    if shared.get(kind, (None,))[0] != n:
+        shared.pop(kind, None)
+        shared[kind] = (n, build(n))
+    return shared[kind][1]
+
+
+def _rhs6(shared: dict, n: int) -> LaurentPoly:
+    """eq6's right side, for eq5 at every m and for eq6."""
+    return _share(shared, "eq6_rhs", n, eq6_rhs)
+
+
+def _d_n(shared: dict, n: int) -> LaurentPoly:
+    """The Weyl determinant D_n, for weyl and dn."""
+    return _share(shared, "d_n", n, lambda k: weyl_denominator(k, "determinant"))
+
+
+def _dn_sides(m: int | None, n: int, shared: dict) -> tuple[LaurentPoly, LaurentPoly, bool]:
     """Root substitutions and the leading-coefficient recursion for D_n."""
-    report = dn_checks(n)
+    report = dn_checks(n, _d_n(shared, n))
     return report.lead, report.expected, report.all_pass
 
 
@@ -177,21 +210,24 @@ _Check = namedtuple("_Check", "uses_m min_n expands_order_n sides divisor", defa
 
 
 _TABLE: dict[str, _Check] = {
-    "theorem": _Check(True, 1, True, lambda m, n: (
+    "theorem": _Check(True, 1, True, lambda m, n, shared: (
         schur_box_sum(BoxParams(m, n)), box_det_ratio(BoxParams(m, n))), "bn-alternant"),
-    "weyl": _Check(False, 1, True, lambda _, n: (
-        weyl_denominator(n, "determinant"), weyl_denominator(n, "product"))),
-    "lemma": _Check(False, 1, True, lambda _, n: lemma_sides(n)),
-    "eq4": _Check(True, 1, True, lambda m, n: eq4_sides(BoxParams(m, n))),
-    "eq5": _Check(True, 1, True, lambda m, n: eq5_sides(BoxParams(m, n))),
-    "eq6": _Check(False, 1, True, lambda _, n: eq6_sides(n)),
-    "vanishing": _Check(False, 1, True, lambda _, n: (vanishing_det(n), LaurentPoly.zero())),
-    "macmahon": _Check(True, 1, False, _macmahon_sides),
-    "gordon": _Check(True, 1, False, lambda m, n: (
+    "weyl": _Check(False, 1, True, lambda m, n, shared: (
+        _d_n(shared, n), weyl_denominator(n, "product"))),
+    "lemma": _Check(False, 1, True, lambda m, n, shared: lemma_sides(n)),
+    "eq4": _Check(True, 1, True, lambda m, n, shared: eq4_sides(BoxParams(m, n))),
+    "eq5": _Check(True, 1, True, lambda m, n, shared: eq5_sides(
+        BoxParams(m, n), _rhs6(shared, n))),
+    "eq6": _Check(False, 1, True, lambda m, n, shared: eq6_sides(n, _rhs6(shared, n))),
+    "vanishing": _Check(False, 1, True, lambda m, n, shared: (
+        vanishing_det(n), LaurentPoly.zero())),
+    "macmahon": _Check(True, 1, False, lambda m, n, shared: _macmahon_sides(m, n)),
+    "gordon": _Check(True, 1, False, lambda m, n, shared: (
         principal_specialization(schur_box_sum(BoxParams(m, n)), list(range(n, 0, -1))),
         gordon_product(BoxParams(m, n)))),
-    "bijection": _Check(True, 1, False, _bijection_sides),
-    "schur-agree": _Check(True, 1, True, _schur_agree_sides, "a-alternant"),
+    "bijection": _Check(True, 1, False, lambda m, n, shared: _bijection_sides(m, n)),
+    "schur-agree": _Check(
+        True, 1, True, lambda m, n, shared: _schur_agree_sides(m, n), "a-alternant"),
     "dn": _Check(False, 2, True, _dn_sides),
 }
 
@@ -231,12 +267,12 @@ def _validate_range(name: str, rng: tuple[int, int]) -> None:
         raise InvalidRangeError(f"{name} range must start at 1 or above, got {lo}")
 
 
-def _evaluate(check_id: str, m: int | None, n: int) -> CheckResult:
+def _evaluate(check_id: str, m: int | None, n: int, shared: dict) -> CheckResult:
     entry = _TABLE[check_id]
     start = time.perf_counter()
     error = None
     try:
-        lhs, rhs, *ok = entry.sides(m, n)
+        lhs, rhs, *ok = entry.sides(m, n, shared)
     except Exception as exc:  # one raising check must not abort the sweep
         lhs = rhs = LaurentPoly.zero()
         ok, error = [False], f"{type(exc).__name__}: {exc}"
@@ -252,7 +288,12 @@ def run_verification(config: RunConfig) -> list[CheckResult]:
     Unknown checks, bad ranges and an n above DEFAULT_MAX_ORDER for a check
     whose cost grows like n! are rejected before any work starts.
     Grid points below a check's minimum n (dn needs n >= 2) are skipped.
-    Results come in ``CHECK_IDS`` order, then by n, then by m.
+
+    The checks run n by n, in ``CHECK_IDS`` order at each n, with one store
+    of shared sides made for this call: eq6's right side (eq5 at every m,
+    and eq6) and D_n (weyl and dn) are built once per n, by the first check
+    that needs them, and each kind keeps only its latest n.  Results come
+    in ``CHECK_IDS`` order, then by n, then by m.
     """
     ids = expand_checks(config.checks)
     _validate_range("m", config.m_range)
@@ -264,10 +305,12 @@ def run_verification(config: RunConfig) -> list[CheckResult]:
             f"of {', '.join(bounded)}"
         )
 
-    results: list[CheckResult] = []
-    for check_id in (c for c in CHECK_IDS if c in ids):
-        entry = _TABLE[check_id]
-        for n in range(max(config.n_range[0], entry.min_n), config.n_range[1] + 1):
-            ms = range(config.m_range[0], config.m_range[1] + 1) if entry.uses_m else (None,)
-            results.extend(_evaluate(check_id, m, n) for m in ms)
-    return results
+    results: dict[str, list[CheckResult]] = {c: [] for c in CHECK_IDS if c in ids}
+    shared: dict[str, tuple[int, LaurentPoly]] = {}
+    for n in range(config.n_range[0], config.n_range[1] + 1):
+        for check_id, out in results.items():
+            entry = _TABLE[check_id]
+            if n >= entry.min_n:
+                ms = range(config.m_range[0], config.m_range[1] + 1) if entry.uses_m else (None,)
+                out.extend(_evaluate(check_id, m, n, shared) for m in ms)
+    return [r for out in results.values() for r in out]

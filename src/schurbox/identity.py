@@ -32,7 +32,11 @@ lemma's right side and eq6's k-prefactors are each one
 the eq6 left side and inner sums, eq4's alternant sum, and, through
 :func:`~schurbox.poly.binomial_det`, the left side that eq4 and eq5 share
 and the vanishing determinant.  eq5 and eq6 share eq6's right side
-(``_eq6_rhs_terms``), so eq5 and eq4 meet only in their left side.
+(:func:`eq6_rhs`), so eq5 and eq4 meet only in their left side.
+``eq5_sides(box, rhs6=None)`` and ``eq6_sides(n, rhs=None)`` take that side
+already built, as the runner passes it once per n; without it each builds
+its own.  eq6's sides and eq4's alternant sum carry exponent bounds known
+from their construction, so building them decodes no key.
 """
 
 from __future__ import annotations
@@ -40,7 +44,16 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator
 from itertools import accumulate
 
-from .poly import LaurentPoly, Monomial, binomial_det, divide_binomials, expand_det, times_binomials
+from .poly import (
+    DEFAULT_MAX_ORDER,
+    LaurentPoly,
+    Monomial,
+    OrderTooLargeError,
+    binomial_det,
+    divide_binomials,
+    expand_det,
+    times_binomials,
+)
 from .combinat import partitions_in_box
 from .schur import (
     BoxParams,
@@ -54,6 +67,7 @@ from .schur import (
 __all__ = [
     "eq4_sides",
     "eq5_sides",
+    "eq6_rhs",
     "eq6_sides",
     "f_function",
     "lemma_sides",
@@ -120,19 +134,25 @@ def eq4_sides(box: BoxParams) -> tuple[LaurentPoly, LaurentPoly]:
         raise ValueError("n must be at least 1")
     lhs = binomial_det(xvars(n), *_box_exponents(m, n))
     terms = (t for lam in partitions_in_box(m, n) for t in expand_det(alternant_table(lam, n)))
-    return lhs, times_binomials(LaurentPoly.from_keys(terms), bn_factors(n))
+    # an exponent of a_{lambda+delta} is lambda_j + n - j <= m + n - 1
+    return lhs, times_binomials(LaurentPoly.from_keys(terms, m + n - 1), bn_factors(n))
 
 
-def eq5_sides(box: BoxParams) -> tuple[LaurentPoly, LaurentPoly]:
+def eq5_sides(box: BoxParams, rhs6: LaurentPoly | None = None) -> tuple[LaurentPoly, LaurentPoly]:
     """The paper's eq4 expanded over permutations and subsets: the left side is
     eq4's, and the right side is eq6's with m put back by t_i := x_i^{m+2n-1},
-    the inverse of the step x_i^{m+1} -> t_i x_i^{2-2n} from eq5 to eq6."""
+    the inverse of the step x_i^{m+1} -> t_i x_i^{2-2n} from eq5 to eq6.
+
+    ``rhs6`` is ``eq6_rhs(n)`` already built; without it it is built here.
+    """
     m, n = box
     if n < 1:
         raise ValueError("n must be at least 1")
     lhs = binomial_det(xvars(n), *_box_exponents(m, n))
+    if rhs6 is None:
+        rhs6 = eq6_rhs(n)
     t_values = {f"t{i}": Monomial.variable(f"x{i}", m + 2 * n - 1) for i in range(1, n + 1)}
-    return lhs, LaurentPoly.from_keys(_eq6_rhs_terms(n)).substitute(t_values)
+    return lhs, rhs6.substitute(t_values)
 
 
 def _revolving_door(n: int, s: int) -> list[tuple[int, ...]]:
@@ -159,8 +179,8 @@ def _transpositions(n: int, s: int) -> Iterator[dict[str, str]]:
         yield {f"{v}{i}": f"{v}{j}" for i, j in ((a, b), (b, a)) for v in "tx"}
 
 
-def _eq6_rhs_terms(n: int) -> Iterator[tuple[int, int]]:
-    """The terms of eq6's right side, which :func:`eq5_sides` also uses.
+def eq6_rhs(n: int) -> LaurentPoly:
+    """eq6's right side, which :func:`eq5_sides` also uses.
 
     The side is the sum over proper subsets S of (-1)^|S| term_S.  term_S is
     the k-sum over k not in S of (-1)^{n+k}(1-x_k) prod_{i!=k}(x_i x_k - 1)
@@ -189,41 +209,61 @@ def _eq6_rhs_terms(n: int) -> Iterator[tuple[int, int]]:
     {1..s} to those of S.  The subsets of size s are visited in
     :func:`_revolving_door` order, so each image is the previous one under a
     single transposition, which flips the sign.  All images are added into
-    one term map, and the side is built once.
+    one term map, and the side is built once.  A renaming keeps a term's
+    exponent bound, so the largest bound of the n terms bounds the side and
+    no key is decoded for it.  N_S has order n, so an n above
+    ``DEFAULT_MAX_ORDER`` raises :class:`~schurbox.poly.OrderTooLargeError`
+    before any term is built.
     """
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    if n > DEFAULT_MAX_ORDER:
+        raise OrderTooLargeError(f"order {n} exceeds the bound {DEFAULT_MAX_ORDER}")
     cols = range(1, n + 1)
     k_factors = [times_binomials(LaurentPoly.constant((-1) ** (n + k)), _k_factor(n, k))
                  for k in cols]
+    terms = []
     for s in range(n):
         comp = cols[s:]
         rows = [_row(i, range(-1, -n, -1), 1) for i in cols[:s]]
         rows += [_row(i, range(1, n)) for i in comp]
         ksum = LaurentPoly.zero()
         for k in comp:
-            inner = LaurentPoly.from_keys(expand_det(rows[:k - 1] + rows[k:]))
+            # each entry is x_i^j or t_i x_i^-j with 1 <= j <= n - 1
+            inner = LaurentPoly.from_keys(expand_det(rows[:k - 1] + rows[k:]), n - 1)
             ksum = ksum + k_factors[k - 1] * inner
         t_numerator = 1 - _x_product(comp, 2 - 2 * n, 1)
-        term = times_binomials(divide_binomials(ksum, [1 - _x_product(comp)]), [t_numerator])
-        images = accumulate(_transpositions(n, s), LaurentPoly.substitute, initial=term)
-        for r, image in enumerate(images, s):
-            sign = -1 if r & 1 else 1
-            yield from ((key, sign * c) for key, c in image.key_terms())
+        terms.append(
+            times_binomials(divide_binomials(ksum, [1 - _x_product(comp)]), [t_numerator])
+        )
+
+    def signed_images() -> Iterator[tuple[int, int]]:
+        for s, term in enumerate(terms):
+            images = accumulate(_transpositions(n, s), LaurentPoly.substitute, initial=term)
+            for r, image in enumerate(images, s):
+                sign = -1 if r & 1 else 1
+                yield from ((key, sign * c) for key, c in image.key_terms())
+
+    return LaurentPoly.from_keys(signed_images(), max(term._bound for term in terms))
 
 
-def eq6_sides(n: int) -> tuple[LaurentPoly, LaurentPoly]:
+def eq6_sides(n: int, rhs: LaurentPoly | None = None) -> tuple[LaurentPoly, LaurentPoly]:
     """The m-free restatement over x1..xn, t1..tn.
 
     Left side: sum over permutations sigma and subsets S of
     (-1)^{inv+|S|} prod_{i in S} t_i x_i^{1-sigma(i)} prod_{i not in S} x_i^{sigma(i)-1},
-    that is det(x_i^{j-1} - t_i x_i^{1-j}), expanded in full.  Right side: the
-    terms of :func:`_eq6_rhs_terms`.
+    that is det(x_i^{j-1} - t_i x_i^{1-j}), expanded in full.  Each of its
+    terms takes one entry per row, and row i holds only x_i and t_i, so its
+    exponents are those of the entries: at most max(n - 1, 1) in absolute
+    value.  Right side: :func:`eq6_rhs`, or ``rhs`` if it is already built.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
     cols = range(1, n + 1)
     a = [_row(i, range(n)) for i in cols]
     b = [_row(i, range(0, -n, -1), 1) for i in cols]
-    return LaurentPoly.from_keys(expand_det(a, b)), LaurentPoly.from_keys(_eq6_rhs_terms(n))
+    lhs = LaurentPoly.from_keys(expand_det(a, b), max(n - 1, 1))
+    return lhs, eq6_rhs(n) if rhs is None else rhs
 
 
 def vanishing_det(n: int) -> LaurentPoly:

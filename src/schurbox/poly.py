@@ -381,15 +381,18 @@ class LaurentPoly:
         return cls._make({Monomial.variable(name, exp).key: 1}, abs(operator.index(exp)))
 
     @classmethod
-    def from_keys(cls, items: Iterable[tuple[int, int]]) -> LaurentPoly:
+    def from_keys(cls, items: Iterable[tuple[int, int]], bound: int | None = None) -> LaurentPoly:
         """Sum of ``(packed key, coefficient)`` pairs.
 
         Each key must hold every exponent within ``±MAX_EXPONENT``, as a sum
         of :func:`unit_keys` entries times such exponents (one per variable)
-        does; this builds terms without naming their variables.
+        does; this builds terms without naming their variables.  A caller
+        that knows a bound on every |exponent| of the keys passes it as
+        ``bound`` (range-checked) and no key is decoded; otherwise every
+        key is read for the exact bound.
         """
         terms = _accumulate({}, items)
-        return cls._make(terms, _bound(terms))
+        return cls._make(terms, _bound(terms) if bound is None else _checked_bound(bound))
 
     @classmethod
     def term(cls, mono: Monomial, coeff: int = 1) -> LaurentPoly:

@@ -94,7 +94,8 @@ def schur_via_tableaux(shape: Partition, n: int) -> LaurentPoly:
     """Sum over semistandard tableaux of shape ``shape`` of prod x_entry.
 
     A tableau's content monomial is the sum of the packed keys of x_v over
-    the entries v that :func:`~schurbox.combinat.ssyt` yields for it.
+    the entries v that :func:`~schurbox.combinat.ssyt` yields for it.  A
+    value appears at most once per column, so no exponent exceeds lambda_1.
     """
     units = (0, *unit_keys("x", n))  # units[v] is the key of x_v
     counts: dict[int, int] = {}
@@ -102,7 +103,7 @@ def schur_via_tableaux(shape: Partition, n: int) -> LaurentPoly:
     for tab in ssyt(shape, n):
         key = sum([units[v] for v in tab])
         counts[key] = get(key, 0) + 1
-    return LaurentPoly.from_keys(counts.items())
+    return LaurentPoly.from_keys(counts.items(), shape.parts[0] if shape.parts else 0)
 
 
 def alternant_table(shape: Partition, n: int) -> list[list[int]]:
@@ -131,9 +132,9 @@ def schur_box_sum(box: BoxParams) -> LaurentPoly:
     lambda^k, padded to k parts, to the content monomials in x_1..x_k of the
     chains that reach it, counted, so the chains through one shape are
     extended together; level n, never extended, counts all chains into one
-    dict, the box sum.  An m past ``MAX_EXPONENT`` raises at once, since no
-    x_k exponent exceeds m.  :func:`schur_via_tableaux` enumerates the same
-    tableaux one at a time.
+    dict, the box sum.  No x_k exponent exceeds m, so m is the sum's bound,
+    and an m past ``MAX_EXPONENT`` raises at once.  :func:`schur_via_tableaux`
+    enumerates the same tableaux one at a time.
     """
     m, n = box
     if n:
@@ -153,7 +154,7 @@ def schur_box_sum(box: BoxParams) -> LaurentPoly:
                     key += shift
                     target[key] = get(key, 0) + c
         level = above
-    return LaurentPoly.from_keys(level[()].items())
+    return LaurentPoly.from_keys(level[()].items(), m if n else 0)
 
 
 def bn_factors(n: int) -> list[LaurentPoly]:
@@ -214,14 +215,18 @@ class DnReport(namedtuple("DnReport", "n root_checks lead expected")):
         return self.leading_coefficient_ok and all(ok for _, ok in self.root_checks)
 
 
-def dn_checks(n: int) -> DnReport:
+def dn_checks(n: int, d_n: LaurentPoly | None = None) -> DnReport:
     """Verify that D_n vanishes at x1 := 1, x_j, x_j^-1 and satisfies
 
     [x1^{2n-1}] D_n = -x2...xn * D_{n-1}(x2..xn).
+
+    ``d_n`` is D_n already built, as ``weyl_denominator(n, "determinant")``
+    gives it; without it D_n is built here.
     """
     if n < 2:
         raise ValueError("dn_checks needs n >= 2")
-    d_n = binomial_det(xvars(n), *_box_exponents(0, n))
+    if d_n is None:
+        d_n = weyl_denominator(n, "determinant")
     roots: list[tuple[str, bool]] = []
     roots.append(("x1:=1", d_n.substitute({"x1": 1}).is_zero()))
     for j in range(2, n + 1):
