@@ -13,10 +13,13 @@ the theorem's quotient has (m+1)^n terms, and schur-agree's shapes and
 tableaux grow with the box, so until a cost budget refuses large inputs the
 order bound is what stops them at n = 9.  Multi-stage checks return their
 first disagreeing pair.  ``shared`` is the run's store of sides that
-several checks at one n use: eq6's right side, which eq5 puts m back into at
-every m, and D_n, which weyl compares with its product form and dn
-substitutes into.  :func:`run_verification` makes one per call, so a side
-is built once per n and dropped at the next n or when the call returns.
+several checks use: eq6's right side, which eq5 puts m back into at every
+m, and D_n, which weyl compares with its product form and dn substitutes
+into, each kept for one n; and the box sum, which theorem, macmahon and
+gordon take at one (m, n).  :func:`run_verification` makes one per call and
+runs the grid point by point, so each side is built once, by the first
+check that needs it, and dropped at the next n (or (m, n)) or when the
+call returns.
 The runner records each outcome as a :class:`CheckResult` with
 ``passed = lhs == rhs and ok``; a ``sides`` call that raises, a shared
 build included, becomes a failed result with the error text, and the sweep
@@ -80,9 +83,10 @@ class CheckResult(namedtuple(
     ``"<Type>: <message>"`` if building the sides raised (then both sides are 0),
     and ``divisor`` names the divisor form of the check's table row, if any.
 
-    ``elapsed_ms`` includes the build of any shared side (eq6's right side,
-    D_n) that this check was the first at its n to need; the checks after it
-    at that n reuse the side and do not pay for it."""
+    ``elapsed_ms`` includes the build of any shared side that this check was
+    the first to need: eq6's right side or D_n at its n, or the box sum at its
+    (m, n), which theorem builds when it runs and macmahon or gordon
+    otherwise.  The checks after it reuse the side and do not pay for it."""
 
     __slots__ = ()
 
@@ -126,11 +130,11 @@ class RunConfig(namedtuple(
 # import), so a wrapper rebound onto those names sees every call.
 
 
-def _macmahon_sides(m: int, n: int) -> tuple[LaurentPoly, LaurentPoly]:
+def _macmahon_sides(m: int, n: int, shared: dict) -> tuple[LaurentPoly, LaurentPoly]:
     """Brute-force generating function == specialized box sum == q-product."""
     brute = generating_function(symmetric_plane_partitions(n, m))
     specialized = principal_specialization(
-        schur_box_sum(BoxParams(m, n)), [2 * (n - i) + 1 for i in range(1, n + 1)]
+        _box_sum(shared, m, n), [2 * (n - i) + 1 for i in range(1, n + 1)]
     )
     if brute != specialized:
         return brute, specialized
@@ -177,27 +181,35 @@ def _schur_agree_sides(m: int, n: int) -> tuple[LaurentPoly, LaurentPoly]:
     return total_tab, total_alt
 
 
-def _share(shared: dict, kind: str, n: int, build: Callable[[int], LaurentPoly]) -> LaurentPoly:
-    """The ``kind`` side at n from the run's store, ``build(n)`` on a miss.
+def _share(
+    shared: dict, kind: str, key: int | tuple[int, int], build: Callable[[], LaurentPoly]
+) -> LaurentPoly:
+    """The ``kind`` side at ``key`` (n, or (m, n)) from the run's store, ``build()``
+    on a miss.
 
-    The store holds one ``(n, side)`` slot per kind.  A miss drops the slot
+    The store holds one ``(key, side)`` slot per kind.  A miss drops the slot
     before it builds, and a build that raises leaves it empty, so the next
-    check at n builds again and records its own error.
+    check at that key builds again and records its own error.
     """
-    if shared.get(kind, (None,))[0] != n:
+    if shared.get(kind, (None,))[0] != key:
         shared.pop(kind, None)
-        shared[kind] = (n, build(n))
+        shared[kind] = (key, build())
     return shared[kind][1]
 
 
 def _rhs6(shared: dict, n: int) -> LaurentPoly:
     """eq6's right side, for eq5 at every m and for eq6."""
-    return _share(shared, "eq6_rhs", n, eq6_rhs)
+    return _share(shared, "eq6_rhs", n, lambda: eq6_rhs(n))
 
 
 def _d_n(shared: dict, n: int) -> LaurentPoly:
     """The Weyl determinant D_n, for weyl and dn."""
-    return _share(shared, "d_n", n, lambda k: weyl_denominator(k, "determinant"))
+    return _share(shared, "d_n", n, lambda: weyl_denominator(n, "determinant"))
+
+
+def _box_sum(shared: dict, m: int, n: int) -> LaurentPoly:
+    """The box sum at (m, n), for theorem, macmahon and gordon."""
+    return _share(shared, "box_sum", (m, n), lambda: schur_box_sum(BoxParams(m, n)))
 
 
 def _dn_sides(m: int | None, n: int, shared: dict) -> tuple[LaurentPoly, LaurentPoly, bool]:
@@ -211,7 +223,7 @@ _Check = namedtuple("_Check", "uses_m min_n expands_order_n sides divisor", defa
 
 _TABLE: dict[str, _Check] = {
     "theorem": _Check(True, 1, True, lambda m, n, shared: (
-        schur_box_sum(BoxParams(m, n)), box_det_ratio(BoxParams(m, n))), "bn-alternant"),
+        _box_sum(shared, m, n), box_det_ratio(BoxParams(m, n))), "bn-alternant"),
     "weyl": _Check(False, 1, True, lambda m, n, shared: (
         _d_n(shared, n), weyl_denominator(n, "product"))),
     "lemma": _Check(False, 1, True, lambda m, n, shared: lemma_sides(n)),
@@ -221,9 +233,9 @@ _TABLE: dict[str, _Check] = {
     "eq6": _Check(False, 1, True, lambda m, n, shared: eq6_sides(n, _rhs6(shared, n))),
     "vanishing": _Check(False, 1, True, lambda m, n, shared: (
         vanishing_det(n), LaurentPoly.zero())),
-    "macmahon": _Check(True, 1, False, lambda m, n, shared: _macmahon_sides(m, n)),
+    "macmahon": _Check(True, 1, False, _macmahon_sides),
     "gordon": _Check(True, 1, False, lambda m, n, shared: (
-        principal_specialization(schur_box_sum(BoxParams(m, n)), list(range(n, 0, -1))),
+        principal_specialization(_box_sum(shared, m, n), list(range(n, 0, -1))),
         gordon_product(BoxParams(m, n)))),
     "bijection": _Check(True, 1, False, lambda m, n, shared: _bijection_sides(m, n)),
     "schur-agree": _Check(
@@ -289,11 +301,14 @@ def run_verification(config: RunConfig) -> list[CheckResult]:
     whose cost grows like n! are rejected before any work starts.
     Grid points below a check's minimum n (dn needs n >= 2) are skipped.
 
-    The checks run n by n, in ``CHECK_IDS`` order at each n, with one store
-    of shared sides made for this call: eq6's right side (eq5 at every m,
-    and eq6) and D_n (weyl and dn) are built once per n, by the first check
-    that needs them, and each kind keeps only its latest n.  Results come
-    in ``CHECK_IDS`` order, then by n, then by m.
+    The checks run point by point: for each n, for each m, every requested
+    check in ``CHECK_IDS`` order, with the checks that do not use m run once
+    per n, at the first m.  One store of shared sides is made for this call:
+    eq6's right side (eq5 at every m, and eq6) and D_n (weyl and dn) are
+    built once per n, and the box sum (theorem, macmahon and gordon) once
+    per (m, n), each by the first check that needs it; each kind keeps only
+    its latest n or (m, n).  Results come in ``CHECK_IDS`` order, then by n,
+    then by m.
     """
     ids = expand_checks(config.checks)
     _validate_range("m", config.m_range)
@@ -306,11 +321,12 @@ def run_verification(config: RunConfig) -> list[CheckResult]:
         )
 
     results: dict[str, list[CheckResult]] = {c: [] for c in CHECK_IDS if c in ids}
-    shared: dict[str, tuple[int, LaurentPoly]] = {}
+    shared: dict[str, tuple] = {}
+    first_m, last_m = config.m_range
     for n in range(config.n_range[0], config.n_range[1] + 1):
-        for check_id, out in results.items():
-            entry = _TABLE[check_id]
-            if n >= entry.min_n:
-                ms = range(config.m_range[0], config.m_range[1] + 1) if entry.uses_m else (None,)
-                out.extend(_evaluate(check_id, m, n, shared) for m in ms)
+        for m in range(first_m, last_m + 1):
+            for check_id, out in results.items():
+                entry = _TABLE[check_id]
+                if n >= entry.min_n and (entry.uses_m or m == first_m):
+                    out.append(_evaluate(check_id, m if entry.uses_m else None, n, shared))
     return [r for out in results.values() for r in out]

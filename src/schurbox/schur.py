@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import itertools
 import operator
-from collections import namedtuple
+from collections import Counter, namedtuple
 from collections.abc import Sequence
 
 from .combinat import Partition, ssyt
@@ -244,11 +244,19 @@ def dn_checks(n: int, d_n: LaurentPoly | None = None) -> DnReport:
 
 
 def _q_ratio(num_exps: Sequence[int], den_exps: Sequence[int]) -> LaurentPoly:
-    """prod(1 - q^e for e in num_exps) / prod(1 - q^e for e in den_exps), exactly:
-    the numerator multiplied out, then divided by the factor of largest e first."""
-    num = times_binomials(LaurentPoly.one(), [1 - LaurentPoly.variable("q", e) for e in num_exps])
-    den = [1 - LaurentPoly.variable("q", e) for e in sorted(den_exps, reverse=True)]
-    return divide_binomials(num, den)
+    """prod(1 - q^e for e in num_exps) / prod(1 - q^e for e in den_exps), exactly, for
+    nonzero e.  Factors on both sides cancel first, as a multiset; the numerator's
+    remaining factors are multiplied out, then divided by the denominator's
+    remaining factors, largest e first.  A ratio that is not a Laurent polynomial
+    raises ``NotDivisibleError``, as it would without the cancellation."""
+    num, den = Counter(num_exps), Counter(den_exps)
+    num, den = num - den, den - num
+    product = times_binomials(
+        LaurentPoly.one(), [1 - LaurentPoly.variable("q", e) for e in num.elements()]
+    )
+    return divide_binomials(
+        product, [1 - LaurentPoly.variable("q", e) for e in sorted(den.elements(), reverse=True)]
+    )
 
 
 def macmahon_product(box: BoxParams) -> LaurentPoly:
@@ -256,8 +264,9 @@ def macmahon_product(box: BoxParams) -> LaurentPoly:
 
     prod_i (1-q^{m+2i-1})/(1-q^{2i-1}) * prod_{i<j} (1-q^{2(m+i+j-1)})/(1-q^{2(i+j-1)}),
 
-    the numerator assembled whole and divided by the denominator's binomials
-    (individual factors are not polynomial ratios).
+    as one exact ratio: the factors common to numerator and denominator cancel,
+    and the rest of the numerator, multiplied out, is divided by the rest of the
+    denominator's binomials (individual factors are not polynomial ratios).
     """
     m, n = box.m, box.n
     num_exps = [m + 2 * i - 1 for i in range(1, n + 1)]

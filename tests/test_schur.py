@@ -1,21 +1,26 @@
 """Schur backends, the box-sum theorem, Weyl denominators, and q-products."""
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from reference_alternant import bialternant_by_division
 from reference_poly import largest_exponent
+from reference_q_ratio import gordon_by_whole_ratio, macmahon_by_whole_ratio, uncancelled_q_ratio
 from schurbox.combinat import Partition, generating_function, partitions_in_box, symmetric_plane_partitions
 from schurbox.poly import (
     MAX_EXPONENT,
     ExponentRangeError,
     LaurentPoly,
     Monomial,
+    NotDivisibleError,
     determinant,
     parse_poly,
 )
 from schurbox.schur import (
     BoxParams,
     _box_exponents,
+    _q_ratio,
     alternant_table,
     binomial_det,
     box_det_ratio,
@@ -259,6 +264,58 @@ def test_product_coefficients_nonnegative_with_unit_constant():
             for prod in (macmahon_product(BoxParams(m, n)), gordon_product(BoxParams(m, n))):
                 assert prod.coefficient(Monomial.one()) == 1
                 assert all(c > 0 for _, c in prod.terms())
+
+
+# -- the q-ratio against the uncancelled reference ------------------------------------------
+
+
+def q_ratio_or_refusal(ratio, num_exps, den_exps):
+    try:
+        return ratio(num_exps, den_exps)
+    except NotDivisibleError:
+        return NotDivisibleError
+
+
+exponents = st.integers(-12, 12).filter(bool)  # 1 - q^0 is 0, not a binomial
+# A multiple k * d of each denominator exponent d on the numerator side makes a
+# divisible ratio; the free lists are mostly not divisible.
+multiples = st.lists(st.tuples(st.integers(1, 6), st.integers(1, 3)), max_size=4)
+
+
+@given(st.lists(exponents, max_size=6), st.lists(exponents, max_size=6), multiples)
+@settings(max_examples=300)
+def test_q_ratio_matches_the_uncancelled_ratio(common, extra, pairs):
+    num = common + extra + [k * d for d, k in pairs]
+    den = [d for d, _ in pairs] + common
+    for n, d in [(num, den), (extra, den), (num, extra)]:
+        got = q_ratio_or_refusal(_q_ratio, n, d)
+        assert got == q_ratio_or_refusal(uncancelled_q_ratio, n, d), (n, d)
+    assert _q_ratio(num, den) == uncancelled_q_ratio(num, den)
+
+
+@pytest.mark.parametrize(
+    "num,den,expected",
+    [
+        ([], [], P.one()),
+        ([3, 1, 3], [3, 3, 1], P.one()),
+        ([4], [], 1 - q**4),
+        ([4, 2], [2], 1 - q**4),
+        ([6], [2], 1 + q**2 + q**4),
+        ([2], [3], NotDivisibleError),
+        ([], [1], NotDivisibleError),
+        ([5, 5], [5, 2], NotDivisibleError),
+    ],
+)
+def test_q_ratio_cancels_whole_and_refuses_like_the_reference(num, den, expected):
+    assert q_ratio_or_refusal(_q_ratio, num, den) == expected
+    assert q_ratio_or_refusal(uncancelled_q_ratio, num, den) == expected
+
+
+@pytest.mark.parametrize("m", range(5))
+@pytest.mark.parametrize("n", range(7))
+def test_q_products_match_the_uncancelled_ratio(m, n):
+    assert macmahon_product(BoxParams(m, n)) == macmahon_by_whole_ratio(m, n)
+    assert gordon_product(BoxParams(m, n)) == gordon_by_whole_ratio(m, n)
 
 
 # -- principal specialization --------------------------------------------------------------

@@ -1,13 +1,14 @@
 """Exponent bounds that builders pass to ``from_keys``, and the runner's store of
-sides shared between checks at one n (eq6's right side, D_n)."""
+sides shared between checks (eq6's right side and D_n at one n, the box sum at
+one (m, n))."""
 
 import pytest
 
 from reference_poly import largest_exponent
 from schurbox import checks, identity, schur
 from schurbox import poly as poly_module
-from schurbox.checks import RunConfig, run_verification
-from schurbox.combinat import partitions_in_box
+from schurbox.checks import CHECK_IDS, RunConfig, run_verification
+from schurbox.combinat import generating_function, partitions_in_box, symmetric_plane_partitions
 from schurbox.identity import eq4_sides, eq5_sides, eq6_rhs, eq6_sides
 from schurbox.poly import (
     MAX_EXPONENT,
@@ -18,7 +19,11 @@ from schurbox.poly import (
 )
 from schurbox.schur import (
     BoxParams,
+    box_det_ratio,
     dn_checks,
+    gordon_product,
+    macmahon_product,
+    principal_specialization,
     schur_box_sum,
     schur_via_tableaux,
     weyl_denominator,
@@ -129,14 +134,15 @@ def test_prebuilt_sides_are_used_as_given():
 def builds(monkeypatch):
     """Counts of eq6's right side and of D_n built, by n, wherever they are built:
     the runner's store calls the names in ``checks``, and a standalone
-    ``eq5_sides``/``eq6_sides``/``dn_checks`` the names in ``identity``/``schur``."""
+    ``eq5_sides``/``eq6_sides``/``dn_checks`` the names in ``identity``/``schur``;
+    and of box sums built by the runner, by (m, n), through ``checks``."""
     counts = {}
 
     def counting(kind, fn):
-        def wrapper(n, *args):
-            if kind == "eq6_rhs" or args == ("determinant",):
-                counts[kind, n] = counts.get((kind, n), 0) + 1
-            return fn(n, *args)
+        def wrapper(key, *args):
+            if kind != "d_n" or args == ("determinant",):
+                counts[kind, key] = counts.get((kind, key), 0) + 1
+            return fn(key, *args)
         return wrapper
 
     rhs6 = counting("eq6_rhs", identity.eq6_rhs)
@@ -144,19 +150,21 @@ def builds(monkeypatch):
     for module, name, wrapper in [
         (checks, "eq6_rhs", rhs6), (identity, "eq6_rhs", rhs6),
         (checks, "weyl_denominator", d_n), (schur, "weyl_denominator", d_n),
+        (checks, "schur_box_sum", counting("box_sum", schur.schur_box_sum)),
     ]:
         monkeypatch.setattr(module, name, wrapper)
     return counts
 
 
-SHARING = RunConfig(("weyl", "eq5", "eq6", "dn"), (1, 3), (1, 4))
+SHARING = RunConfig(("theorem", "weyl", "eq5", "eq6", "macmahon", "gordon", "dn"), (1, 3), (1, 4))
 
 
 def test_each_shared_side_is_built_once_per_n(builds):
     results = run_verification(SHARING)
     assert all(r.passed for r in results)
     assert builds == {**{("eq6_rhs", n): 1 for n in range(1, 5)},
-                      **{("d_n", n): 1 for n in range(1, 5)}}
+                      **{("d_n", n): 1 for n in range(1, 5)},
+                      **{("box_sum", (m, n)): 1 for m in range(1, 4) for n in range(1, 5)}}
 
 
 def test_every_run_builds_its_own(builds):
@@ -166,12 +174,37 @@ def test_every_run_builds_its_own(builds):
 
 
 def test_sharing_keeps_the_table_order():
-    results = run_verification(RunConfig(("dn", "eq5", "weyl"), (1, 2), (1, 3)))
+    checks_asked = ("dn", "gordon", "eq5", "macmahon", "weyl", "theorem")
+    results = run_verification(RunConfig(checks_asked, (1, 2), (1, 3)))
+    by_m = [(m, n) for n in (1, 2, 3) for m in (1, 2)]
     assert [(r.identity, r.m, r.n) for r in results] == [
+        *[("theorem", m, n) for m, n in by_m],
         ("weyl", None, 1), ("weyl", None, 2), ("weyl", None, 3),
         ("eq5", 1, 1), ("eq5", 2, 1), ("eq5", 1, 2), ("eq5", 2, 2), ("eq5", 1, 3), ("eq5", 2, 3),
+        *[("macmahon", m, n) for m, n in by_m],
+        *[("gordon", m, n) for m, n in by_m],
         ("dn", None, 2), ("dn", None, 3),
     ]
+
+
+@pytest.mark.parametrize("m_range", [(1, 1), (1, 3), (2, 4), (3, 3)])
+def test_m_free_checks_run_once_per_n(m_range, monkeypatch):
+    runs = []
+    evaluate = checks._evaluate
+    monkeypatch.setattr(
+        checks, "_evaluate",
+        lambda c, m, n, shared: runs.append((c, m, n)) or evaluate(c, m, n, shared),
+    )
+    results = run_verification(RunConfig(("all",), m_range, (1, 3)))
+    m_free = [c for c in CHECK_IDS if not checks._TABLE[c].uses_m]
+    m_free_runs = 0
+    for c in m_free:
+        expected = [(c, None, n) for n in range(checks.minimum_n(c), 4)]
+        assert [run for run in runs if run[0] == c] == expected
+        assert [(r.identity, r.m, r.n) for r in results if r.identity == c] == expected
+        m_free_runs += len(expected)
+    ms = range(m_range[0], m_range[1] + 1)
+    assert len(runs) == len(results) == m_free_runs + 3 * (len(CHECK_IDS) - len(m_free)) * len(ms)
 
 
 def test_a_raising_build_is_an_error_for_every_consumer_and_not_kept(monkeypatch):
@@ -190,11 +223,40 @@ def test_a_raising_build_is_an_error_for_every_consumer_and_not_kept(monkeypatch
     assert calls == [2, 2, 2]
 
 
+def test_a_raising_box_sum_is_an_error_at_its_point_and_not_kept(monkeypatch):
+    calls = []
+    box_sum = schur.schur_box_sum
+
+    def boom(box):
+        calls.append(tuple(box))
+        if box == (2, 2):
+            raise RuntimeError("no box sum at (2, 2)")
+        return box_sum(box)
+
+    monkeypatch.setattr(checks, "schur_box_sum", boom)
+    results = run_verification(RunConfig(("theorem", "eq4", "macmahon", "gordon"), (1, 2), (2, 2)))
+    assert [(r.identity, r.m, r.passed, r.error) for r in results] == [
+        ("theorem", 1, True, None), ("theorem", 2, False, "RuntimeError: no box sum at (2, 2)"),
+        ("eq4", 1, True, None), ("eq4", 2, True, None),
+        ("macmahon", 1, True, None), ("macmahon", 2, False, "RuntimeError: no box sum at (2, 2)"),
+        ("gordon", 1, True, None), ("gordon", 2, False, "RuntimeError: no box sum at (2, 2)"),
+    ]
+    assert calls == [(1, 2), (2, 2), (2, 2), (2, 2)]
+
+
 def test_shared_sides_give_the_standalone_text():
-    results = run_verification(RunConfig(("weyl", "eq5", "eq6", "dn"), (1, 4), (1, 4)))
+    results = run_verification(RunConfig(SHARING.checks, (1, 4), (1, 4)))
     for r in results:
-        if r.identity == "eq5":
-            sides = eq5_sides(BoxParams(r.m, r.n))
+        box = BoxParams(r.m, r.n) if r.m is not None else None
+        if r.identity == "theorem":
+            sides = schur_box_sum(box), box_det_ratio(box)
+        elif r.identity == "macmahon":
+            sides = generating_function(symmetric_plane_partitions(r.n, r.m)), macmahon_product(box)
+        elif r.identity == "gordon":
+            sides = (principal_specialization(schur_box_sum(box), list(range(r.n, 0, -1))),
+                     gordon_product(box))
+        elif r.identity == "eq5":
+            sides = eq5_sides(box)
         elif r.identity == "eq6":
             sides = eq6_sides(r.n)
         elif r.identity == "dn":
