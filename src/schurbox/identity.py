@@ -33,10 +33,10 @@ the eq6 left side and inner sums, eq4's alternant sum, and, through
 :func:`~schurbox.poly.binomial_det`, the left side that eq4 and eq5 share
 and the vanishing determinant.  eq5 and eq6 share eq6's right side
 (:func:`eq6_rhs`), so eq5 and eq4 meet only in their left side.
-``eq5_sides(box, rhs6=None)`` and ``eq6_sides(n, rhs=None)`` take that side
-already built, as the runner passes it once per n; without it each builds
-its own.  eq6's sides and eq4's alternant sum carry exponent bounds known
-from their construction, so building them decodes no key.
+``eq5_sides(box, rhs6)`` and ``eq6_sides(n, rhs)`` take that side already
+built, as the runner builds it once per n.  eq6's sides and eq4's alternant
+sum carry exponent bounds known from their construction, so building them
+decodes no key.
 """
 
 from __future__ import annotations
@@ -57,9 +57,9 @@ from .poly import (
 from .combinat import partitions_in_box
 from .schur import (
     BoxParams,
-    _box_exponents,
     alternant_table,
     bn_factors,
+    box_exponents,
     vandermonde_factors,
     xvars,
 )
@@ -132,25 +132,23 @@ def eq4_sides(box: BoxParams) -> tuple[LaurentPoly, LaurentPoly]:
     m, n = box
     if n < 1:
         raise ValueError("n must be at least 1")
-    lhs = binomial_det(xvars(n), *_box_exponents(m, n))
+    lhs = binomial_det(xvars(n), *box_exponents(m, n))
     terms = (t for lam in partitions_in_box(m, n) for t in expand_det(alternant_table(lam, n)))
     # an exponent of a_{lambda+delta} is lambda_j + n - j <= m + n - 1
     return lhs, times_binomials(LaurentPoly.from_keys(terms, m + n - 1), bn_factors(n))
 
 
-def eq5_sides(box: BoxParams, rhs6: LaurentPoly | None = None) -> tuple[LaurentPoly, LaurentPoly]:
+def eq5_sides(box: BoxParams, rhs6: LaurentPoly) -> tuple[LaurentPoly, LaurentPoly]:
     """The paper's eq4 expanded over permutations and subsets: the left side is
     eq4's, and the right side is eq6's with m put back by t_i := x_i^{m+2n-1},
     the inverse of the step x_i^{m+1} -> t_i x_i^{2-2n} from eq5 to eq6.
 
-    ``rhs6`` is ``eq6_rhs(n)`` already built; without it it is built here.
+    ``rhs6`` is ``eq6_rhs(n)`` already built.
     """
     m, n = box
     if n < 1:
         raise ValueError("n must be at least 1")
-    lhs = binomial_det(xvars(n), *_box_exponents(m, n))
-    if rhs6 is None:
-        rhs6 = eq6_rhs(n)
+    lhs = binomial_det(xvars(n), *box_exponents(m, n))
     t_values = {f"t{i}": Monomial.variable(f"x{i}", m + 2 * n - 1) for i in range(1, n + 1)}
     return lhs, rhs6.substitute(t_values)
 
@@ -247,7 +245,7 @@ def eq6_rhs(n: int) -> LaurentPoly:
     return LaurentPoly.from_keys(signed_images(), max(term._bound for term in terms))
 
 
-def eq6_sides(n: int, rhs: LaurentPoly | None = None) -> tuple[LaurentPoly, LaurentPoly]:
+def eq6_sides(n: int, rhs: LaurentPoly) -> tuple[LaurentPoly, LaurentPoly]:
     """The m-free restatement over x1..xn, t1..tn.
 
     Left side: sum over permutations sigma and subsets S of
@@ -255,7 +253,7 @@ def eq6_sides(n: int, rhs: LaurentPoly | None = None) -> tuple[LaurentPoly, Laur
     that is det(x_i^{j-1} - t_i x_i^{1-j}), expanded in full.  Each of its
     terms takes one entry per row, and row i holds only x_i and t_i, so its
     exponents are those of the entries: at most max(n - 1, 1) in absolute
-    value.  Right side: :func:`eq6_rhs`, or ``rhs`` if it is already built.
+    value.  Right side: ``rhs``, which is ``eq6_rhs(n)`` already built.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -263,7 +261,7 @@ def eq6_sides(n: int, rhs: LaurentPoly | None = None) -> tuple[LaurentPoly, Laur
     a = [_row(i, range(n)) for i in cols]
     b = [_row(i, range(0, -n, -1), 1) for i in cols]
     lhs = LaurentPoly.from_keys(expand_det(a, b), max(n - 1, 1))
-    return lhs, eq6_rhs(n) if rhs is None else rhs
+    return lhs, rhs
 
 
 def vanishing_det(n: int) -> LaurentPoly:

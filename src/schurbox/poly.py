@@ -104,7 +104,6 @@ _HALF = 1 << (DIGIT_BITS - 1)  # added to each digit to make it unsigned
 _DIGIT_FORMAT = "I"
 if struct.calcsize(_DIGIT_FORMAT) * 8 != DIGIT_BITS:
     raise ImportError(f"memoryview format {_DIGIT_FORMAT!r} is not {DIGIT_BITS} bits here")
-_BOUND_CHUNK = 1024  # keys per digit buffer in _bound
 
 
 class NotDivisibleError(ArithmeticError):
@@ -181,15 +180,7 @@ def _digits(keys: Iterable[int], npos: int = 0) -> tuple[int, memoryview]:
 
 
 def _bound(keys: Collection[int]) -> int:
-    """Largest absolute exponent over the keys (0 for none).
-
-    More than ``_BOUND_CHUNK`` keys are read a chunk at a time: a digit
-    buffer for all of them would take about 200 bytes per key on top of the
-    term map being built (10 MB for the 46,080 terms of an eq6 side at n = 6).
-    """
-    if len(keys) > _BOUND_CHUNK:
-        keys = list(keys)
-        return max(_bound(keys[i:i + _BOUND_CHUNK]) for i in range(0, len(keys), _BOUND_CHUNK))
+    """Largest absolute exponent over the keys (0 for none)."""
     _, flat = _digits(keys)
     if not flat:
         return 0

@@ -45,9 +45,9 @@ __all__ = [
     "BoxParams",
     "DnReport",
     "alternant_table",
-    "binomial_det",
     "bn_factors",
     "box_det_ratio",
+    "box_exponents",
     "dn_checks",
     "gordon_product",
     "macmahon_product",
@@ -83,7 +83,7 @@ def vandermonde_factors(names: Sequence[str]) -> list[LaurentPoly]:
     return [xi - xj for i, xi in enumerate(xs) for xj in xs[i + 1:]]
 
 
-def _box_exponents(m: int, n: int) -> tuple[list[int], list[int]]:
+def box_exponents(m: int, n: int) -> tuple[list[int], list[int]]:
     """Column exponents (j - 1, m + 2n - j), j = 1..n, of the theorem's numerator;
     m = 0 gives the Weyl determinant."""
     cols = range(1, n + 1)
@@ -192,7 +192,7 @@ def weyl_denominator(n: int, form: str = "determinant") -> LaurentPoly:
     if n < 1:
         raise ValueError("order must be at least 1")
     if form == "determinant":
-        return binomial_det(xvars(n), *_box_exponents(0, n))
+        return binomial_det(xvars(n), *box_exponents(0, n))
     if form != "product":
         raise ValueError(f"unknown form {form!r}")
     return times_binomials(LaurentPoly.one(), vandermonde_factors(xvars(n)) + bn_factors(n))
@@ -215,18 +215,16 @@ class DnReport(namedtuple("DnReport", "n root_checks lead expected")):
         return self.leading_coefficient_ok and all(ok for _, ok in self.root_checks)
 
 
-def dn_checks(n: int, d_n: LaurentPoly | None = None) -> DnReport:
+def dn_checks(n: int, d_n: LaurentPoly) -> DnReport:
     """Verify that D_n vanishes at x1 := 1, x_j, x_j^-1 and satisfies
 
     [x1^{2n-1}] D_n = -x2...xn * D_{n-1}(x2..xn).
 
     ``d_n`` is D_n already built, as ``weyl_denominator(n, "determinant")``
-    gives it; without it D_n is built here.
+    gives it.
     """
     if n < 2:
         raise ValueError("dn_checks needs n >= 2")
-    if d_n is None:
-        d_n = weyl_denominator(n, "determinant")
     roots: list[tuple[str, bool]] = []
     roots.append(("x1:=1", d_n.substitute({"x1": 1}).is_zero()))
     for j in range(2, n + 1):
@@ -239,7 +237,7 @@ def dn_checks(n: int, d_n: LaurentPoly | None = None) -> DnReport:
         )
     lead = d_n.coefficient_of("x1", 2 * n - 1)
     tail = LaurentPoly.term(Monomial({f"x{i}": 1 for i in range(2, n + 1)}))
-    expected = -tail * binomial_det(xvars(n)[1:], *_box_exponents(0, n - 1))
+    expected = -tail * binomial_det(xvars(n)[1:], *box_exponents(0, n - 1))
     return DnReport(n, tuple(roots), lead, expected)
 
 

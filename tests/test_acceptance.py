@@ -21,6 +21,7 @@ from schurbox.combinat import (
 from schurbox.identity import (
     eq4_sides,
     eq5_sides,
+    eq6_rhs,
     eq6_sides,
     f_function,
     lemma_sides,
@@ -83,7 +84,7 @@ def test_criterion_3_weyl_and_dn():
         weyl_denominator(n, "determinant") == weyl_denominator(n, "product")
         for n in range(1, 6)
     )
-    dn = all(dn_checks(n).all_pass for n in range(2, 5))
+    dn = all(dn_checks(n, weyl_denominator(n, "determinant")).all_pass for n in range(2, 5))
     report(3, "Weyl determinant = product for n <= 5; D_n roots and recursion n <= 4",
            forms and dn)
 
@@ -111,9 +112,9 @@ def test_criterion_5_expansion_chain():
     for m in range(1, 4):
         for n in range(1, 4):
             l4, r4 = eq4_sides(BoxParams(m, n))
-            l5, r5 = eq5_sides(BoxParams(m, n))
+            l5, r5 = eq5_sides(BoxParams(m, n), eq6_rhs(n))
             ok = ok and l4 == r4 and l5 == r5
-            l6, r6 = eq6_sides(n)
+            l6, r6 = eq6_sides(n, eq6_rhs(n))
             ok = ok and l6 == r6
             sub = {f"t{i}": Monomial.variable(f"x{i}", m + 2 * n - 1) for i in range(1, n + 1)}
             ok = ok and l6.substitute(sub) == l5 and r6.substitute(sub) == r5

@@ -29,7 +29,7 @@ P = LaurentPoly
 
 
 def numerator(m, n):
-    return schur.binomial_det(schur.xvars(n), *schur._box_exponents(m, n))
+    return schur.binomial_det(schur.xvars(n), *schur.box_exponents(m, n))
 
 
 def dn(n):

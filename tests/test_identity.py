@@ -12,6 +12,7 @@ from schurbox.checks import CheckResult, RunConfig, run_verification
 from schurbox.identity import (
     eq4_sides,
     eq5_sides,
+    eq6_rhs,
     eq6_sides,
     f_function,
     lemma_sides,
@@ -137,7 +138,7 @@ def test_eq4_sides_equal(m, n):
 
 def test_eq5_order_one():
     for m in range(1, 4):
-        lhs, rhs = eq5_sides(BoxParams(m, 1))
+        lhs, rhs = eq5_sides(BoxParams(m, 1), eq6_rhs(1))
         assert lhs == 1 - x1 ** (m + 1)
         assert lhs == rhs
 
@@ -145,7 +146,7 @@ def test_eq5_order_one():
 @pytest.mark.parametrize("m", [1, 2, 3])
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_eq5_sides_equal_and_match_eq4(m, n):
-    lhs5, rhs5 = eq5_sides(BoxParams(m, n))
+    lhs5, rhs5 = eq5_sides(BoxParams(m, n), eq6_rhs(n))
     lhs4, rhs4 = eq4_sides(BoxParams(m, n))
     assert lhs5 == rhs5
     assert lhs5 == lhs4
@@ -187,7 +188,7 @@ def test_eq4_eq5_rhs_match_whole_product_reference(m, n):
     box = BoxParams(m, n)
     expected = whole_product_rhs(schur_box_sum(box) * mul_chain_vandermonde(n), n)
     assert eq4_sides(box)[1] == expected
-    assert eq5_sides(box)[1] == expected
+    assert eq5_sides(box, eq6_rhs(n))[1] == expected
 
 
 @pytest.mark.parametrize("n", range(1, 6))
@@ -212,7 +213,7 @@ def test_eq5_checks_its_tables_before_enumerating_partitions(monkeypatch):
     monkeypatch.setattr(identity, "partitions_in_box", refuse)
     # m + 2n - 1 = 2**31 packed unchecked would carry into t2
     with pytest.raises(ExponentRangeError, match="exponent 2147483648 of x1"):
-        eq5_sides(BoxParams(2**31 - 1, 1))
+        eq5_sides(BoxParams(2**31 - 1, 1), eq6_rhs(1))
 
 
 def test_eq5_builds_none_of_eq4s_alternant_sum(monkeypatch):
@@ -223,7 +224,7 @@ def test_eq5_builds_none_of_eq4s_alternant_sum(monkeypatch):
     monkeypatch.setattr(identity, "bn_factors", refuse)
     for n in range(1, 5):
         for m in range(1, 4):
-            lhs, rhs = eq5_sides(BoxParams(m, n))
+            lhs, rhs = eq5_sides(BoxParams(m, n), eq6_rhs(n))
             assert lhs == rhs
 
 
@@ -261,12 +262,12 @@ def test_weyl_eq4_and_lemma_multiply_sums_only_through_times_binomials(monkeypat
 
 def test_eq6_order_one():
     t1 = P.variable("t1")
-    assert eq6_sides(1) == (1 - t1, 1 - t1)
+    assert eq6_sides(1, eq6_rhs(1)) == (1 - t1, 1 - t1)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_eq6_sides_equal(n):
-    lhs, rhs = eq6_sides(n)
+    lhs, rhs = eq6_sides(n, eq6_rhs(n))
     assert lhs == rhs
 
 
@@ -274,16 +275,16 @@ def test_eq6_sides_equal(n):
 def test_eq6_specializes_to_eq5(m):
     """t_i := x_i^{m+2n-1} undoes the x_i^{m+1} -> t_i x_i^{2-2n} replacement."""
     n = 2
-    lhs6, rhs6 = eq6_sides(n)
+    lhs6, rhs6 = eq6_sides(n, eq6_rhs(n))
     sub = {f"t{i}": Monomial.variable(f"x{i}", m + 2 * n - 1) for i in range(1, n + 1)}
-    lhs5, rhs5 = eq5_sides(BoxParams(m, n))
+    lhs5, rhs5 = eq5_sides(BoxParams(m, n), eq6_rhs(n))
     assert lhs6.substitute(sub) == lhs5
     assert rhs6.substitute(sub) == rhs5
 
 
 @pytest.mark.parametrize("n", range(1, 6))
 def test_eq6_rhs_matches_the_all_subsets_reference(n):
-    assert eq6_sides(n)[1] == all_subsets_rhs(n)
+    assert eq6_sides(n, eq6_rhs(n))[1] == all_subsets_rhs(n)
 
 
 def shuffle(n, subset):
@@ -332,14 +333,14 @@ def test_revolving_door_order(n):
 
 def test_order_bounds_guarded(monkeypatch):
     with pytest.raises(OrderTooLargeError):
-        eq5_sides(BoxParams(1, 9))
+        eq5_sides(BoxParams(1, 9), P.zero())
 
     def refuse(*args):
         raise AssertionError("eq6 built a k-prefactor above the order bound")
 
     monkeypatch.setattr(identity, "_k_factor", refuse)
     with pytest.raises(OrderTooLargeError):
-        eq6_sides(9)
+        eq6_sides(9, P.zero())
     with pytest.raises(OrderTooLargeError):
         vanishing_det(9)
 

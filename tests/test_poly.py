@@ -22,7 +22,7 @@ from schurbox.poly import (
     signed_permutations,
     unit_keys,
 )
-from schurbox.identity import eq6_sides
+from schurbox.identity import eq6_rhs, eq6_sides
 from reference_poly import inversion_count, largest_exponent
 
 P = LaurentPoly
@@ -111,10 +111,9 @@ def test_from_keys_sums_terms_built_from_unit_keys():
         big * x1
 
 
-def test_from_keys_bound_reads_every_chunk(monkeypatch):
-    """The exponent bound is read a chunk of keys at a time; a largest exponent
-    in the last chunk must still make the product's range check fire."""
-    monkeypatch.setattr(poly_module, "_BOUND_CHUNK", 2)
+def test_from_keys_bound_reads_every_chunk():
+    """The exponent bound is read over every key; a largest exponent in the
+    last key must still make the product's range check fire."""
     xs = unit_keys("x", 1)
     poly = P.from_keys([(e * xs[0], 1) for e in range(5)] + [(MAX_EXPONENT * xs[0], 1)])
     with pytest.raises(ExponentRangeError):
@@ -297,7 +296,7 @@ def test_eq6_renamings_need_no_exact_bound(monkeypatch):
     monkeypatch.setattr(
         poly_module, "_substitution_bound", lambda *args: calls.append(args) or exact(*args)
     )
-    eq6_sides(6)
+    eq6_sides(6, eq6_rhs(6))
     assert calls == []
 
 

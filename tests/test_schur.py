@@ -19,11 +19,11 @@ from schurbox.poly import (
 )
 from schurbox.schur import (
     BoxParams,
-    _box_exponents,
     _q_ratio,
     alternant_table,
     binomial_det,
     box_det_ratio,
+    box_exponents,
     dn_checks,
     gordon_product,
     macmahon_product,
@@ -170,7 +170,7 @@ def test_binomial_det_matches_hand_built_determinant(n, equal_column):
     # the eq4 grid: the theorem's numerator (D_n at m = 0), which eq4 and eq5
     # both take from binomial_det, against the polynomial-entry determinant
     for m in range(5) if n < 5 else (0, 1, 2):
-        a, b = _box_exponents(m, n)
+        a, b = box_exponents(m, n)
         if equal_column:
             a[-1] = b[-1]
         rows = [[P.variable(v, aj) - P.variable(v, bj) for aj, bj in zip(a, b)]
@@ -206,7 +206,7 @@ def test_dn_leading_coefficient_order_two():
 
 
 def test_dn_checks_order_three():
-    report = dn_checks(3)
+    report = dn_checks(3, weyl_denominator(3, "determinant"))
     assert len(report.root_checks) == 5
     assert report.all_pass
     assert report.lead == weyl_denominator(3, "determinant").coefficient_of("x1", 5)
@@ -215,7 +215,7 @@ def test_dn_checks_order_three():
 
 def test_dn_checks_requires_two():
     with pytest.raises(ValueError):
-        dn_checks(1)
+        dn_checks(1, weyl_denominator(1, "determinant"))
 
 
 # -- q-products --------------------------------------------------------------------------

@@ -92,7 +92,7 @@ def test_box_sum_tableaux_and_eq4_bounds_hold(m, n, given_bounds, monkeypatch):
 
 @pytest.mark.parametrize("m,n", GRID)
 def test_eq5_bounds_hold(m, n, given_bounds):
-    lhs, rhs = eq5_sides(BoxParams(m, n))
+    lhs, rhs = eq5_sides(BoxParams(m, n), eq6_rhs(n))
     assert bounded(lhs) and bounded(rhs)
     assert given_bounds
 
@@ -104,7 +104,7 @@ def test_eq6_bounds_hold_and_no_side_decodes_its_keys(n, given_bounds, monkeypat
     monkeypatch.setattr(
         poly_module, "_bound", lambda keys: sizes.append(len(keys)) or bound(keys)
     )
-    lhs, rhs = eq6_sides(n)
+    lhs, rhs = eq6_sides(n, eq6_rhs(n))
     assert bounded(lhs) and bounded(rhs)
     assert lhs._bound == max(n - 1, 1)
     assert max(sizes, default=0) <= 1  # single keys only: a monomial, a binomial's step
@@ -122,9 +122,9 @@ def test_eq6_rhs_refuses_an_order_over_the_bound_before_any_work(monkeypatch):
 def test_prebuilt_sides_are_used_as_given():
     rhs6 = eq6_rhs(3)
     assert eq6_sides(3, rhs6)[1] is rhs6
-    assert eq5_sides(BoxParams(2, 3), rhs6) == eq5_sides(BoxParams(2, 3))
+    assert eq5_sides(BoxParams(2, 3), rhs6) == eq5_sides(BoxParams(2, 3), eq6_rhs(3))
     d_3 = weyl_denominator(3, "determinant")
-    assert dn_checks(3, d_3) == dn_checks(3)
+    assert dn_checks(3, d_3) == dn_checks(3, weyl_denominator(3, "determinant"))
 
 
 # -- the run's store --------------------------------------------------------------------------
@@ -133,9 +133,9 @@ def test_prebuilt_sides_are_used_as_given():
 @pytest.fixture
 def builds(monkeypatch):
     """Counts of eq6's right side and of D_n built, by n, wherever they are built:
-    the runner's store calls the names in ``checks``, and a standalone
-    ``eq5_sides``/``eq6_sides``/``dn_checks`` the names in ``identity``/``schur``;
-    and of box sums built by the runner, by (m, n), through ``checks``."""
+    the runner's store calls the names in ``checks``, and a build anywhere else
+    would call the names in ``identity``/``schur``; and of box sums built by the
+    runner, by (m, n), through ``checks``."""
     counts = {}
 
     def counting(kind, fn):
@@ -256,11 +256,11 @@ def test_shared_sides_give_the_standalone_text():
             sides = (principal_specialization(schur_box_sum(box), list(range(r.n, 0, -1))),
                      gordon_product(box))
         elif r.identity == "eq5":
-            sides = eq5_sides(box)
+            sides = eq5_sides(box, eq6_rhs(r.n))
         elif r.identity == "eq6":
-            sides = eq6_sides(r.n)
+            sides = eq6_sides(r.n, eq6_rhs(r.n))
         elif r.identity == "dn":
-            report = dn_checks(r.n)
+            report = dn_checks(r.n, weyl_denominator(r.n, "determinant"))
             sides = report.lead, report.expected
         else:
             sides = weyl_denominator(r.n, "determinant"), weyl_denominator(r.n, "product")
