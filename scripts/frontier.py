@@ -17,10 +17,13 @@ writes the bytecode cache, so no timed child compiles the package.
     python3 scripts/frontier.py --label change
     python3 scripts/frontier.py --label parent --root ../parent-checkout
     python3 scripts/frontier.py --label smoke --max-n 3 --out-dir /tmp
+    python3 scripts/frontier.py --label dn --checks dn,weyl
 
 ``--max-n K`` runs each case at n = min(n, K) instead, dropping repeats, for a
 quick run of every check; a K below 1 is refused with exit 2 before anything
-runs.  Uses the standard library only.
+runs.  ``--checks C1,C2`` runs only the rows of the listed checks, in table
+order; an id that is not in the table is refused the same way.  Uses the
+standard library only.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ import subprocess
 import sys
 import tempfile
 import time
+from collections.abc import Collection
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -46,9 +50,11 @@ TABLE = (
 )
 
 
-def cases(max_n: int | None) -> list[tuple[str, int, int]]:
-    """The table's (check, m, n) rows in order, with n capped at ``max_n``."""
-    rows = [(c, m, n if max_n is None else min(n, max_n)) for c, m, n in TABLE]
+def cases(max_n: int | None, checks: Collection[str] | None = None) -> list[tuple[str, int, int]]:
+    """The table's (check, m, n) rows in order, with n capped at ``max_n``, and only
+    the rows of ``checks`` when it is given."""
+    rows = [(c, m, n if max_n is None else min(n, max_n)) for c, m, n in TABLE
+            if checks is None or c in checks]
     return list(dict.fromkeys(rows))
 
 
@@ -105,16 +111,25 @@ def main() -> int:
     parser.add_argument("--out-dir", default=ROOT)
     parser.add_argument("--timeout", type=float, default=900.0, help="seconds per case")
     parser.add_argument("--max-n", type=int, default=None, help="cap every case's n")
+    parser.add_argument("--checks", default=None,
+                        help="comma-separated check ids: run only their rows")
     args = parser.parse_args()
     if args.max_n is not None and args.max_n < 1:
         parser.error("--max-n must be at least 1")
+    checks = None
+    if args.checks is not None:
+        checks = args.checks.split(",")
+        unknown = [c for c in checks if c not in M_FREE + M_DEPENDENT]
+        if unknown:
+            parser.error(f"unknown check(s) {', '.join(map(repr, unknown))}; expected "
+                         f"comma-separated ids from: {', '.join(M_FREE + M_DEPENDENT)}")
 
     root = os.path.abspath(args.root)
     # untimed: writes the package's bytecode cache under <root>/src
     subprocess.run([sys.executable, "-c", "import schurbox.cli"], cwd=root,
                    env=child_env(root), check=True)
     rows = []
-    for check, m, n in cases(args.max_n):
+    for check, m, n in cases(args.max_n, checks):
         row = run_case(root, check, m, n, args.timeout)
         ms = ", ".join(f"{r['elapsed_ms'] / 1000:.3f} s" for r in row["results"]) or "-"
         status = "TIMEOUT" if row["timed_out"] else f"exit {row['exit_code']}"
@@ -127,6 +142,7 @@ def main() -> int:
         "command": "python -m schurbox verify --checks C --m M --n N --output json",
         "timeout_s": args.timeout,
         "max_n": args.max_n,
+        "checks": checks,
         "host": {"python": platform.python_version(), "machine": platform.machine(),
                  "cpus": os.cpu_count()},
         "cases": rows,

@@ -82,6 +82,10 @@ class CheckResult(namedtuple(
     """Outcome of one identity verification at concrete parameters; ``error`` is
     ``"<Type>: <message>"`` if building the sides raised (then both sides are 0),
     and ``divisor`` names the divisor form of the check's table row, if any.
+    A passing result holds one polynomial as both ``lhs`` and ``rhs``, the
+    left side as built, since the two are equal; a failed result, an error
+    record included, keeps two side objects, so ``lhs is rhs`` exactly when
+    the result passed.
 
     ``elapsed_ms`` includes the build of any shared side that this check was
     the first to need: eq6's right side or D_n at its n, or the box sum at its
@@ -286,12 +290,13 @@ def _evaluate(check_id: str, m: int | None, n: int, shared: dict) -> CheckResult
     try:
         lhs, rhs, *ok = entry.sides(m, n, shared)
     except Exception as exc:  # one raising check must not abort the sweep
-        lhs = rhs = LaurentPoly.zero()
+        lhs, rhs = LaurentPoly.zero(), LaurentPoly.zero()
         ok, error = [False], f"{type(exc).__name__}: {exc}"
     elapsed = (time.perf_counter() - start) * 1000.0
-    return CheckResult(
-        check_id, m, n, lhs, rhs, lhs == rhs and all(ok), elapsed, error, entry.divisor
-    )
+    passed = lhs == rhs and all(ok)
+    if passed:
+        rhs = lhs  # one object for the two equal sides, so the run holds one
+    return CheckResult(check_id, m, n, lhs, rhs, passed, elapsed, error, entry.divisor)
 
 
 def run_verification(config: RunConfig) -> list[CheckResult]:

@@ -27,8 +27,11 @@ so one exponent check guards them all.  Keys are decoded only at the
 boundary (canonical text, ``Monomial.pairs``, ``variables()``, substitution
 and the entry and exit of :func:`exact_div`), in bulk: every digit is
 biased to an unsigned value, and all keys of one polynomial are read
-through one ``memoryview``.  :func:`divide_binomials` reads only the one
-digit it steps along, with a shift and a mask per key.
+through one ``memoryview``.  :func:`divide_binomials` and
+``LaurentPoly.powers`` read only the one digit they step along or split
+by, with a shift and a mask per key; :func:`from_powers` sums the parts of
+such a split under an image of the variable, so several substitutions for
+one variable read the keys once.
 
 Variable names come from the fixed namespace ``q``, ``t1, t2, ...``,
 ``x1, x2, ...`` (in that order).  The canonical term order is graded
@@ -86,6 +89,7 @@ __all__ = [
     "divide_binomials",
     "exact_div",
     "expand_det",
+    "from_powers",
     "parse_poly",
     "signed_permutations",
     "times_binomials",
@@ -223,6 +227,21 @@ def _substitution_bound(flat: memoryview, npos: int, images: list[tuple[int, int
             if c and s < npos:
                 exps = [e + c * (d - _HALF) for e, d in zip(exps, flat[s::npos])]
         bound = max(bound, max(map(abs, exps), default=0))
+    return _checked_bound(bound)
+
+
+def _shifted_bound(parts: Mapping[int, LaurentPoly], shift: int) -> int:
+    """The exact largest |exponent| of the keys ``k + e * shift``, k a key of
+    ``parts[e]``; raises :class:`ExponentRangeError` only if some exponent leaves
+    the range."""
+    parts = {e: part._terms for e, part in parts.items() if part._terms}
+    npos, image = _digits((shift,), max(map(_span, parts.values()), default=1))
+    bound = 0
+    for e, terms in parts.items():
+        _, flat = _digits(terms, npos)
+        for p in range(npos):
+            col, c = flat[p::npos], e * (image[p] - _HALF)
+            bound = max(bound, max(col) - _HALF + c, _HALF - min(col) - c)
     return _checked_bound(bound)
 
 
@@ -539,7 +558,7 @@ class LaurentPoly:
         variable power such as ``Monomial.variable("q", 3)``), a bare variable
         name, or the integer 1 (erase the variable).  Anything else, 0
         included, raises ValueError: x := 0 is no ring map on Laurent
-        polynomials, and on a true polynomial it is ``coefficient_of(x, 0)``.
+        polynomials, and on a true polynomial it is ``powers(x).get(0)``.
         Unassigned variables pass through.
 
         A term's new key is its key plus, for each assigned position p with
@@ -549,14 +568,7 @@ class LaurentPoly:
         image_keys: list[int] = []
         for var, target in assignments.items():
             pos = _position(var)
-            if isinstance(target, Monomial):
-                image = target.key
-            elif isinstance(target, str):
-                image = Monomial.variable(target).key
-            elif isinstance(target, int) and target == 1:
-                image = 0
-            else:
-                raise ValueError(f"unsupported substitution target for {var!r}: {target!r}")
+            image = _target_key(target, var)
             images.append((pos, image - (1 << (DIGIT_BITS * pos))))
             image_keys.append(image)
 
@@ -576,17 +588,26 @@ class LaurentPoly:
                 keys = [k + (d - _HALF) * delta for k, d in zip(keys, flat[pos::npos])]
         return LaurentPoly._make(_accumulate({}, zip(keys, self._terms.values())), bound)
 
-    def coefficient_of(self, var: str, exp: int) -> LaurentPoly:
-        """The polynomial coefficient of ``var**exp`` (a poly in the rest)."""
-        pos = _position(var)
-        npos, flat = _digits(self._terms, pos + 1)
-        shift = exp << (DIGIT_BITS * pos)
-        out = {
-            k - shift: c
-            for (k, c), d in zip(self._terms.items(), flat[pos::npos])
-            if d - _HALF == exp
-        }
-        return LaurentPoly._make(out, self._bound)
+    def powers(self, var: str) -> dict[int, LaurentPoly]:
+        """``{e: coefficient of var**e}``, each a polynomial in the other variables,
+        over the exponents e that occur, reading only ``var``'s digit of each key,
+        with a shift and a mask.
+
+        :func:`from_powers` puts the parts back together under any image of
+        ``var``, so one split serves several substitutions for ``var``.
+        """
+        shift = DIGIT_BITS * _position(var)
+        bias = _HALF * (((1 << (shift + DIGIT_BITS)) - 1) // (_BASE - 1))  # digits 0..pos
+        mask = _BASE - 1
+        groups: dict[int, dict[int, int]] = {}
+        get = groups.get
+        for key, coeff in self._terms.items():
+            e = (((key + bias) >> shift) & mask) - _HALF
+            part = get(e)
+            if part is None:
+                part = groups[e] = {}
+            part[key - (e << shift)] = coeff
+        return {e: LaurentPoly._make(part, self._bound) for e, part in groups.items()}
 
     # -- canonical text format ---------------------------------------------
 
@@ -620,6 +641,49 @@ def _key_of(mono: object) -> int:
     if not isinstance(mono, Monomial):
         raise TypeError(f"term key must be a Monomial, got {type(mono).__name__}")
     return mono.key
+
+
+def _target_key(target: object, var: str | None = None) -> int:
+    """The key of a substitution target: a Monomial, a variable name, or 1."""
+    if isinstance(target, Monomial):
+        return target.key
+    if isinstance(target, str):
+        return Monomial.variable(target).key
+    if isinstance(target, int) and target == 1:
+        return 0
+    where = "" if var is None else f" for {var!r}"
+    raise ValueError(f"unsupported substitution target{where}: {target!r}")
+
+
+def from_powers(parts: Mapping[int, LaurentPoly], image: Monomial | str | int) -> LaurentPoly:
+    """Sum over e of image**e * parts[e], in one accumulation of shifted keys.
+
+    ``image`` takes the targets of :meth:`LaurentPoly.substitute`, so with
+    ``parts = p.powers(v)`` this is ``p.substitute({v: image})``, and
+    ``from_powers(p.powers(v), v) == p``.  The bound is the parts' bound plus
+    the largest |e| times the image's; past ``MAX_EXPONENT`` it is made exact,
+    from each part's smallest and largest digit per position, and raises
+    :class:`ExponentRangeError` before any key is built if some exponent
+    would leave the range.
+    """
+    shift = _target_key(image)
+    bound = max((part._bound for part in parts.values()), default=0) + max(
+        map(abs, parts), default=0
+    ) * _bound((shift,))
+    if bound > MAX_EXPONENT:
+        bound = _shifted_bound(parts, shift)
+    out: dict[int, int] = {}
+    get = out.get
+    for e, part in parts.items():
+        step = e * shift
+        for key, coeff in part._terms.items():
+            key += step
+            coeff += get(key, 0)
+            if coeff:
+                out[key] = coeff
+            else:
+                del out[key]
+    return LaurentPoly._make(out, bound)
 
 
 # -- parsing ----------------------------------------------------------------

@@ -37,6 +37,7 @@ from .poly import (
     binomial_det,
     divide_alternants,
     divide_binomials,
+    from_powers,
     times_binomials,
     unit_keys,
 )
@@ -221,21 +222,21 @@ def dn_checks(n: int, d_n: LaurentPoly) -> DnReport:
     [x1^{2n-1}] D_n = -x2...xn * D_{n-1}(x2..xn).
 
     ``d_n`` is D_n already built, as ``weyl_denominator(n, "determinant")``
-    gives it.
+    gives it.  D_n is split once by its powers of x1
+    (:meth:`~schurbox.poly.LaurentPoly.powers`); each root is one
+    :func:`~schurbox.poly.from_powers` of that split, and the leading
+    coefficient is its x1^{2n-1} part, so D_n's keys are read once.
     """
     if n < 2:
         raise ValueError("dn_checks needs n >= 2")
-    roots: list[tuple[str, bool]] = []
-    roots.append(("x1:=1", d_n.substitute({"x1": 1}).is_zero()))
+    parts = d_n.powers("x1")
+    roots: list[tuple[str, bool]] = [("x1:=1", from_powers(parts, 1).is_zero())]
     for j in range(2, n + 1):
-        roots.append((f"x1:=x{j}", d_n.substitute({"x1": f"x{j}"}).is_zero()))
+        roots.append((f"x1:=x{j}", from_powers(parts, f"x{j}").is_zero()))
         roots.append(
-            (
-                f"x1:=x{j}^-1",
-                d_n.substitute({"x1": Monomial.variable(f"x{j}", -1)}).is_zero(),
-            )
+            (f"x1:=x{j}^-1", from_powers(parts, Monomial.variable(f"x{j}", -1)).is_zero())
         )
-    lead = d_n.coefficient_of("x1", 2 * n - 1)
+    lead = parts.get(2 * n - 1, LaurentPoly.zero())
     tail = LaurentPoly.term(Monomial({f"x{i}": 1 for i in range(2, n + 1)}))
     expected = -tail * binomial_det(xvars(n)[1:], *box_exponents(0, n - 1))
     return DnReport(n, tuple(roots), lead, expected)

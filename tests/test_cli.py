@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import schurbox
+from schurbox import checks
 from schurbox.checks import (
     CHECK_IDS,
     InvalidRangeError,
@@ -23,6 +24,7 @@ from schurbox.checks import (
     run_verification,
 )
 from schurbox.poly import LaurentPoly
+from schurbox.schur import DnReport
 
 
 def limit_memory():
@@ -99,6 +101,39 @@ def test_raising_check_becomes_an_error_record():
     assert eq4.lhs == eq4.rhs == LaurentPoly.zero()
     assert eq4.to_json_dict()["error"] == eq4.error
     assert "error" not in lemma.to_json_dict()
+
+
+def test_passing_results_hold_one_side_object():
+    results = run_verification(RunConfig(("all",), (1, 2), (1, 3)))
+    assert results and all(r.passed for r in results)
+    assert all(r.lhs is r.rhs for r in results)
+
+
+def test_failed_and_error_results_keep_two_sides(monkeypatch):
+    x1 = LaurentPoly.variable("x1")
+
+    def wrong_lemma(n):
+        return x1, x1 + 1
+
+    def no_vanishing(n):
+        raise RuntimeError("no vanishing determinant")
+
+    def failed_root(n, d_n):
+        x2 = LaurentPoly.variable("x2")
+        return DnReport(n, (("x1:=1", False),), x2, LaurentPoly.variable("x2"))
+
+    monkeypatch.setattr(checks, "lemma_sides", wrong_lemma)
+    monkeypatch.setattr(checks, "vanishing_det", no_vanishing)
+    monkeypatch.setattr(checks, "dn_checks", failed_root)
+    lemma, vanishing, dn = run_verification(RunConfig(("lemma", "vanishing", "dn"), (1, 1), (2, 2)))
+    assert not (lemma.passed or vanishing.passed or dn.passed)
+    assert (lemma.lhs, lemma.rhs) == (x1, x1 + 1)
+    assert vanishing.error == "RuntimeError: no vanishing determinant"
+    assert vanishing.lhs == vanishing.rhs == LaurentPoly.zero()
+    assert dn.lhs == dn.rhs  # equal sides, but a failed root
+    for r in (lemma, vanishing, dn):
+        assert r.lhs is not r.rhs, r.identity
+        assert r.to_json_dict()["rhs"] == r.rhs.to_text()
 
 
 def test_all_expands_anywhere_and_repeats_drop():

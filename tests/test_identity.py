@@ -116,7 +116,7 @@ def test_f_closed_form(n):
 
 def test_f_boundary_values():
     f3 = f_function(3)
-    assert f3.coefficient_of("x1", 0) == 1
+    assert f3.powers("x1")[0] == 1
     shifted = f_function(2).substitute({"x1": "x2", "x2": "x3"})
     assert f3.substitute({"x1": 1}) == shifted
 

@@ -1,10 +1,20 @@
-"""The packed-int ring against the sorted-pairs arithmetic it replaced (``reference_poly``)."""
+"""The packed-int ring against the sorted-pairs arithmetic it replaced (``reference_poly``);
+``coefficient_of`` there is the oracle for ``LaurentPoly.powers`` and ``from_powers``."""
 
 import hypothesis.strategies as st
+import pytest
 from hypothesis import given, settings
 
 import reference_poly as ref
-from schurbox.poly import LaurentPoly, Monomial, parse_poly
+from reference_poly import largest_exponent
+from schurbox.poly import (
+    MAX_EXPONENT,
+    ExponentRangeError,
+    LaurentPoly,
+    Monomial,
+    from_powers,
+    parse_poly,
+)
 
 # Digit positions interleave t_i and x_i, and t10 sorts before t2 as a string,
 # so these names catch a canonical order taken from positions or from text.
@@ -83,11 +93,80 @@ def test_substitute_matches_reference(a, sub):
     assert got == outcome(ref.substitute, ref.from_poly(a), sub)
 
 
-@given(polys, variables, st.integers(-3, 3))
-def test_coefficient_of_matches_reference(a, var, exp):
-    assert ref.from_poly(a.coefficient_of(var, exp)) == ref.coefficient_of(
-        ref.from_poly(a), var, exp
+@given(polys, variables)
+def test_coefficient_of_matches_reference(a, var):
+    parts = a.powers(var)
+    ra = ref.from_poly(a)
+    assert all(parts.values())  # an exponent with no terms has no part
+    for exp in range(-4, 5):  # every exponent of ``polys``, and one past each end
+        part = parts.get(exp, LaurentPoly.zero())
+        assert ref.from_poly(part) == ref.coefficient_of(ra, var, exp)
+    assert set(parts) <= set(range(-3, 4))
+
+
+@given(polys, variables)
+def test_from_powers_of_the_split_variable_rebuilds(a, var):
+    assert from_powers(a.powers(var), var) == a
+
+
+@given(polys, variables, targets.filter(lambda t: t != 0))
+@settings(max_examples=300)
+def test_from_powers_matches_substitute(a, var, image):
+    assert from_powers(a.powers(var), image) == a.substitute({var: image})
+
+
+# Exponents at the ends of the digit range, so that an image can push one past it.
+edge_exponents = st.sampled_from(
+    [-MAX_EXPONENT, 1 - MAX_EXPONENT, -1, 0, 1, MAX_EXPONENT - 1, MAX_EXPONENT]
+)
+edge_polys = st.dictionaries(
+    st.dictionaries(variables, edge_exponents, max_size=3).map(Monomial),
+    st.integers(-9, 9),
+    max_size=4,
+).map(LaurentPoly)
+small_targets = st.one_of(
+    st.tuples(variables, st.integers(-2, 2)).map(lambda t: Monomial.variable(*t)),
+    variables,
+    st.just(1),
+)
+
+
+@given(edge_polys, variables, small_targets)
+@settings(max_examples=300)
+def test_from_powers_range_check_matches_substitute(a, var, image):
+    """Both raise ExponentRangeError exactly when some new exponent leaves the range."""
+    got = outcome(lambda: from_powers(a.powers(var), image))
+    want = outcome(lambda: a.substitute({var: image}))
+    if isinstance(want, tuple):
+        assert isinstance(got, tuple) and got[0] is want[0] is ExponentRangeError
+    else:
+        assert got == want
+        assert largest_exponent(got) <= got._bound
+
+
+def test_from_powers_refuses_an_exponent_past_the_range():
+    x1, x2 = Monomial.variable("x1"), Monomial.variable("x2")
+    top = LaurentPoly.term(Monomial({"x1": 1, "x2": MAX_EXPONENT}))
+    with pytest.raises(ExponentRangeError):
+        from_powers(top.powers("x1"), "x2")
+    with pytest.raises(ExponentRangeError):
+        from_powers((-top).powers("x2"), Monomial.variable("x1", -2))
+    bottom = LaurentPoly.term(Monomial({"x1": -1, "x2": -MAX_EXPONENT}))
+    with pytest.raises(ExponentRangeError):
+        from_powers(bottom.powers("x1"), x2)
+    # past the coarse bound but in range: x1^2 * x2^-MAX -> x2^(2 - MAX)
+    low = LaurentPoly.term(Monomial({"x1": 2, "x2": -MAX_EXPONENT}))
+    assert from_powers(low.powers("x1"), x2) == LaurentPoly.term(Monomial({"x2": 2 - MAX_EXPONENT}))
+    assert from_powers(low.powers("x1"), x1) == low
+    # an empty part adds nothing, however large its exponent
+    assert from_powers({MAX_EXPONENT: LaurentPoly.zero(), **low.powers("x1")}, x2) == (
+        from_powers(low.powers("x1"), x2)
     )
+
+
+def test_from_powers_refuses_zero_like_substitute():
+    with pytest.raises(ValueError, match="unsupported substitution target: 0"):
+        from_powers(LaurentPoly.variable("x1").powers("x1"), 0)
 
 
 @given(polys)

@@ -1,10 +1,13 @@
 """Schur backends, the box-sum theorem, Weyl denominators, and q-products."""
 
+import functools
+
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
 from reference_alternant import bialternant_by_division
+from reference_dn import dn_checks_by_substitution
 from reference_poly import largest_exponent
 from reference_q_ratio import gordon_by_whole_ratio, macmahon_by_whole_ratio, uncancelled_q_ratio
 from schurbox.combinat import Partition, generating_function, partitions_in_box, symmetric_plane_partitions
@@ -202,20 +205,61 @@ def test_dn_vanishes_at_one():
 
 def test_dn_leading_coefficient_order_two():
     d2 = weyl_denominator(2, "determinant")
-    assert d2.coefficient_of("x1", 3) == -x2 * (1 - x2)
+    assert d2.powers("x1")[3] == -x2 * (1 - x2)
 
 
 def test_dn_checks_order_three():
     report = dn_checks(3, weyl_denominator(3, "determinant"))
     assert len(report.root_checks) == 5
     assert report.all_pass
-    assert report.lead == weyl_denominator(3, "determinant").coefficient_of("x1", 5)
+    assert report.lead == weyl_denominator(3, "determinant").powers("x1")[5]
     assert report.expected == report.lead
 
 
 def test_dn_checks_requires_two():
     with pytest.raises(ValueError):
         dn_checks(1, weyl_denominator(1, "determinant"))
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_dn_checks_match_the_substitution_reference(n):
+    d_n = weyl_denominator(n, "determinant")
+    report = dn_checks(n, d_n)
+    assert report == dn_checks_by_substitution(n, d_n)
+    assert report.all_pass
+
+
+@functools.lru_cache(maxsize=None)
+def _weyl_terms(n):
+    return weyl_denominator(n, "determinant").sorted_terms()
+
+
+@given(st.integers(2, 4), st.data(), st.integers(-3, 3).filter(bool))
+@settings(max_examples=60)
+def test_dn_checks_catch_one_changed_coefficient(n, data, delta):
+    terms = _weyl_terms(n)
+    mono, _ = terms[data.draw(st.integers(0, len(terms) - 1))]
+    mutated = weyl_denominator(n, "determinant") + P.term(mono, delta)
+    report = dn_checks(n, mutated)
+    assert not all(ok for _, ok in report.root_checks)
+    assert not report.all_pass
+    assert report == dn_checks_by_substitution(n, mutated)
+
+
+def test_dn_checks_of_zero_pass_every_root_but_not_the_lead():
+    report = dn_checks(3, P.zero())
+    assert all(ok for _, ok in report.root_checks)
+    assert report.lead == P.zero() and not report.leading_coefficient_ok
+    assert report == dn_checks_by_substitution(3, P.zero())
+
+
+@pytest.mark.parametrize("n", range(2, 6))
+def test_dn_checks_catch_a_wrong_leading_coefficient(n):
+    mutated = weyl_denominator(n, "determinant") + P.term(Monomial({"x1": 2 * n - 1, "x2": 1}))
+    report = dn_checks(n, mutated)
+    assert not report.leading_coefficient_ok
+    assert not report.all_pass
+    assert report == dn_checks_by_substitution(n, mutated)
 
 
 # -- q-products --------------------------------------------------------------------------

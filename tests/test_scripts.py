@@ -181,6 +181,27 @@ def test_frontier_table_cut_to_small_n(tmp_path):
         assert result["elapsed_ms"] >= 0
 
 
+def test_frontier_runs_only_the_listed_checks(tmp_path):
+    proc = run_frontier(tmp_path, "--max-n", "3", "--checks", "eq5,dn")
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    table = json.loads((tmp_path / "BENCH_frontier_smoke.json").read_text())
+    assert table["checks"] == ["eq5", "dn"]
+    assert [(c["check"], c["m"], c["n"]) for c in table["cases"]] == [
+        ("dn", 1, 3), ("eq5", 4, 3), ("eq5", 1, 3), ("eq5", 2, 3), ("eq5", 3, 3),
+    ]
+    for case in table["cases"]:
+        ((result,),) = [case["results"]]
+        assert result["identity"] == case["check"] and result["pass"]
+
+
+@pytest.mark.parametrize("checks", ["nosuch", "dn,nosuch", ""])
+def test_frontier_refuses_an_unknown_check(tmp_path, checks):
+    proc = run_frontier(tmp_path, "--checks", checks)
+    assert proc.returncode == 2, proc.stdout + proc.stderr
+    assert "unknown check(s)" in proc.stderr and not proc.stdout
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("max_n", ["0", "-1"])
 def test_frontier_refuses_max_n_below_one(tmp_path, max_n):
     proc = run_frontier(tmp_path, "--max-n", max_n)
