@@ -30,14 +30,16 @@ from __future__ import annotations
 
 import time
 from collections import namedtuple
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Callable, Iterable
 
 from .combinat import (
     column_strict_odd_pps,
     fold,
     generating_function,
     partitions_in_box,
+    q_series,
     symmetric_plane_partitions,
+    symmetric_pp_series,
     unfold,
 )
 from .identity import eq4_sides, eq5_sides, eq6_rhs, eq6_sides, lemma_sides, vanishing_det
@@ -135,8 +137,12 @@ class RunConfig(namedtuple(
 
 
 def _macmahon_sides(m: int, n: int, shared: dict) -> tuple[LaurentPoly, LaurentPoly]:
-    """Brute-force generating function == specialized box sum == q-product."""
-    brute = generating_function(symmetric_plane_partitions(n, m))
+    """Brute-force count == specialized box sum == q-product.
+
+    The brute side is ``symmetric_pp_series``: every symmetric plane
+    partition in the box counted once by weight, no record built.
+    """
+    brute = symmetric_pp_series(n, m)
     specialized = principal_specialization(
         _box_sum(shared, m, n), [2 * (n - i) + 1 for i in range(1, n + 1)]
     )
@@ -155,21 +161,19 @@ def _bijection_sides(m: int, n: int) -> tuple[LaurentPoly, LaurentPoly, bool]:
     the levels; with at most m levels, none empty, and a first hook of at
     most 2n - 1, fold(sp) is one of the arrays ``column_strict_odd_pps``
     enumerates.  Equal generating functions then give both sets as many
-    objects in every weight, so the injection is onto.
+    objects in every weight, so the injection is onto.  The pass reads each
+    plane partition's weight once, for the weight test and for the count.
     """
     ok = True
-
-    def checked() -> Iterator:
-        nonlocal ok
-        for sp in symmetric_plane_partitions(n, m):
-            cs = fold(sp)
-            lv = cs.levels
-            in_strict_set = len(lv) <= m and all(lv) and (not lv or lv[0][0] < 2 * n)
-            ok = ok and in_strict_set and cs.weight == sp.weight and unfold(cs) == sp
-            yield sp
-
-    lhs = generating_function(checked())
-    return lhs, generating_function(column_strict_odd_pps(n, m)), ok
+    counts: dict[int, int] = {}
+    for sp in symmetric_plane_partitions(n, m):
+        cs = fold(sp)
+        lv = cs.levels
+        w = sp.weight
+        in_strict_set = len(lv) <= m and all(lv) and (not lv or lv[0][0] < 2 * n)
+        ok = ok and in_strict_set and cs.weight == w and unfold(cs) == sp
+        counts[w] = counts.get(w, 0) + 1
+    return q_series(counts), generating_function(column_strict_odd_pps(n, m)), ok
 
 
 def _schur_agree_sides(m: int, n: int) -> tuple[LaurentPoly, LaurentPoly]:

@@ -11,8 +11,14 @@ Self-conjugate diagrams correspond exactly to strictly decreasing sequences
 of odd principal hooks, and slice containment makes hooks weakly decrease
 from one level to the next, so the image is precisely an odd-column-strict
 array; the map preserves the number of lattice points.  ``unfold`` inverts
-it.  These enumerators are the brute-force oracle side of every identity in
-this package.
+it.  The brute-force sides of the combinatorial checks count every object
+once.  macmahon's is ``symmetric_pp_series``, a weight walk that builds no
+records.  The bijection folds each record of ``symmetric_plane_partitions``
+and counts its strict side with ``generating_function`` over
+``column_strict_odd_pps``.  The symmetric enumerator stays the bijection's
+input, ``schurbox enumerate``'s source and the walk's test reference.
+``q_series`` turns ``{weight: count}`` into the q-series for the walk, the
+bijection's pass and ``generating_function`` alike.
 
 The kernels work on plain int tuples and lists.  ``fold`` reads each level's
 hooks straight off the height matrix: the hook at diagonal cell c of the
@@ -23,6 +29,9 @@ height matrix.  ``partitions_in_box``, ``symmetric_plane_partitions`` and
 per level and ``_levels_under`` one per column of a level.  The objects they
 build are already canonical, so they skip the normalizing constructors, and
 ``ssyt`` yields each tableau as the flat tuple of its entries in row-major order.
+``symmetric_pp_series`` keeps a stack of (weight so far, bound) and lists
+each bound's rows, or for the last two rows their fillings' weights, once
+per call.
 
 ``Partition``, ``PlanePartition`` and ``ColumnStrictPP`` are slotted records,
 immutable by convention and equal only within their class; their constructors
@@ -32,7 +41,7 @@ take ints only (``operator.index``: a float or a str raises TypeError).
 from __future__ import annotations
 
 import operator
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Mapping
 
 from .poly import LaurentPoly, Monomial
 
@@ -46,8 +55,10 @@ __all__ = [
     "fold",
     "generating_function",
     "partitions_in_box",
+    "q_series",
     "ssyt",
     "symmetric_plane_partitions",
+    "symmetric_pp_series",
     "unfold",
 ]
 
@@ -94,10 +105,6 @@ class Partition(_Record):
     @property
     def weight(self) -> int:
         return self.size
-
-    def fits_in_box(self, m: int, n: int) -> bool:
-        """At most n parts, each at most m."""
-        return len(self.parts) <= n and (not self.parts or self.parts[0] <= m)
 
     def padded(self, n: int) -> tuple[int, ...]:
         if len(self.parts) > n:
@@ -147,17 +154,6 @@ class PlanePartition(_Record):
     def weight(self) -> int:
         return sum(map(sum, self.heights))
 
-    @property
-    def max_height(self) -> int:
-        return max((row[0] for row in self.heights), default=0)
-
-    def is_symmetric(self) -> bool:
-        h = self.heights
-        return all(h[i][j] == h[j][i] for i in range(self.n) for j in range(i + 1, self.n))
-
-    def is_bounded(self, m: int) -> bool:
-        return all(v <= m for row in self.heights for v in row)
-
     def validate(self) -> None:
         """Check the down-closed-set condition; raises ValueError."""
         h, n = self.heights, self.n
@@ -206,10 +202,6 @@ class ColumnStrictPP(_Record):
     @property
     def weight(self) -> int:
         return sum(map(sum, self.levels))
-
-    @property
-    def num_levels(self) -> int:
-        return len(self.levels)
 
     def validate(self) -> None:
         """Check odd/strict/nesting invariants; raises MalformedInputError."""
@@ -348,6 +340,57 @@ def column_strict_odd_pps(n: int, m: int) -> Iterator[ColumnStrictPP]:
     yield from rec(0, root)
 
 
+def _rows_under(bound: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """Weakly decreasing tuples bounded componentwise by ``bound``."""
+    rows: list[tuple[int, ...]] = [()]
+    for b in bound:
+        rows = [r + (v,) for r in rows for v in range((min(b, r[-1]) if r else b) + 1)]
+    return rows
+
+
+def _fillings(bound: tuple[int, ...]) -> list[int]:
+    """The weight of each way to fill the rows under ``bound``, one entry per way."""
+    if not bound:
+        return [0]
+    return [2 * sum(r) - r[0] + w for r in _rows_under(bound) for w in _fillings(r[1:])]
+
+
+def symmetric_pp_series(n: int, m: int) -> LaurentPoly:
+    """``generating_function(symmetric_plane_partitions(n, m))`` without the records.
+
+    Walks the upper triangle row by row: row c, ``h[c][c:]``, is weakly
+    decreasing and bounded entry by entry by ``h[c-1][c:]`` (by m for row
+    0), and adds ``2 * sum(row) - row[0]`` to the weight, its diagonal cell
+    once and the rest twice for their mirrors.  The last two rows come from
+    a list of the weight of each way to fill them, one list per bound, so
+    each height matrix is still one leaf, counted once.
+    """
+    if n < 0 or m < 0:
+        raise ValueError("box dimensions must be non-negative")
+    children: dict[tuple[int, ...], list[tuple[int, tuple[int, ...]]]] = {}
+    tails: dict[tuple[int, ...], tuple[int, ...]] = {}  # one object per bound, for a smaller memo
+    fillings: dict[tuple[int, ...], list[int]] = {}
+    counts: dict[int, int] = {}
+    stack = [(0, (m,) * n)]
+    while stack:
+        weight, bound = stack.pop()
+        if len(bound) <= 2:
+            leaves = fillings.get(bound)
+            if leaves is None:
+                leaves = fillings[bound] = _fillings(bound)
+            for w in leaves:
+                w += weight
+                counts[w] = counts.get(w, 0) + 1
+            continue
+        kids = children.get(bound)
+        if kids is None:
+            kids = children[bound] = [
+                (2 * sum(r) - r[0], tails.setdefault(r[1:], r[1:])) for r in _rows_under(bound)
+            ]
+        stack.extend([(weight + w, below) for w, below in kids])
+    return q_series(counts)
+
+
 def ssyt(shape: Partition, n: int) -> Iterator[tuple[int, ...]]:
     """All semistandard tableaux of the given shape with entries in 1..n,
     each as the tuple of its entries in row-major order.
@@ -451,10 +494,19 @@ def unfold(cs: ColumnStrictPP) -> PlanePartition:
     return PlanePartition._make(tuple(map(tuple, h)))
 
 
+def q_series(counts: Mapping[int, int]) -> LaurentPoly:
+    """Sum of count * q^weight over ``{weight: count}``; a weight outside
+    ``±MAX_EXPONENT`` raises ExponentRangeError, as ``Monomial.variable`` does."""
+    bound = max(map(abs, counts), default=0)
+    Monomial.variable("q", bound)  # the range check
+    q = Monomial.variable("q").key
+    return LaurentPoly.from_keys([(w * q, c) for w, c in counts.items()], bound)
+
+
 def generating_function(objects: Iterable[object]) -> LaurentPoly:
     """Sum of q^weight over a finite stream of objects with a ``weight`` attribute."""
     counts: dict[int, int] = {}
     for obj in objects:
         w = obj.weight
         counts[w] = counts.get(w, 0) + 1
-    return LaurentPoly({Monomial.variable("q", w): c for w, c in counts.items()})
+    return q_series(counts)

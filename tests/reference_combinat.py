@@ -10,8 +10,10 @@ principal hooks through the conjugate.  ``unfold`` rebuilds each level's
 self-conjugate diagram from its hooks and counts the diagrams over every
 cell.  ``schur_via_tableaux`` names each entry ``x{v}`` and parses it
 through ``Monomial``.  The partition helpers were methods of ``Partition``
-and ``PlanePartition`` and are plain functions on parts tuples here; the
-bodies are otherwise kept as they were, so the differential tests in
+and ``PlanePartition`` and are plain functions on parts tuples here, and the
+record predicates that only tests read (``fits_in_box``, ``max_height``,
+``is_symmetric``, ``is_bounded``, ``num_levels``) are plain functions on the
+records; the bodies are otherwise kept as they were, so the differential tests in
 ``test_combinat_reference.py`` compare against what ran before.  Only valid
 inputs are compared for ``fold``: this one does not check that its
 argument is a plane partition.  ``bijection_sides`` is the two-pass
@@ -76,6 +78,28 @@ def from_principal_hooks(hooks: Iterable[int]) -> Parts:
     for i in range(r + 1, side + 1):
         parts.append(sum(1 for c in range(r) if c + 1 + arms[c] >= i))
     return tuple(p for p in parts if p)
+
+
+def fits_in_box(p: Partition, m: int, n: int) -> bool:
+    """At most n parts, each at most m."""
+    return len(p.parts) <= n and (not p.parts or p.parts[0] <= m)
+
+
+def max_height(sp: PlanePartition) -> int:
+    return max((row[0] for row in sp.heights), default=0)
+
+
+def is_symmetric(sp: PlanePartition) -> bool:
+    h = sp.heights
+    return all(h[i][j] == h[j][i] for i in range(sp.n) for j in range(i + 1, sp.n))
+
+
+def is_bounded(sp: PlanePartition, m: int) -> bool:
+    return all(v <= m for row in sp.heights for v in row)
+
+
+def num_levels(cs: ColumnStrictPP) -> int:
+    return len(cs.levels)
 
 
 def slice_partition(sp: PlanePartition, level: int) -> Parts:
@@ -197,11 +221,11 @@ def fold(sp: PlanePartition) -> ColumnStrictPP:
     Level y of the image records the principal hook lengths of the y-th
     horizontal slice of ``sp`` (a self-conjugate diagram).
     """
-    if not sp.is_symmetric():
+    if not is_symmetric(sp):
         raise NotSymmetricError("fold requires a symmetric plane partition")
     levels = tuple(
         principal_hooks(slice_partition(sp, level))
-        for level in range(1, sp.max_height + 1)
+        for level in range(1, max_height(sp) + 1)
     )
     return ColumnStrictPP(levels)
 

@@ -18,11 +18,13 @@ from schurbox.combinat import (
     fold,
     generating_function,
     partitions_in_box,
+    q_series,
     ssyt,
     symmetric_plane_partitions,
+    symmetric_pp_series,
     unfold,
 )
-from schurbox.poly import LaurentPoly, Monomial, parse_poly
+from schurbox.poly import MAX_EXPONENT, ExponentRangeError, LaurentPoly, Monomial, parse_poly
 
 
 # -- partitions ------------------------------------------------------------------
@@ -48,7 +50,7 @@ def test_partitions_in_box_count(m, n):
     out = list(partitions_in_box(m, n))
     assert len(out) == comb(m + n, n)
     assert len(set(out)) == len(out)
-    assert all(p.fits_in_box(m, n) for p in out)
+    assert all(ref.fits_in_box(p, m, n) for p in out)
 
 
 def test_partitions_in_box_streams():
@@ -118,12 +120,12 @@ def test_degenerate_boxes_yield_empty_object():
 def test_emitted_objects_satisfy_invariants(n, m):
     for sp in symmetric_plane_partitions(n, m):
         sp.validate()
-        assert sp.is_symmetric()
-        assert sp.is_bounded(m)
+        assert ref.is_symmetric(sp)
+        assert ref.is_bounded(sp, m)
     for cs in column_strict_odd_pps(n, m):
         cs.validate()
         assert all(h <= 2 * n - 1 for lvl in cs.levels for h in lvl)
-        assert cs.num_levels <= m
+        assert ref.num_levels(cs) <= m
 
 
 def test_plane_partition_normalizes_to_minimal_square():
@@ -247,9 +249,13 @@ SYM_2_2 = list(symmetric_plane_partitions(2, 2))
 STRICT_2_2 = list(column_strict_odd_pps(2, 2))
 
 
-def bijection_result(m=2, n=2):
-    (result,) = checks.run_verification(checks.RunConfig(("bijection",), (m, m), (n, n)))
+def check_result(check_id, m=2, n=2):
+    (result,) = checks.run_verification(checks.RunConfig((check_id,), (m, m), (n, n)))
     return result
+
+
+def bijection_result(m=2, n=2):
+    return check_result("bijection", m, n)
 
 
 def bijection_check_passes():
@@ -357,6 +363,89 @@ def test_generating_function_nonnegative_with_unit_constant(n, m):
     gf = generating_function(symmetric_plane_partitions(n, m))
     assert gf.coefficient(Monomial.one()) == 1
     assert all(c > 0 for _, c in gf.terms())
+
+
+def test_q_series_counts_each_weight():
+    assert q_series({}) == LaurentPoly.zero()
+    assert q_series({0: 1, 3: 2}) == parse_poly("1 + 2*q^3")
+    assert q_series({MAX_EXPONENT: 1}) == LaurentPoly.variable("q", MAX_EXPONENT)
+
+
+def test_q_series_range_checks_the_largest_weight():
+    with pytest.raises(ExponentRangeError, match="of q is outside the packed range"):
+        q_series({0: 1, MAX_EXPONENT + 1: 1})
+
+
+class Weighted:
+    def __init__(self, weight):
+        self.weight = weight
+
+
+def test_generating_function_range_checks_the_largest_weight():
+    with pytest.raises(ExponentRangeError, match="of q is outside the packed range"):
+        generating_function([Weighted(MAX_EXPONENT + 1)])
+
+
+# -- weight walks ----------------------------------------------------------------------
+
+WALK_GRID = [(n, m) for n in range(5) for m in range(5)] + [(2, 5), (4, 5)]
+
+
+@pytest.mark.parametrize("n,m", WALK_GRID)
+def test_symmetric_walk_equals_the_enumerators_generating_function(n, m):
+    series = symmetric_pp_series(n, m)
+    expected = generating_function(symmetric_plane_partitions(n, m))
+    assert series == expected
+    assert series.to_text() == expected.to_text()
+
+
+@pytest.mark.parametrize("n,m", [(-1, 2), (2, -1), (-1, -1)])
+def test_symmetric_walk_refuses_negative_bounds_like_the_enumerator(n, m):
+    with pytest.raises(ValueError) as from_enumerator:
+        list(symmetric_plane_partitions(n, m))
+    with pytest.raises(ValueError) as from_walk:
+        symmetric_pp_series(n, m)
+    assert str(from_walk.value) == str(from_enumerator.value)
+
+
+WEIGHTS_2_2 = sorted({sp.weight for sp in SYM_2_2})
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("weight", WEIGHTS_2_2)
+def test_macmahon_fails_when_the_symmetric_walk_is_off_by_one_object(monkeypatch, weight, sign):
+    """The walk with one object more (sign 1) or fewer (sign -1) at ``weight``."""
+    monkeypatch.setattr(
+        checks,
+        "symmetric_pp_series",
+        lambda n, m: symmetric_pp_series(n, m) + sign * LaurentPoly.variable("q", weight),
+    )
+    result = check_result("macmahon")
+    assert result.error is None and not result.passed
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("weight", WEIGHTS_2_2)
+def test_bijection_fails_when_its_symmetric_count_is_off_by_one_object(monkeypatch, weight, sign):
+    """The pass's left-side count with one object more or fewer at ``weight``:
+    the count is the only place the left side comes from."""
+    monkeypatch.setattr(
+        checks,
+        "q_series",
+        lambda counts: q_series({**counts, weight: counts.get(weight, 0) + sign}),
+    )
+    result = check_result("bijection")
+    assert result.error is None and not result.passed
+
+
+def test_macmahon_builds_no_plane_partition_records(monkeypatch):
+    def refuse(n, m):
+        raise AssertionError("macmahon enumerated plane partitions")
+
+    monkeypatch.setattr(checks, "symmetric_plane_partitions", refuse)
+    for m, n in [(1, 1), (2, 2), (3, 3)]:
+        result = check_result("macmahon", m, n)
+        assert result.error is None and result.passed
 
 
 # -- tableaux -----------------------------------------------------------------------------
