@@ -32,7 +32,9 @@ def main() -> int:
     for identity, ms in sorted(by_identity.items(), key=lambda kv: -kv[1]):
         print(f"  {identity:<12} {ms:9.2f} ms")
     print("  (eq6's right side and D_n count in the first check at each n that uses them,")
-    print("   the box sum in the first check at each (m, n) that uses it)")
+    print("   the box sum in the first check at each (m, n) that uses it; the bijection's")
+    print("   pass, made at the last m, in its first row at each n; schur-agree's row at")
+    print("   each m counts only its new shapes, those with first part m)")
     failed = [r for r in results if not r.passed]
     print(f"\n{len(results)} checks, {len(failed)} failed")
     return 1 if failed else 0

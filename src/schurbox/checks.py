@@ -13,13 +13,17 @@ the theorem's quotient has (m+1)^n terms, and schur-agree's shapes and
 tableaux grow with the box, so until a cost budget refuses large inputs the
 order bound is what stops them at n = 9.  Multi-stage checks return their
 first disagreeing pair.  ``shared`` is the run's store of sides that
-several checks use: eq6's right side, which eq5 puts m back into at every
-m, and D_n, which weyl compares with its product form and dn substitutes
-into, each kept for one n; and the box sum, which theorem, macmahon and
-gordon take at one (m, n).  :func:`run_verification` makes one per call and
-runs the grid point by point, so each side is built once, by the first
-check that needs it, and dropped at the next n (or (m, n)) or when the
-call returns.
+several checks, or one check's rows at several m, use: eq6's right side,
+which eq5 puts m back into at every m, and D_n, which weyl compares with
+its product form and dn substitutes into, each kept for one n; the box
+sum, which theorem, macmahon and gordon take at one (m, n); the
+bijection's pass at one n, made at the run's last m (``shared["last_m"]``)
+and read by its row at every m through the objects of top height at most
+m; and schur-agree's sum over the m x n box, which its row at m + 1
+extends by the shapes with lambda_1 = m + 1.  :func:`run_verification`
+makes one per call and runs the grid point by point, so each side is
+built once, by the first check that needs it, and dropped at the next n
+(or (m, n)) or when the call returns.
 The runner records each outcome as a :class:`CheckResult` with
 ``passed = lhs == rhs and ok``; a ``sides`` call that raises, a shared
 build included, becomes a failed result with the error text, and the sweep
@@ -29,13 +33,15 @@ goes on.
 from __future__ import annotations
 
 import time
-from collections import namedtuple
+from collections import Counter, namedtuple
 from collections.abc import Callable, Iterable
+from itertools import accumulate
+from typing import TypeVar
 
 from .combinat import (
+    Partition,
     column_strict_odd_pps,
     fold,
-    generating_function,
     partitions_in_box,
     q_series,
     symmetric_plane_partitions,
@@ -70,6 +76,9 @@ __all__ = [
 ]
 
 
+_T = TypeVar("_T")
+
+
 class UnknownCheckError(ValueError):
     """A requested identity id is not in the registry."""
 
@@ -92,7 +101,11 @@ class CheckResult(namedtuple(
     ``elapsed_ms`` includes the build of any shared side that this check was
     the first to need: eq6's right side or D_n at its n, or the box sum at its
     (m, n), which theorem builds when it runs and macmahon or gordon
-    otherwise.  The checks after it reuse the side and do not pay for it."""
+    otherwise.  The checks after it reuse the side and do not pay for it.
+    So the first bijection row at each n pays for the whole pass, at the
+    run's last m, and the rows after it only read it; a schur-agree row
+    pays for its own layer of shapes, the first at each n for its whole
+    box."""
 
     __slots__ = ()
 
@@ -154,44 +167,104 @@ def _macmahon_sides(m: int, n: int, shared: dict) -> tuple[LaurentPoly, LaurentP
     return brute, product
 
 
-def _bijection_sides(m: int, n: int) -> tuple[LaurentPoly, LaurentPoly, bool]:
-    """fold is a weight-preserving bijection onto the strict arrays; one pass per side.
+def _bijection_pass(n: int, top: int) -> tuple[dict[int, list], list[LaurentPoly]]:
+    """Both sides of the fold bijection for every m <= ``top`` at n, one pass per side.
 
-    ``unfold(fold(sp)) == sp`` makes fold injective, and ``unfold`` validates
-    the levels; with at most m levels, none empty, and a first hook of at
-    most 2n - 1, fold(sp) is one of the arrays ``column_strict_odd_pps``
-    enumerates.  Equal generating functions then give both sets as many
-    objects in every weight, so the injection is onto.  The pass reads each
-    plane partition's weight once, for the weight test and for the count.
+    Each symmetric plane partition in the n x n x ``top`` box is folded,
+    unfolded and tested as it is enumerated, and lands in the bucket of its
+    top height ``h[0][0]``: the n x n x m box holds exactly those in buckets
+    0..m.  ``unfold(fold(sp)) == sp`` makes fold injective, and ``unfold``
+    validates the levels; with no empty level and a first hook of at most
+    2n - 1, fold(sp) is one of the arrays ``column_strict_odd_pps`` enumerates
+    once it also has at most m levels, so a bucket is ``[{weight: count},
+    every object passed, the most levels an image had]``.  The strict side
+    is counted by number of levels (the arrays for m are those with at most
+    m), and summed into its series at every m.  Equal generating functions
+    at m then give both sets as many objects in every weight, so the
+    injection is onto.  Buckets are made as objects reach them, so nothing
+    is sized by ``top`` before the pass.
     """
-    ok = True
-    counts: dict[int, int] = {}
-    for sp in symmetric_plane_partitions(n, m):
+    buckets: dict[int, list] = {}
+    for sp in symmetric_plane_partitions(n, top):
         cs = fold(sp)
         lv = cs.levels
         w = sp.weight
-        in_strict_set = len(lv) <= m and all(lv) and (not lv or lv[0][0] < 2 * n)
-        ok = ok and in_strict_set and cs.weight == w and unfold(cs) == sp
+        k = sp.heights[0][0] if sp.heights else 0
+        bucket = buckets.get(k)
+        if bucket is None:
+            bucket = buckets[k] = [{}, True, 0]
+        counts, passed, most_levels = bucket
+        in_strict_set = all(lv) and (not lv or lv[0][0] < 2 * n)
+        bucket[1] = passed and in_strict_set and cs.weight == w and unfold(cs) == sp
+        if len(lv) > most_levels:
+            bucket[2] = len(lv)
         counts[w] = counts.get(w, 0) + 1
-    return q_series(counts), generating_function(column_strict_odd_pps(n, m)), ok
+    by_levels: dict[int, dict[int, int]] = {}
+    for cs in column_strict_odd_pps(n, top):
+        k, w = len(cs.levels), cs.weight
+        counts = by_levels.get(k)
+        if counts is None:
+            counts = by_levels[k] = {}
+        counts[w] = counts.get(w, 0) + 1
+    series = accumulate(q_series(by_levels.get(k, {})) for k in range(top + 1))
+    return buckets, list(series)
 
 
-def _schur_agree_sides(m: int, n: int) -> tuple[LaurentPoly, LaurentPoly]:
-    """Tableau-sum and alternant-ratio Schur backends agree on every shape in the box."""
-    total_tab = total_alt = LaurentPoly.zero()
-    for lam in partitions_in_box(m, n):
+def _bijection_sides(m: int, n: int, shared: dict) -> tuple[LaurentPoly, LaurentPoly, bool]:
+    """fold is a weight-preserving bijection onto the strict arrays, read from the
+    run's pass at n (made at the run's last m) through the buckets up to m."""
+    buckets, strict = _share(shared, "bijection", n, lambda: _bijection_pass(n, shared["last_m"]))
+    merged: Counter[int] = Counter()
+    ok = True
+    for k, (counts, passed, most_levels) in buckets.items():
+        if k <= m:
+            merged.update(counts)
+            ok = ok and passed and most_levels <= m
+    return q_series(merged), strict[m], ok
+
+
+def _box_order(lam: Partition) -> list[int]:
+    """Sort key of ``partitions_in_box`` order: the negated parts."""
+    return [-p for p in lam.parts]
+
+
+def _schur_agree_sides(m: int, n: int, shared: dict) -> tuple[LaurentPoly, LaurentPoly]:
+    """Tableau-sum and alternant-ratio Schur backends agree on every shape in the box.
+
+    The run's store keeps the row at (m - 1, n): its box's sum and its first
+    disagreeing shape with that shape's pair, if any.  This row then builds
+    one layer, the shapes with lambda_1 = m, ``(m,) + mu`` for mu in the
+    m x (n - 1) box; a row with no such store builds its whole box.  The
+    first disagreeing pair is the first in ``partitions_in_box(m, n)``
+    order: (), then the new layer, then the lower layers.  With none, every
+    shape's two Schur functions are equal, so the two sums are one sum: the
+    previous sum's terms and each new shape's added into one dict, which
+    holds no shape's polynomial past its own turn.
+    """
+    prev = shared.pop("schur_agree", None)
+    if prev is not None and prev[0] == (m - 1, n):
+        _, total, first_bad = prev
+        shapes = (Partition((m, *mu.parts)) for mu in partitions_in_box(m, n - 1))
+    else:
+        total, first_bad = LaurentPoly.zero(), None
+        shapes = partitions_in_box(m, n)
+    terms = dict(total.key_terms())
+    get = terms.get
+    for lam in shapes:
         a = schur_via_tableaux(lam, n)
         b = schur_via_bialternant(lam, n)
-        if a != b:
-            return a, b
-        total_tab = total_tab + a
-        total_alt = total_alt + b
-    return total_tab, total_alt
+        if a != b and (first_bad is None or _box_order(lam) < _box_order(first_bad[0])):
+            first_bad = lam, a, b
+        for key, coeff in a.key_terms():
+            terms[key] = get(key, 0) + coeff
+    total = LaurentPoly.from_keys(terms.items(), m)
+    shared["schur_agree"] = (m, n), total, first_bad
+    if first_bad is not None:
+        return first_bad[1:]
+    return total, total
 
 
-def _share(
-    shared: dict, kind: str, key: int | tuple[int, int], build: Callable[[], LaurentPoly]
-) -> LaurentPoly:
+def _share(shared: dict, kind: str, key: int | tuple[int, int], build: Callable[[], _T]) -> _T:
     """The ``kind`` side at ``key`` (n, or (m, n)) from the run's store, ``build()``
     on a miss.
 
@@ -245,9 +318,8 @@ _TABLE: dict[str, _Check] = {
     "gordon": _Check(True, 1, False, lambda m, n, shared: (
         principal_specialization(_box_sum(shared, m, n), list(range(n, 0, -1))),
         gordon_product(BoxParams(m, n)))),
-    "bijection": _Check(True, 1, False, lambda m, n, shared: _bijection_sides(m, n)),
-    "schur-agree": _Check(
-        True, 1, True, lambda m, n, shared: _schur_agree_sides(m, n), "a-alternant"),
+    "bijection": _Check(True, 1, False, _bijection_sides),
+    "schur-agree": _Check(True, 1, True, _schur_agree_sides, "a-alternant"),
     "dn": _Check(False, 2, True, _dn_sides),
 }
 
@@ -315,9 +387,12 @@ def run_verification(config: RunConfig) -> list[CheckResult]:
     per n, at the first m.  One store of shared sides is made for this call:
     eq6's right side (eq5 at every m, and eq6) and D_n (weyl and dn) are
     built once per n, and the box sum (theorem, macmahon and gordon) once
-    per (m, n), each by the first check that needs it; each kind keeps only
-    its latest n or (m, n).  Results come in ``CHECK_IDS`` order, then by n,
-    then by m.
+    per (m, n), each by the first check that needs it.  The bijection's
+    pass runs once per n, at the last m of ``config.m_range``, and serves
+    its row at every m; schur-agree builds each shape once per n, the row
+    at each m adding the layer lambda_1 = m to the sum of the row before.
+    Each kind keeps only its latest n or (m, n).  Results come in
+    ``CHECK_IDS`` order, then by n, then by m.
     """
     ids = expand_checks(config.checks)
     _validate_range("m", config.m_range)
@@ -330,8 +405,8 @@ def run_verification(config: RunConfig) -> list[CheckResult]:
         )
 
     results: dict[str, list[CheckResult]] = {c: [] for c in CHECK_IDS if c in ids}
-    shared: dict[str, tuple] = {}
     first_m, last_m = config.m_range
+    shared: dict[str, object] = {"last_m": last_m}
     for n in range(config.n_range[0], config.n_range[1] + 1):
         for m in range(first_m, last_m + 1):
             for check_id, out in results.items():

@@ -14,11 +14,11 @@ array; the map preserves the number of lattice points.  ``unfold`` inverts
 it.  The brute-force sides of the combinatorial checks count every object
 once.  macmahon's is ``symmetric_pp_series``, a weight walk that builds no
 records.  The bijection folds each record of ``symmetric_plane_partitions``
-and counts its strict side with ``generating_function`` over
-``column_strict_odd_pps``.  The symmetric enumerator stays the bijection's
-input, ``schurbox enumerate``'s source and the walk's test reference.
-``q_series`` turns ``{weight: count}`` into the q-series for the walk, the
-bijection's pass and ``generating_function`` alike.
+and counts the records of ``column_strict_odd_pps`` itself.  The symmetric
+enumerator stays the bijection's input, ``schurbox enumerate``'s source and
+the walk's test reference.  ``q_series`` turns ``{weight: count}`` into the
+q-series for the walk, the bijection's pass and ``generating_function``
+alike.
 
 The kernels work on plain int tuples and lists.  ``fold`` reads each level's
 hooks straight off the height matrix: the hook at diagonal cell c of the

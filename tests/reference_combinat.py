@@ -17,8 +17,12 @@ records; the bodies are otherwise kept as they were, so the differential tests i
 ``test_combinat_reference.py`` compare against what ran before.  Only valid
 inputs are compared for ``fold``: this one does not check that its
 argument is a plane partition.  ``bijection_sides`` is the two-pass
-bijection check that ``schurbox.checks`` ran before it streamed; it calls
-the package's own fold, unfold and enumerators.
+bijection check that ``schurbox.checks`` ran before it streamed, and
+``streaming_bijection_sides`` the one-pass check at a single m that it ran
+before one pass per n served every m; ``schur_agree_sides`` is the
+schur-agree check at a single m, a sum over the whole box, that it ran
+before it built one layer of shapes per m.  These three call the package's
+own fold, unfold, enumerators and Schur functions.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from collections import Counter
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
-from schurbox import combinat
+from schurbox import combinat, schur
 from schurbox.combinat import (
     ColumnStrictPP,
     MalformedInputError,
@@ -275,3 +279,40 @@ def bijection_sides(m: int, n: int) -> tuple[LaurentPoly, LaurentPoly, bool]:
         and Counter(folded) == Counter(strict)
     )
     return combinat.generating_function(sym), combinat.generating_function(strict), ok
+
+
+def streaming_bijection_sides(m: int, n: int) -> tuple[LaurentPoly, LaurentPoly, bool]:
+    """fold is a weight-preserving bijection onto the strict arrays; one pass per side.
+
+    ``unfold(fold(sp)) == sp`` makes fold injective, and ``unfold`` validates
+    the levels; with at most m levels, none empty, and a first hook of at
+    most 2n - 1, fold(sp) is one of the arrays ``column_strict_odd_pps``
+    enumerates.  Equal generating functions then give both sets as many
+    objects in every weight, so the injection is onto.  The pass reads each
+    plane partition's weight once, for the weight test and for the count.
+    """
+    ok = True
+    counts: dict[int, int] = {}
+    for sp in combinat.symmetric_plane_partitions(n, m):
+        cs = combinat.fold(sp)
+        lv = cs.levels
+        w = sp.weight
+        in_strict_set = len(lv) <= m and all(lv) and (not lv or lv[0][0] < 2 * n)
+        ok = ok and in_strict_set and cs.weight == w and combinat.unfold(cs) == sp
+        counts[w] = counts.get(w, 0) + 1
+    strict = combinat.generating_function(combinat.column_strict_odd_pps(n, m))
+    return combinat.q_series(counts), strict, ok
+
+
+def schur_agree_sides(m: int, n: int) -> tuple[LaurentPoly, LaurentPoly]:
+    """Tableau-sum and alternant-ratio Schur backends agree on every shape in the box;
+    the first disagreeing pair in ``partitions_in_box`` order, or the two sums."""
+    total_tab = total_alt = LaurentPoly.zero()
+    for lam in combinat.partitions_in_box(m, n):
+        a = schur.schur_via_tableaux(lam, n)
+        b = schur.schur_via_bialternant(lam, n)
+        if a != b:
+            return a, b
+        total_tab = total_tab + a
+        total_alt = total_alt + b
+    return total_tab, total_alt

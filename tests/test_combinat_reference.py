@@ -1,15 +1,17 @@
 """The int-tuple combinatorial kernels against the object-building ones they
 replaced (``reference_combinat``): fold, unfold, the enumerators, ssyt (its
 flat entry tuples against the reference's row-tuple tableaux), the
-tableau Schur sum and the streaming bijection check against the two-pass
-one."""
+tableau Schur sum and the single-m streaming bijection check against the
+two-pass one; and the runner's bijection and schur-agree rows, which share
+one pass or one growing sum over m at each n, against the single-m checks
+at every (m, n)."""
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
 import reference_combinat as ref
-from schurbox import checks
+from schurbox.checks import RunConfig, run_verification
 from schurbox.combinat import (
     ColumnStrictPP,
     MalformedInputError,
@@ -67,10 +69,28 @@ def test_fold_and_unfold_match_reference_on_full_enumerations(n, m):
 @pytest.mark.parametrize("n", range(1, 5))
 @pytest.mark.parametrize("m", range(1, 5))
 def test_streaming_bijection_check_matches_the_two_pass_reference(m, n):
-    lhs, rhs, ok = checks._bijection_sides(m, n)
+    lhs, rhs, ok = ref.streaming_bijection_sides(m, n)
     ref_lhs, ref_rhs, ref_ok = ref.bijection_sides(m, n)
     assert (lhs.to_text(), rhs.to_text(), ok) == (ref_lhs.to_text(), ref_rhs.to_text(), ref_ok)
     assert ok
+
+
+@pytest.mark.parametrize("m_range", [(1, 4), (2, 3), (3, 3), (4, 4)])
+def test_shared_bijection_and_schur_agree_rows_match_the_single_m_references(m_range):
+    results = run_verification(RunConfig(("bijection", "schur-agree"), m_range, (1, 4)))
+    points = [(m, n) for n in range(1, 5) for m in range(m_range[0], m_range[1] + 1)]
+    assert [(r.identity, r.m, r.n) for r in results] == [
+        (c, m, n) for c in ("bijection", "schur-agree") for m, n in points
+    ]
+    for r in results:
+        if r.identity == "bijection":
+            lhs, rhs, ok = ref.streaming_bijection_sides(r.m, r.n)
+        else:
+            (lhs, rhs), ok = ref.schur_agree_sides(r.m, r.n), True
+        assert (r.lhs.to_text(), r.rhs.to_text(), r.passed) == (
+            lhs.to_text(), rhs.to_text(), lhs == rhs and ok
+        ), r[:3]
+        assert r.passed
 
 
 @pytest.mark.parametrize("n,m", GRID)

@@ -1,14 +1,24 @@
 """Exponent bounds that builders pass to ``from_keys``, and the runner's store of
 sides shared between checks (eq6's right side and D_n at one n, the box sum at
-one (m, n))."""
+one (m, n), the bijection's pass at one n, and schur-agree's sum at one
+(m, n), which the next m extends by one layer of shapes)."""
+
+from math import comb
 
 import pytest
 
 from reference_poly import largest_exponent
-from schurbox import checks, identity, schur
+from schurbox import checks, combinat, identity, schur
 from schurbox import poly as poly_module
 from schurbox.checks import CHECK_IDS, RunConfig, run_verification
-from schurbox.combinat import generating_function, partitions_in_box, symmetric_plane_partitions
+from schurbox.combinat import (
+    column_strict_odd_pps,
+    fold,
+    generating_function,
+    partitions_in_box,
+    symmetric_plane_partitions,
+    unfold,
+)
 from schurbox.identity import eq4_sides, eq5_sides, eq6_rhs, eq6_sides
 from schurbox.poly import (
     MAX_EXPONENT,
@@ -25,6 +35,7 @@ from schurbox.schur import (
     macmahon_product,
     principal_specialization,
     schur_box_sum,
+    schur_via_bialternant,
     schur_via_tableaux,
     weyl_denominator,
 )
@@ -134,15 +145,18 @@ def test_prebuilt_sides_are_used_as_given():
 def builds(monkeypatch):
     """Counts of eq6's right side and of D_n built, by n, wherever they are built:
     the runner's store calls the names in ``checks``, and a build anywhere else
-    would call the names in ``identity``/``schur``; and of box sums built by the
-    runner, by (m, n), through ``checks``."""
+    would call the names in ``identity``/``schur``; of box sums built by the
+    runner, by (m, n), through ``checks``; of the bijection's two enumerations,
+    by (n, m), and of each shape's two Schur functions, by (parts, n), wherever
+    they are called."""
     counts = {}
 
-    def counting(kind, fn):
-        def wrapper(key, *args):
-            if kind != "d_n" or args == ("determinant",):
+    def counting(kind, fn, key_of=lambda key, *args: key):
+        def wrapper(*args):
+            if kind != "d_n" or args[1:] == ("determinant",):
+                key = key_of(*args)
                 counts[kind, key] = counts.get((kind, key), 0) + 1
-            return fn(key, *args)
+            return fn(*args)
         return wrapper
 
     rhs6 = counting("eq6_rhs", identity.eq6_rhs)
@@ -153,6 +167,14 @@ def builds(monkeypatch):
         (checks, "schur_box_sum", counting("box_sum", schur.schur_box_sum)),
     ]:
         monkeypatch.setattr(module, name, wrapper)
+    for owner, names, key_of in [
+        (combinat, ("symmetric_plane_partitions", "column_strict_odd_pps"), lambda n, m: (n, m)),
+        (schur, ("schur_via_tableaux", "schur_via_bialternant"), lambda lam, n: (lam.parts, n)),
+    ]:
+        for name in names:
+            wrapper = counting(name, getattr(owner, name), key_of)
+            monkeypatch.setattr(owner, name, wrapper)
+            monkeypatch.setattr(checks, name, wrapper)
     return counts
 
 
@@ -266,3 +288,170 @@ def test_shared_sides_give_the_standalone_text():
             sides = weyl_denominator(r.n, "determinant"), weyl_denominator(r.n, "product")
         assert (r.lhs.to_text(), r.rhs.to_text()) == tuple(p.to_text() for p in sides), r[:3]
         assert r.passed
+
+
+# -- the bijection's pass and schur-agree's layers ----------------------------------------------
+
+
+@pytest.mark.parametrize("m_range", [(1, 4), (2, 3), (3, 3)])
+def test_the_bijection_enumerates_each_side_once_per_n_at_the_last_m(m_range, builds):
+    results = run_verification(RunConfig(("bijection",), m_range, (1, 4)))
+    assert len(results) == 4 * (m_range[1] - m_range[0] + 1)
+    assert all(r.passed for r in results)
+    top = m_range[1]
+    assert builds == {(kind, (n, top)): 1 for n in range(1, 5)
+                      for kind in ("symmetric_plane_partitions", "column_strict_odd_pps")}
+
+
+@pytest.mark.parametrize("m_range", [(1, 4), (2, 4), (4, 4)])
+def test_schur_agree_builds_each_shape_once_per_n(m_range, builds):
+    results = run_verification(RunConfig(("schur-agree",), m_range, (1, 4)))
+    assert all(r.passed for r in results)
+    top = m_range[1]
+    assert builds == {(kind, (lam.parts, n)): 1 for n in range(1, 5)
+                      for lam in partitions_in_box(top, n)
+                      for kind in ("schur_via_tableaux", "schur_via_bialternant")}
+
+
+def test_the_1_to_4_grid_builds_125_shapes_not_242(builds):
+    run_verification(RunConfig(("schur-agree",), (1, 4), (1, 4)))
+    shapes = {key for kind, key in builds if kind == "schur_via_tableaux"}
+    assert len(shapes) == sum(builds.values()) // 2 == 125
+    assert sum(comb(m + n, n) for m, n in GRID) == 242
+
+
+def top_height(sp):
+    return sp.heights[0][0] if sp.heights else 0
+
+
+def rows(check_id, m_range, n):
+    results = run_verification(RunConfig((check_id,), m_range, (n, n)))
+    assert [r.m for r in results] == list(range(m_range[0], m_range[1] + 1))
+    assert all(r.error is None for r in results)
+    return results
+
+
+SPP_2_3 = list(symmetric_plane_partitions(2, 3))
+
+
+@pytest.mark.parametrize("target", range(len(SPP_2_3)))
+def test_fold_wrong_on_one_object_fails_exactly_the_rows_from_its_top_height(monkeypatch, target):
+    """fold sends one plane partition to its neighbour's image, so unfold(fold(sp))
+    is not sp; sp is in the n x n x m box exactly when m >= its h[0][0]."""
+    sp, other = SPP_2_3[target], SPP_2_3[(target + 1) % len(SPP_2_3)]
+    monkeypatch.setattr(checks, "fold", lambda x: fold(other if x == sp else x))
+    failed = [r.m for r in rows("bijection", (1, 3), 2) if not r.passed]
+    assert failed == [m for m in (1, 2, 3) if m >= top_height(sp)]
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("m", [1, 2])
+def test_an_image_with_one_level_too_many_fails_only_its_row(monkeypatch, m, n):
+    """fold sends one sp with h[0][0] = m to the image of an sp' with h[0][0] = m + 1
+    and the same weight, and unfold sends that image object back to sp: the maps
+    stay mutually inverse and weight-preserving, and the image is a valid array
+    with m + 1 levels, so only the row at m, where it has too many, can fail."""
+    spps = list(symmetric_plane_partitions(n, 3))
+    sp, sp2 = next(
+        (a, b) for a in spps for b in spps
+        if top_height(a) == m and top_height(b) == m + 1 and a.weight == b.weight
+    )
+    image = fold(sp2)
+    assert len(image.levels) == m + 1
+    monkeypatch.setattr(checks, "fold", lambda x: image if x == sp else fold(x))
+    monkeypatch.setattr(checks, "unfold", lambda cs: sp if cs is image else unfold(cs))
+    results = rows("bijection", (1, 3), n)
+    assert [r.m for r in results if not r.passed] == [m]
+    assert all(r.lhs == r.rhs for r in results)
+
+
+BOX_4_3 = list(partitions_in_box(4, 3))
+
+
+def disagreeing_rows(monkeypatch, targets, n=3):
+    """schur-agree over m = 1..4 at n with the tableau sum one too large on each
+    shape in ``targets``; each row's sides as text, and what they should be:
+    the pair of the first target in that row's box order, if any."""
+    tableaux = schur.schur_via_tableaux
+    monkeypatch.setattr(
+        checks, "schur_via_tableaux", lambda lam, k: tableaux(lam, k) + (1 if lam in targets else 0)
+    )
+    got, expected = [], []
+    for r in rows("schur-agree", (1, 4), n):
+        got.append((r.m, r.passed, r.lhs.to_text(), r.rhs.to_text()))
+        first = next((lam for lam in partitions_in_box(r.m, n) if lam in targets), None)
+        if first is None:
+            text = schur_box_sum(BoxParams(r.m, n)).to_text()
+            expected.append((r.m, True, text, text))
+        else:
+            pair = tableaux(first, n) + 1, schur_via_bialternant(first, n)
+            expected.append((r.m, False, *(p.to_text() for p in pair)))
+    return got, expected
+
+
+@pytest.mark.parametrize("lam", BOX_4_3, ids=lambda lam: str(list(lam.parts)))
+def test_a_tableau_sum_off_on_one_shape_fails_exactly_the_rows_from_its_first_part(
+    monkeypatch, lam
+):
+    got, expected = disagreeing_rows(monkeypatch, {lam})
+    assert got == expected
+    k = lam.parts[0] if lam.parts else 0
+    assert [m for m, passed, *_ in got if not passed] == [m for m in range(1, 5) if m >= k]
+
+
+@pytest.mark.parametrize("parts", [
+    [(), (4, 2)], [(1,), (3, 3, 1)], [(1, 1, 1), (2,), (3, 1)], [(2, 2), (2, 1, 1), (4, 4, 4)],
+])
+def test_each_failing_schur_agree_row_returns_its_first_pair_in_box_order(monkeypatch, parts):
+    """Layers come in box order: (), then the shapes with lambda_1 = m, then lower
+    layers; so a later m can return a shape of a newer layer, built after the
+    shapes of the row before, and () stays first."""
+    got, expected = disagreeing_rows(monkeypatch, {combinat.Partition(p) for p in parts})
+    assert got == expected
+
+
+def test_a_raising_bijection_pass_is_an_error_at_each_m_of_its_n_and_not_kept(monkeypatch):
+    calls = []
+
+    def boom(n, m):
+        calls.append((n, m))
+        if n == 2:
+            raise RuntimeError("no strict arrays at n = 2")
+        return column_strict_odd_pps(n, m)
+
+    monkeypatch.setattr(checks, "column_strict_odd_pps", boom)
+    results = run_verification(RunConfig(("bijection",), (1, 3), (1, 3)))
+    assert [(r.n, r.m, r.passed, r.error) for r in results] == [
+        *[(1, m, True, None) for m in (1, 2, 3)],
+        *[(2, m, False, "RuntimeError: no strict arrays at n = 2") for m in (1, 2, 3)],
+        *[(3, m, True, None) for m in (1, 2, 3)],
+    ]
+    assert calls == [(1, 3), (2, 3), (2, 3), (2, 3), (3, 3)]
+
+
+def test_a_raising_schur_agree_layer_is_an_error_from_its_m_and_not_kept(monkeypatch):
+    calls = []
+    bialternant = schur.schur_via_bialternant
+
+    def boom(lam, n):
+        if n == 2:
+            calls.append(lam.parts)
+            if lam.parts == (2, 1):
+                raise RuntimeError("no alternant for (2, 1)")
+        return bialternant(lam, n)
+
+    monkeypatch.setattr(checks, "schur_via_bialternant", boom)
+    results = run_verification(RunConfig(("schur-agree",), (1, 3), (1, 3)))
+    assert [(r.n, r.m, r.passed, r.error) for r in results] == [
+        *[(1, m, True, None) for m in (1, 2, 3)],
+        (2, 1, True, None),
+        *[(2, m, False, "RuntimeError: no alternant for (2, 1)") for m in (2, 3)],
+        *[(3, m, True, None) for m in (1, 2, 3)],
+    ]
+    # m = 1 builds its box, m = 2 its layer up to the raise, and m = 3, with
+    # nothing kept, its whole box again up to the same shape.
+    assert calls == [
+        (), (1,), (1, 1),
+        (2,), (2, 2), (2, 1),
+        (), (3,), (3, 3), (3, 2), (3, 1), (2,), (2, 2), (2, 1),
+    ]
