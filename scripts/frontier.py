@@ -8,7 +8,9 @@ wall time, and its peak resident set size (``ru_maxrss`` from ``os.wait4``,
 so each child's own peak).  The m-free checks run at n = 6 and n = 7 (their
 ``--m`` is ignored); every check that depends on m runs at (m, n) = (4, 5)
 and at n = 6 for m = 1..4, and the theorem also at n = 7 and n = 8 for
-m = 1..4.
+m = 1..4.  The table also gives, at each n where m-free rows ran, the total
+of their check times (``m_free_total_s``, null when a row there gave no
+result), and prints it last.
 Each child gets the caller's environment without its ``PYTHON*`` settings
 (``PYTHONDONTWRITEBYTECODE`` among them), with ``PYTHONPATH`` set to
 ``<root>/src``, and one untimed ``import schurbox.cli`` before the table
@@ -56,6 +58,18 @@ def cases(max_n: int | None, checks: Collection[str] | None = None) -> list[tupl
     rows = [(c, m, n if max_n is None else min(n, max_n)) for c, m, n in TABLE
             if checks is None or c in checks]
     return list(dict.fromkeys(rows))
+
+
+def m_free_totals(rows: list[dict]) -> dict[int, float | None]:
+    """{n: total seconds of ``elapsed_ms`` over the m-free rows at n} for each n where
+    such rows ran; None at an n where one of them gave no result."""
+    totals_ms: dict[int, float | None] = {}
+    for row in rows:
+        if row["check"] in M_FREE:
+            total = totals_ms.get(row["n"], 0.0)
+            ms = [r["elapsed_ms"] for r in row["results"]]
+            totals_ms[row["n"]] = total + sum(ms) if total is not None and ms else None
+    return {n: None if ms is None else round(ms / 1000, 3) for n, ms in totals_ms.items()}
 
 
 def child_env(root: str) -> dict[str, str]:
@@ -136,6 +150,9 @@ def main() -> int:
         print(f"{check:<12} m={m} n={n}  {status}  check {ms}  "
               f"wall {row['wall_s']:.3f} s  peak {row['peak_rss_mb']:.1f} MB", flush=True)
         rows.append(row)
+    totals = m_free_totals(rows)
+    for n, total in totals.items():
+        print(f"m-free total n={n}  " + ("-" if total is None else f"check {total:.3f} s"))
 
     table = {
         "label": args.label,
@@ -146,6 +163,7 @@ def main() -> int:
         "host": {"python": platform.python_version(), "machine": platform.machine(),
                  "cpus": os.cpu_count()},
         "cases": rows,
+        "m_free_total_s": totals,
     }
     path = os.path.join(args.out_dir, f"BENCH_frontier_{args.label}.json")
     with open(path, "w") as fh:

@@ -18,7 +18,9 @@ Laurent polynomials, so a check is literal equality (the runner in
   are cleared by exact division.  Its right side builds the subset term of
   {1..s} once per size s and reaches every other subset of that size by a
   signed renaming of the variables (a permutation of the rows of one
-  determinant), while its left side stays the full expansion.
+  determinant): :func:`~schurbox.poly.swap_images` decodes the term's keys
+  once and gives each image's keys, which go straight into the side's one
+  term map.  Its left side stays the full expansion.
 * ``vanishing_det``: det(x_i^{j+1-2n} - x_i^{1-j}), which is identically 0.
 
 The lemma's later-minus-earlier product prod_{i<j}(x_j - x_i) is the Schur
@@ -42,7 +44,7 @@ decodes no key.
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
-from itertools import accumulate
+from itertools import chain
 
 from .poly import (
     DEFAULT_MAX_ORDER,
@@ -52,6 +54,7 @@ from .poly import (
     binomial_det,
     divide_binomials,
     expand_det,
+    swap_images,
     times_binomials,
 )
 from .combinat import partitions_in_box
@@ -69,7 +72,6 @@ __all__ = [
     "eq5_sides",
     "eq6_rhs",
     "eq6_sides",
-    "f_function",
     "lemma_sides",
     "vanishing_det",
 ]
@@ -115,17 +117,6 @@ def lemma_sides(n: int) -> tuple[LaurentPoly, LaurentPoly]:
     return _lemma_lhs(n), rhs
 
 
-def f_function(n: int) -> LaurentPoly:
-    """The lemma's left side divided by prod_{i<j}(x_j - x_i); equals 1 - x1..xn.
-
-    The division is exact because the left side is antisymmetric; a
-    NotDivisibleError here would falsify that and is fatal.
-    """
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    return divide_binomials(_lemma_lhs(n), vandermonde_factors(xvars(n)[::-1]))
-
-
 def eq4_sides(box: BoxParams) -> tuple[LaurentPoly, LaurentPoly]:
     """The theorem with the Weyl denominator cleared: det(x_i^{j-1} - x_i^{m+2n-j})
     by :func:`~schurbox.poly.binomial_det`, and the alternant sum times the B_n factors."""
@@ -168,13 +159,13 @@ def _revolving_door(n: int, s: int) -> list[tuple[int, ...]]:
     return _revolving_door(n - 1, s) + [c + (n,) for c in reversed(_revolving_door(n - 1, s - 1))]
 
 
-def _transpositions(n: int, s: int) -> Iterator[dict[str, str]]:
-    """The renamings x_a <-> x_b, t_a <-> t_b that carry each subset of
-    :func:`_revolving_door` order to the next, a out and b in."""
+def _transpositions(n: int, s: int) -> Iterator[tuple[int, int]]:
+    """The index pairs (a, b) of the renamings x_a <-> x_b, t_a <-> t_b that carry
+    each subset of :func:`_revolving_door` order to the next, a out and b in."""
     door = _revolving_door(n, s)
     for prev, cur in zip(door, door[1:]):
         (a,), (b,) = set(prev) - set(cur), set(cur) - set(prev)
-        yield {f"{v}{i}": f"{v}{j}" for i, j in ((a, b), (b, a)) for v in "tx"}
+        yield a, b
 
 
 def eq6_rhs(n: int) -> LaurentPoly:
@@ -194,22 +185,26 @@ def eq6_rhs(n: int) -> LaurentPoly:
 
     term_S is built only for S = {1..s}, s = 0..n-1.  Every other S of size
     s gives sgn(pi) pi(term_{1..s}) for any permutation pi of {1..n} with
-    pi({1..s}) = S, acting as the renaming x_i -> x_pi(i), t_i -> t_pi(i)
-    through ``LaurentPoly.substitute``.  Proof: append to the table a last
-    column holding the k-prefactor in row k for k not in S and 0 in the rows
-    of S; this is N_S, and Laplace expansion along the last column makes the
-    k-sum det N_S.  pi sends row i of N_{1..s} to row pi(i) of N_S: the
+    pi({1..s}) = S, acting as the renaming x_i -> x_pi(i), t_i -> t_pi(i).
+    Proof: append to the table a last column holding the k-prefactor in row
+    k for k not in S and 0 in the rows of S; this is N_S, and Laplace
+    expansion along the last column makes the k-sum det N_S.  pi sends row i of N_{1..s} to row pi(i) of N_S: the
     entries t_i x_i^{-j} and x_i^j become those of pi(i), which lies in S
     exactly when i <= s, and the prefactor of k is symmetric in the x_i,
     i != k, so it becomes the prefactor of pi(k).  Hence
     pi(det N_{1..s}) = sgn(pi) det N_S.  pi maps {s+1..n} onto the
     complement of S, so it carries the denominator and the t-numerator of
-    {1..s} to those of S.  The subsets of size s are visited in
-    :func:`_revolving_door` order, so each image is the previous one under a
-    single transposition, which flips the sign.  All images are added into
-    one term map, and the side is built once.  A renaming keeps a term's
-    exponent bound, so the largest bound of the n terms bounds the side and
-    no key is decoded for it.  N_S has order n, so an n above
+    {1..s} to those of S.
+
+    The subsets of size s are visited in :func:`_revolving_door` order, so
+    each image is the previous one under a single transposition, which
+    flips the sign.  :func:`~schurbox.poly.swap_images` decodes term_{1..s}
+    once and gives each image's keys in the order of the term's
+    coefficients; a renaming is injective on keys, so they go, with sign
+    (-1)^r at the r-th subset (r = s at {1..s}), straight into the side's
+    one term map, as do the products of each k-sum.  A renaming keeps a
+    term's exponent bound, so the largest bound of the n terms bounds the
+    side and no key is decoded for it.  N_S has order n, so an n above
     ``DEFAULT_MAX_ORDER`` raises :class:`~schurbox.poly.OrderTooLargeError`
     before any term is built.
     """
@@ -225,11 +220,15 @@ def eq6_rhs(n: int) -> LaurentPoly:
         comp = cols[s:]
         rows = [_row(i, range(-1, -n, -1), 1) for i in cols[:s]]
         rows += [_row(i, range(1, n)) for i in comp]
-        ksum = LaurentPoly.zero()
-        for k in comp:
+        products = (
             # each entry is x_i^j or t_i x_i^-j with 1 <= j <= n - 1
-            inner = LaurentPoly.from_keys(expand_det(rows[:k - 1] + rows[k:]), n - 1)
-            ksum = ksum + k_factors[k - 1] * inner
+            k_factors[k - 1] * LaurentPoly.from_keys(expand_det(rows[:k - 1] + rows[k:]), n - 1)
+            for k in comp
+        )
+        ksum = LaurentPoly.from_keys(
+            chain.from_iterable(p.key_terms() for p in products),
+            max(k_factors[k - 1]._bound for k in comp) + n - 1,
+        )
         t_numerator = 1 - _x_product(comp, 2 - 2 * n, 1)
         terms.append(
             times_binomials(divide_binomials(ksum, [1 - _x_product(comp)]), [t_numerator])
@@ -237,10 +236,10 @@ def eq6_rhs(n: int) -> LaurentPoly:
 
     def signed_images() -> Iterator[tuple[int, int]]:
         for s, term in enumerate(terms):
-            images = accumulate(_transpositions(n, s), LaurentPoly.substitute, initial=term)
-            for r, image in enumerate(images, s):
-                sign = -1 if r & 1 else 1
-                yield from ((key, sign * c) for key, c in image.key_terms())
+            plus = [c for _, c in term.key_terms()]
+            signed = (plus, [-c for c in plus])
+            for r, keys in enumerate(swap_images(term, _transpositions(n, s)), s):
+                yield from zip(keys, signed[r & 1])
 
     return LaurentPoly.from_keys(signed_images(), max(term._bound for term in terms))
 

@@ -31,7 +31,9 @@ through one ``memoryview``.  :func:`divide_binomials` and
 ``LaurentPoly.powers`` read only the one digit they step along or split
 by, with a shift and a mask per key; :func:`from_powers` sums the parts of
 such a split under an image of the variable, so several substitutions for
-one variable read the keys once.
+one variable read the keys once.  :func:`swap_images` decodes a
+polynomial's keys once and gives its images under a chain of index swaps
+x_a <-> x_b, t_a <-> t_b, one pass over the keys per swap.
 
 Variable names come from the fixed namespace ``q``, ``t1, t2, ...``,
 ``x1, x2, ...`` (in that order).  The canonical term order is graded
@@ -45,14 +47,13 @@ their dominant weights, as the bialternant a_{lambda+delta} / a_delta and
 the theorem's numerator over the Weyl determinant D_n are: the quotient is
 one triangular solve on weights, over orbits stepped by next-permutation,
 and no determinant is expanded.  :func:`divide_binomials` is the route of
-the lemma's ``f_function``, eq6 and the q-ratios: each of those divisors is
-a product of binomials x^a - x^b (a Vandermonde, 1 - prod x_i,
-prod (1 - q^e)), and dividing by one of them is a prefix sum along v = b - a
-inside each coset k + Z*v of the packed keys, exact if and only if every
-coset sums to 0.  :func:`exact_div` divides by any divisor
-and no check calls it: it is plain long division under the graded-lex
-order on exponent tuples, the general reference both fast routes are
-tested against.
+eq6 and the q-ratios: each of those divisors is a product of binomials
+x^a - x^b (1 - prod x_i, prod (1 - q^e)), and dividing by one of them is a
+prefix sum along v = b - a inside each coset k + Z*v of the packed keys,
+exact if and only if every coset sums to 0.  :func:`exact_div` divides by
+any divisor and no check calls it: it is plain long division under the
+graded-lex order on exponent tuples, the general reference both fast routes
+are tested against.
 
 Multiplication takes two routes.  ``LaurentPoly.__mul__`` multiplies any two
 polynomials, one row per term of the smaller operand.  :func:`times_binomials`
@@ -92,6 +93,7 @@ __all__ = [
     "from_powers",
     "parse_poly",
     "signed_permutations",
+    "swap_images",
     "times_binomials",
     "unit_keys",
 ]
@@ -684,6 +686,44 @@ def from_powers(parts: Mapping[int, LaurentPoly], image: Monomial | str | int) -
             else:
                 del out[key]
     return LaurentPoly._make(out, bound)
+
+
+def swap_images(poly: LaurentPoly, swaps: Iterable[tuple[int, int]]) -> Iterator[list[int]]:
+    """The keys of ``poly``, then of its image under each successive renaming.
+
+    Swap (a, b) renames x_a <-> x_b and t_a <-> t_b in the previous image, so
+    the r-th list after the first is ``poly`` under the first r swaps
+    composed.  Every list holds its image's keys in the order of
+    ``poly.key_terms()``: a renaming permutes each key's digits, so it is
+    injective on keys, keeps the coefficients and the bound, and needs no
+    range check.  ``poly``'s keys are decoded once, into one x and one t
+    digit column per index; ``held[i]`` is the index whose columns variable
+    i holds in the current image, and swap (a, b) adds (e_b - e_a)(u_a - u_b)
+    to each key, for the x and for the t digits e and unit keys u of a and b.
+    An index below 1 raises ValueError at the call.
+    """
+    swaps = [(operator.index(a), operator.index(b)) for a, b in swaps]
+    if min(map(min, swaps), default=1) < 1:
+        raise ValueError(f"swap_images: variable indices start at 1, got {swaps}")
+    top = max(map(max, swaps), default=0)
+    npos, flat = _digits(poly._terms, 2 * top + 1)
+    xcols = [flat[p::npos].tolist() for p in range(0, 2 * top + 1, 2)]  # x_i at 2i
+    tcols = [[]] + [flat[p::npos].tolist() for p in range(1, 2 * top + 1, 2)]  # t_i at 2i - 1
+    xu, tu = (0, *unit_keys("x", top)), (0, *unit_keys("t", top))
+
+    def images() -> Iterator[list[int]]:
+        keys = list(poly._terms)
+        yield keys
+        held = list(range(top + 1))
+        for a, b in swaps:
+            ha, hb = held[a], held[b]
+            dx, dt = xu[a] - xu[b], tu[a] - tu[b]
+            keys = [k + (xb - xa) * dx + (tb - ta) * dt for k, xa, xb, ta, tb
+                    in zip(keys, xcols[ha], xcols[hb], tcols[ha], tcols[hb])]
+            held[a], held[b] = hb, ha
+            yield keys
+
+    return images()
 
 
 # -- parsing ----------------------------------------------------------------

@@ -10,6 +10,7 @@ import random
 import time
 from collections import Counter
 
+from reference_identity import f_function
 from schurbox.combinat import (
     column_strict_odd_pps,
     fold,
@@ -23,7 +24,6 @@ from schurbox.identity import (
     eq5_sides,
     eq6_rhs,
     eq6_sides,
-    f_function,
     lemma_sides,
     vanishing_det,
 )

@@ -5,7 +5,7 @@ from itertools import combinations
 
 import pytest
 
-from reference_identity import all_subsets_rhs, subset_terms
+from reference_identity import all_subsets_rhs, f_function, subset_terms
 from reference_poly import inversion_count
 from schurbox import identity
 from schurbox.checks import CheckResult, RunConfig, run_verification
@@ -14,7 +14,6 @@ from schurbox.identity import (
     eq5_sides,
     eq6_rhs,
     eq6_sides,
-    f_function,
     lemma_sides,
     vanishing_det,
 )
@@ -316,8 +315,9 @@ def test_eq6_door_transpositions_reach_every_subset_term(n):
     for s in range(n):
         door = identity._revolving_door(n, s)
         image = terms[(1 << s) - 1]
-        for r, (subset, renaming) in enumerate(zip(door[1:], identity._transpositions(n, s)), 1):
-            image = image.substitute(renaming)
+        for r, (subset, (a, b)) in enumerate(zip(door[1:], identity._transpositions(n, s)), 1):
+            swap = {f"{v}{i}": f"{v}{j}" for i, j in ((a, b), (b, a)) for v in "tx"}
+            image = image.substitute(swap)
             mask = sum(1 << (i - 1) for i in subset)
             assert terms[mask] == (-1) ** r * image
 

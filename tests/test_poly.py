@@ -20,6 +20,7 @@ from schurbox.poly import (
     expand_det,
     parse_poly,
     signed_permutations,
+    swap_images,
     unit_keys,
 )
 from schurbox.identity import eq6_rhs, eq6_sides
@@ -288,6 +289,41 @@ def test_substitution_bound_covers_every_exponent(p, sub):
     out = p.substitute(sub)
     earlier = p._bound * (1 + sum(map(largest_exponent, sub.values())))
     assert largest_exponent(out) <= out._bound <= earlier
+
+
+tx_monomials = st.dictionaries(
+    st.sampled_from(["q", "t1", "t2", "t3", "x1", "x2", "x3"]), st.integers(-3, 3), max_size=4
+).map(Monomial)
+tx_polys = st.dictionaries(tx_monomials, st.integers(-9, 9), max_size=8).map(LaurentPoly)
+
+
+def renamed(p, a, b):
+    """``p`` under x_a <-> x_b, t_a <-> t_b, by ``LaurentPoly.substitute``."""
+    return p.substitute({f"{v}{i}": f"{v}{j}" for i, j in ((a, b), (b, a)) for v in "tx"})
+
+
+@given(tx_polys, st.lists(st.tuples(st.integers(1, 5), st.integers(1, 5)), max_size=6))
+@example(P.zero(), [(1, 2), (2, 3)])
+# no term uses x4 or x5, and t2 and x2 have negative exponents
+@example(x1 * P.variable("t2", -2) - P.variable("x2", -3), [(4, 5), (1, 4), (4, 5)])
+@example(x1 + x2**3, [(1, 2)] * 15)
+def test_swap_images_match_a_chain_of_substitute_renamings(p, swaps):
+    images = swap_images(p, swaps)
+    coeffs = [c for _, c in p.key_terms()]
+    expected = p
+    for r, keys in enumerate(images):
+        if r:
+            expected = renamed(expected, *swaps[r - 1])
+        assert len(set(keys)) == len(keys) == len(p)
+        image = P.from_keys(zip(keys, coeffs))  # no bound given: every key is decoded
+        assert image == expected and image._bound <= p._bound
+    assert r == len(swaps)
+
+
+def test_swap_images_refuse_an_index_below_one_at_the_call():
+    with pytest.raises(ValueError, match="indices start at 1"):
+        swap_images(x1, [(1, 2), (0, 1)])
+    assert list(swap_images(x1, [])) == [[key for key, _ in x1.key_terms()]]
 
 
 def test_eq6_renamings_need_no_exact_bound(monkeypatch):

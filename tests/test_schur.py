@@ -1,6 +1,7 @@
 """Schur backends, the box-sum theorem, Weyl denominators, and q-products."""
 
 import functools
+from collections import Counter
 
 import hypothesis.strategies as st
 import pytest
@@ -19,12 +20,15 @@ from schurbox.poly import (
     NotDivisibleError,
     determinant,
     parse_poly,
+    times_binomials,
 )
 from schurbox.schur import (
     BoxParams,
     _q_ratio,
+    _weyl_factors,
     alternant_table,
     binomial_det,
+    bn_factors,
     box_det_ratio,
     box_exponents,
     dn_checks,
@@ -34,6 +38,7 @@ from schurbox.schur import (
     schur_box_sum,
     schur_via_bialternant,
     schur_via_tableaux,
+    vandermonde_factors,
     weyl_denominator,
     xvars,
 )
@@ -156,6 +161,26 @@ def test_weyl_order_two_expansion():
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_weyl_forms_agree(n):
     assert weyl_denominator(n, "determinant") == weyl_denominator(n, "product")
+
+
+def test_weyl_groups_the_factors_by_variable():
+    x3 = LaurentPoly.variable("x3")
+    assert _weyl_factors(3) == [
+        1 - x1,
+        1 - x2, x1 - x2, x1 * x2 - 1,
+        1 - x3, x1 - x3, x2 - x3, x1 * x3 - 1, x2 * x3 - 1,
+    ]
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_weyl_per_variable_product_matches_the_binomial_chain(n):
+    """The per-variable list holds the factors of vandermonde_factors + bn_factors, and
+    multiplies to the same D_n as that order, the reference."""
+    chain = vandermonde_factors(xvars(n)) + bn_factors(n)
+    grouped = _weyl_factors(n)
+    assert Counter(f.to_text() for f in grouped) == Counter(f.to_text() for f in chain)
+    reference = times_binomials(P.one(), chain)
+    assert weyl_denominator(n, "product") == reference == times_binomials(P.one(), grouped)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])

@@ -179,6 +179,9 @@ def test_frontier_table_cut_to_small_n(tmp_path):
         ((result,),) = [case["results"]]
         assert result["identity"] == case["check"] and result["pass"]
         assert result["elapsed_ms"] >= 0
+    m_free_ms = sum(c["results"][0]["elapsed_ms"] for c in table["cases"][:5])
+    assert table["m_free_total_s"] == {"3": round(m_free_ms / 1000, 3)}
+    assert f"m-free total n=3  check {table['m_free_total_s']['3']:.3f} s" in proc.stdout
 
 
 def test_frontier_runs_only_the_listed_checks(tmp_path):
@@ -192,6 +195,8 @@ def test_frontier_runs_only_the_listed_checks(tmp_path):
     for case in table["cases"]:
         ((result,),) = [case["results"]]
         assert result["identity"] == case["check"] and result["pass"]
+    dn_ms = table["cases"][0]["results"][0]["elapsed_ms"]
+    assert table["m_free_total_s"] == {"3": round(dn_ms / 1000, 3)}  # eq5 is not m-free
 
 
 @pytest.mark.parametrize("checks", ["nosuch", "dn,nosuch", ""])
@@ -215,3 +220,5 @@ def test_frontier_records_a_timed_out_case(tmp_path):
     assert proc.returncode == 1
     table = json.loads((tmp_path / "BENCH_frontier_smoke.json").read_text())
     assert table["cases"] and all(c["timed_out"] and c["results"] == [] for c in table["cases"])
+    assert table["m_free_total_s"] == {"1": None}
+    assert "m-free total n=1  -" in proc.stdout
