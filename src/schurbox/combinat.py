@@ -98,13 +98,8 @@ class Partition(_Record):
                 raise ValueError(f"not weakly decreasing positive parts: {parts}")
 
     @property
-    def size(self) -> int:
-        return sum(self.parts)
-
-    # alias so partitions can feed generating_function directly
-    @property
     def weight(self) -> int:
-        return self.size
+        return sum(self.parts)
 
     def padded(self, n: int) -> tuple[int, ...]:
         if len(self.parts) > n:
@@ -125,7 +120,7 @@ class PlanePartition(_Record):
     row/column pairs (an empty row counts as all zero) are stripped at
     construction, so the same solid built in different box sizes compares equal.
     A matrix that is not square, empty rows aside, is kept as given, so
-    ``validate()`` and ``fold`` refuse it.
+    ``fold`` refuses it.
     """
 
     __slots__ = ("heights",)
@@ -147,26 +142,8 @@ class PlanePartition(_Record):
         return pp
 
     @property
-    def n(self) -> int:
-        return len(self.heights)
-
-    @property
     def weight(self) -> int:
         return sum(map(sum, self.heights))
-
-    def validate(self) -> None:
-        """Check the down-closed-set condition; raises ValueError."""
-        h, n = self.heights, self.n
-        for i in range(n):
-            if len(h[i]) != n:
-                raise ValueError("height matrix must be square")
-            for j in range(n):
-                if h[i][j] < 0:
-                    raise ValueError("heights must be non-negative")
-                if j + 1 < n and h[i][j] < h[i][j + 1]:
-                    raise ValueError(f"row {i} not weakly decreasing")
-                if i + 1 < n and h[i][j] < h[i + 1][j]:
-                    raise ValueError(f"column {j} not weakly decreasing")
 
     def to_json(self) -> list[list[int]]:
         return [list(row) for row in self.heights]

@@ -24,8 +24,8 @@ permutations, is the tests' reference.
 :class:`Monomial` is the boundary value that wraps one key.  It has no
 arithmetic: every product and power is a :class:`LaurentPoly` operation,
 so one exponent check guards them all.  Keys are decoded only at the
-boundary (canonical text, ``Monomial.pairs``, ``variables()``, substitution
-and the entry and exit of :func:`exact_div`), in bulk: every digit is
+boundary (canonical text, ``Monomial.pairs``, substitution and the entry
+and exit of :func:`exact_div`), in bulk: every digit is
 biased to an unsigned value, and all keys of one polynomial are read
 through one ``memoryview``.  :func:`divide_binomials` and
 ``LaurentPoly.powers`` read only the one digit they step along or split
@@ -309,10 +309,6 @@ class Monomial:
         return mono
 
     @classmethod
-    def one(cls) -> Monomial:
-        return _MONO_ONE
-
-    @classmethod
     def variable(cls, name: str, exp: int = 1) -> Monomial:
         pos = _position(name)
         return cls._make(_checked_exponent(operator.index(exp), pos) << (DIGIT_BITS * pos))
@@ -328,12 +324,6 @@ class Monomial:
     def exponents(self) -> dict[str, int]:
         return dict(self.pairs)
 
-    def exponent(self, var: str) -> int:
-        """The exponent of ``var`` (ValueError for a name outside the namespace)."""
-        pos = _position(var)
-        _, flat = _digits((self.key,), pos + 1)
-        return flat[pos] - _HALF
-
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Monomial) and self.key == other.key
 
@@ -346,9 +336,6 @@ class Monomial:
 
     def __repr__(self) -> str:
         return f"Monomial({self.factors_text()})"
-
-
-_MONO_ONE = Monomial._make(0)
 
 
 class LaurentPoly:
@@ -427,42 +414,6 @@ class LaurentPoly:
 
     def terms(self) -> tuple[tuple[Monomial, int], ...]:
         return tuple((Monomial._make(k), c) for k, c in self._terms.items())
-
-    def _grlex_rows(self) -> tuple[list[str], list[tuple[int, list[int], int, int]]]:
-        """Variable names in canonical order, and one row per term in ascending
-        graded-lex order: (biased degree, biased exponents by name, key, coeff).
-
-        The bias adds the same constant to every row's degree and to every
-        entry, so it does not change the order.
-        """
-        npos, flat = _digits(self._terms)
-        names = [_name(p) for p in _canonical_positions(npos)]
-        digits = flat.tolist()
-        rows = []
-        for t, (key, coeff) in enumerate(self._terms.items()):
-            d = digits[t * npos:(t + 1) * npos]
-            rows.append((sum(d), d[:1] + d[1::2] + d[2::2], key, coeff))
-        rows.sort()
-        return names, rows
-
-    def sorted_terms(self) -> list[tuple[Monomial, int]]:
-        """Terms in ascending canonical (graded-lex) order."""
-        return [(Monomial._make(key), coeff) for _, _, key, coeff in self._grlex_rows()[1]]
-
-    def coefficient(self, mono: Monomial) -> int:
-        return self._terms.get(mono.key, 0)
-
-    def variables(self) -> set[str]:
-        npos, flat = _digits(self._terms)
-        return {_name(p) for p in _used_positions(flat, npos)}
-
-    def constant_value(self) -> int:
-        """The value of a constant polynomial; error if any variable remains."""
-        if not self._terms:
-            return 0
-        if len(self._terms) == 1 and 0 in self._terms:
-            return self._terms[0]
-        raise ValueError(f"polynomial is not constant: {self.to_text()}")
 
     # -- ring operations --------------------------------------------------
 
@@ -617,9 +568,19 @@ class LaurentPoly:
         """Canonical text: ascending graded-lex terms, e.g. ``1 - q^2``."""
         if not self._terms:
             return "0"
-        names, rows = self._grlex_rows()
+        # One row per term, (biased degree, biased exponents by name, coeff),
+        # sorted: the bias adds the same constant to every row's degree and to
+        # every entry, so it does not change the order.
+        npos, flat = _digits(self._terms)
+        names = [_name(p) for p in _canonical_positions(npos)]
+        digits = flat.tolist()
+        rows = []
+        for t, coeff in enumerate(self._terms.values()):
+            d = digits[t * npos:(t + 1) * npos]
+            rows.append((sum(d), d[:1] + d[1::2] + d[2::2], coeff))
+        rows.sort()
         chunks: list[str] = []
-        for k, (_, exps, _, coeff) in enumerate(rows):
+        for k, (_, exps, coeff) in enumerate(rows):
             mag = abs(coeff)
             pairs = [(v, d - _HALF) for v, d in zip(names, exps) if d != _HALF]
             if pairs:

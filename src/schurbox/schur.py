@@ -224,12 +224,8 @@ class DnReport(namedtuple("DnReport", "n root_checks lead expected")):
     __slots__ = ()
 
     @property
-    def leading_coefficient_ok(self) -> bool:
-        return self.lead == self.expected
-
-    @property
     def all_pass(self) -> bool:
-        return self.leading_coefficient_ok and all(ok for _, ok in self.root_checks)
+        return self.lead == self.expected and all(ok for _, ok in self.root_checks)
 
 
 def dn_checks(n: int, d_n: LaurentPoly) -> DnReport:

@@ -11,9 +11,10 @@ self-conjugate diagram from its hooks and counts the diagrams over every
 cell.  ``schur_via_tableaux`` names each entry ``x{v}`` and parses it
 through ``Monomial``.  The partition helpers were methods of ``Partition``
 and ``PlanePartition`` and are plain functions on parts tuples here, and the
-record predicates that only tests read (``fits_in_box``, ``max_height``,
-``is_symmetric``, ``is_bounded``, ``num_levels``) are plain functions on the
-records; the bodies are otherwise kept as they were, so the differential tests in
+record predicates and checks that only tests read (``fits_in_box``,
+``max_height``, ``is_symmetric``, ``is_bounded``, ``num_levels``,
+``validate_plane_partition``) are plain functions on the records; the
+bodies are otherwise kept as they were, so the differential tests in
 ``test_combinat_reference.py`` compare against what ran before.  Only valid
 inputs are compared for ``fold``: this one does not check that its
 argument is a plane partition.  ``bijection_sides`` is the two-pass
@@ -94,8 +95,8 @@ def max_height(sp: PlanePartition) -> int:
 
 
 def is_symmetric(sp: PlanePartition) -> bool:
-    h = sp.heights
-    return all(h[i][j] == h[j][i] for i in range(sp.n) for j in range(i + 1, sp.n))
+    h, n = sp.heights, len(sp.heights)
+    return all(h[i][j] == h[j][i] for i in range(n) for j in range(i + 1, n))
 
 
 def is_bounded(sp: PlanePartition, m: int) -> bool:
@@ -104,6 +105,21 @@ def is_bounded(sp: PlanePartition, m: int) -> bool:
 
 def num_levels(cs: ColumnStrictPP) -> int:
     return len(cs.levels)
+
+
+def validate_plane_partition(sp: PlanePartition) -> None:
+    """Check the down-closed-set condition; raises ValueError."""
+    h, n = sp.heights, len(sp.heights)
+    for i in range(n):
+        if len(h[i]) != n:
+            raise ValueError("height matrix must be square")
+        for j in range(n):
+            if h[i][j] < 0:
+                raise ValueError("heights must be non-negative")
+            if j + 1 < n and h[i][j] < h[i][j + 1]:
+                raise ValueError(f"row {i} not weakly decreasing")
+            if i + 1 < n and h[i][j] < h[i + 1][j]:
+                raise ValueError(f"column {j} not weakly decreasing")
 
 
 def slice_partition(sp: PlanePartition, level: int) -> Parts:

@@ -4,7 +4,7 @@ Kept as a reference for differential tests.  It is the same algorithm as
 ``exact_div``, but it finds each leading term with a linear ``max`` over the
 remainder instead of a heap, so it costs O(|quotient| * |remainder|), and it
 reads and builds polynomials through the public API only (``terms()``,
-``Monomial.exponent`` and the ``LaurentPoly`` constructor), not from packed
+``Monomial.exponents`` and the ``LaurentPoly`` constructor), not from packed
 keys.  Its NotDivisibleError message gives the remainder's leading exponents
 in the dividend's Laurent coordinates, as ``exact_div`` does.
 """
@@ -27,29 +27,33 @@ def reference_exact_div(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
         raise ZeroDivisionError("exact_div: divisor is the zero polynomial")
     if num.is_zero():
         return LaurentPoly.zero()
-    universe = sorted(num.variables() | den.variables(), key=var_key)
+    num_terms = [(mono.exponents(), coeff) for mono, coeff in num.terms()]
+    den_terms = [(mono.exponents(), coeff) for mono, coeff in den.terms()]
+    universe = sorted({v for exps, _ in num_terms + den_terms for v in exps}, key=var_key)
 
-    def min_exponents(poly: LaurentPoly) -> dict[str, int]:
-        # Monomial.exponent is 0 for an absent variable, so absence counts as 0.
-        return {v: min(mono.exponent(v) for mono, _ in poly.terms()) for v in universe}
+    def min_exponents(terms: list[tuple[dict[str, int], int]]) -> dict[str, int]:
+        # An absent variable has exponent 0.
+        return {v: min(exps.get(v, 0) for exps, _ in terms) for v in universe}
 
-    num_min = min_exponents(num)
-    den_min = min_exponents(den)
+    num_min = min_exponents(num_terms)
+    den_min = min_exponents(den_terms)
 
-    def to_vectors(poly: LaurentPoly, mins: dict[str, int]) -> dict[tuple[int, ...], int]:
+    def to_vectors(
+        terms: list[tuple[dict[str, int], int]], mins: dict[str, int]
+    ) -> dict[tuple[int, ...], int]:
         out: dict[tuple[int, ...], int] = {}
-        for mono, coeff in poly.terms():
-            out[tuple(mono.exponent(v) - mins[v] for v in universe)] = coeff
+        for exps, coeff in terms:
+            out[tuple(exps.get(v, 0) - mins[v] for v in universe)] = coeff
         return out
 
     def grlex(vec: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
         return (sum(vec), vec)
 
-    den_vecs = to_vectors(den, den_min)
+    den_vecs = to_vectors(den_terms, den_min)
     den_lead = max(den_vecs, key=grlex)
     den_lead_coeff = den_vecs[den_lead]
 
-    remainder = to_vectors(num, num_min)
+    remainder = to_vectors(num_terms, num_min)
     quotient: dict[tuple[int, ...], int] = {}
     while remainder:
         lead = max(remainder, key=grlex)

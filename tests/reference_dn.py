@@ -16,7 +16,7 @@ def x1_coefficient(poly: LaurentPoly, exp: int) -> LaurentPoly:
     """The coefficient of x1**exp, a polynomial in the other variables."""
     shift = exp * unit_keys("x", 1)[0]
     return LaurentPoly.from_keys(
-        (mono.key - shift, coeff) for mono, coeff in poly.terms() if mono.exponent("x1") == exp
+        (mono.key - shift, coeff) for mono, coeff in poly.terms() if mono.exponents().get("x1", 0) == exp
     )
 
 

@@ -72,7 +72,7 @@ def test_criterion_2_macmahon_chain():
             )
             ok = ok and brute == specialized == macmahon_product(BoxParams(m, n))
     count33 = len(list(symmetric_plane_partitions(3, 3)))
-    at_one = macmahon_product(BoxParams(3, 3)).substitute({"q": 1}).constant_value()
+    at_one = macmahon_product(BoxParams(3, 3)).substitute({"q": 1})
     ok = ok and count33 == at_one == 112
     elapsed = time.perf_counter() - start
     report(2, f"enumeration = specialization = product, (3,3) count 112, {elapsed:.1f}s",

@@ -18,14 +18,14 @@ small_polys = st.dictionaries(monomials, st.integers(-4, 4), max_size=3).map(Lau
 
 def low_exponents(poly):
     """Per-variable minimum exponent over the terms, absence counting as 0."""
-    terms = poly.terms() or ((Monomial.one(), 0),)
-    return [min(mono.exponent(v) for mono, _ in terms) for v in NAMES]
+    terms = [mono.exponents() for mono, _ in poly.terms()] or [{}]
+    return [min(exps.get(v, 0) for exps in terms) for v in NAMES]
 
 
 def to_sympy(poly, shift):
     """``poly * prod(v**-s)`` as a sympy polynomial over QQ in every name."""
     data = {
-        tuple(mono.exponent(v) - s for v, s in zip(NAMES, shift)): coeff
+        tuple(mono.exponents().get(v, 0) - s for v, s in zip(NAMES, shift)): coeff
         for mono, coeff in poly.terms()
     }
     return sympy.Poly.from_dict(data or {(0,) * len(NAMES): 0}, *GENS, domain="QQ")
