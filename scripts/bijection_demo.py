@@ -28,7 +28,7 @@ def main() -> None:
         slices = " | ".join(
             f"z>={level}: hooks {list(hooks)}" for level, hooks in enumerate(cs.levels, 1)
         ) or "empty"
-        print(f"heights {sp.to_json()}  ->  {cs.to_json_dict()}   [{slices}]")
+        print(f"heights {sp.to_json()}  ->  {cs.to_json()}   [{slices}]")
         assert cs.weight == sp.weight
 
     gf = generating_function(objects)

@@ -331,8 +331,10 @@ def minimum_n(check_id: str) -> int:
 
 
 def expands_order_n(check_id: str) -> bool:
-    """Whether the check expands an order-n determinant or multiplies n!-term
-    Vandermonde products (the lemma), so n <= DEFAULT_MAX_ORDER."""
+    """Whether the check is held to n <= DEFAULT_MAX_ORDER.  Most flagged
+    checks expand an order-n determinant or multiply n!-term Vandermonde
+    products (the lemma); the theorem and schur-agree expand neither, and the
+    flag is their only size limit until a cost budget replaces it."""
     return _TABLE[check_id].expands_order_n
 
 
@@ -379,7 +381,7 @@ def run_verification(config: RunConfig) -> list[CheckResult]:
     """Run every requested check over the (m, n) grid; see RunConfig.
 
     Unknown checks, bad ranges and an n above DEFAULT_MAX_ORDER for a check
-    whose cost grows like n! are rejected before any work starts.
+    that :func:`expands_order_n` flags are rejected before any work starts.
     Grid points below a check's minimum n (dn needs n >= 2) are skipped.
 
     The checks run point by point: for each n, for each m, every requested

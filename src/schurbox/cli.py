@@ -108,8 +108,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
         objects = partitions_in_box(args.m, args.n)
 
     def printed(obj):
-        payload = obj.to_json_dict() if args.kind == "column-strict" else obj.to_json()
-        print(json.dumps(payload, separators=(",", ":")))
+        print(json.dumps(obj.to_json(), separators=(",", ":")))
         return obj
 
     print(generating_function(map(printed, objects)).to_text())  # prints as it counts

@@ -195,7 +195,7 @@ class ColumnStrictPP(_Record):
                 raise MalformedInputError(f"level {j} does not nest inside level {j - 1}")
             prev = lvl
 
-    def to_json_dict(self) -> dict[str, int]:
+    def to_json(self) -> dict[str, int]:
         """``{"i,j": height}`` of column i at level j, level by level, then by column."""
         return {f"{i},{j}": h for j, lvl in enumerate(self.levels, 1) for i, h in enumerate(lvl, 1)}
 

@@ -91,7 +91,6 @@ __all__ = [
     "exact_div",
     "expand_det",
     "from_powers",
-    "parse_poly",
     "signed_permutations",
     "swap_images",
     "times_binomials",
@@ -685,48 +684,6 @@ def swap_images(poly: LaurentPoly, swaps: Iterable[tuple[int, int]]) -> Iterator
             yield keys
 
     return images()
-
-
-# -- parsing ----------------------------------------------------------------
-
-_FACTOR_RE = re.compile(r"(?:([0-9]+)|(q|[tx][1-9][0-9]*)(?:\^(-?[0-9]+))?)\Z")
-
-
-def parse_poly(text: str) -> LaurentPoly:
-    """Parse the canonical text format produced by :meth:`LaurentPoly.to_text`."""
-    s = text.replace(" ", "")
-    if not s:
-        raise ValueError("empty polynomial text")
-    if s == "0":
-        return LaurentPoly.zero()
-    # Split into signed terms; '-' directly after '^' is an exponent sign.
-    boundaries = [0]
-    for idx in range(1, len(s)):
-        if s[idx] in "+-" and s[idx - 1] not in "^*+-":
-            boundaries.append(idx)
-    boundaries.append(len(s))
-    terms: list[tuple[Monomial, int]] = []
-    for lo, hi in zip(boundaries, boundaries[1:]):
-        chunk = s[lo:hi]
-        sign = 1
-        if chunk and chunk[0] in "+-":
-            sign = -1 if chunk[0] == "-" else 1
-            chunk = chunk[1:]
-        if not chunk:
-            raise ValueError(f"dangling sign in {text!r}")
-        coeff = sign
-        exps: dict[str, int] = {}
-        for factor in chunk.split("*"):
-            match = _FACTOR_RE.match(factor)
-            if not match:
-                raise ValueError(f"bad factor {factor!r} in {text!r}")
-            digits, var, exp = match.groups()
-            if digits is not None:
-                coeff *= int(digits)
-            else:
-                exps[var] = exps.get(var, 0) + (int(exp) if exp is not None else 1)
-        terms.append((Monomial(exps), coeff))
-    return LaurentPoly(terms)
 
 
 # -- matrices and determinants ----------------------------------------------

@@ -2,7 +2,9 @@
 the nested-loop packed-key product that ``LaurentPoly.__mul__`` used before
 it looped over the smaller operand, and the inversion count that gave
 determinant signs before ``signed_permutations``, plus
-``largest_exponent``, the oracle for a polynomial's exponent bound.
+``largest_exponent``, the oracle for a polynomial's exponent bound, and
+``parse_poly``, which reads ``LaurentPoly.to_text``'s canonical text back
+(the tests write expected polynomials in it; the program only prints it).
 
 Kept only as a reference for differential tests.  A monomial is a tuple of
 ``(variable, exponent)`` pairs with no zero exponent, sorted in the variable
@@ -17,6 +19,7 @@ only through the public API.
 from __future__ import annotations
 
 import functools
+import re
 from collections.abc import Iterable, Mapping, Sequence
 
 from schurbox.poly import LaurentPoly, Monomial
@@ -202,3 +205,43 @@ def largest_exponent(target):
     if isinstance(target, Monomial):
         return max((abs(e) for _, e in target.pairs), default=0)
     return 1 if isinstance(target, str) else 0
+
+
+_FACTOR_RE = re.compile(r"(?:([0-9]+)|(q|[tx][1-9][0-9]*)(?:\^(-?[0-9]+))?)\Z")
+
+
+def parse_poly(text: str) -> LaurentPoly:
+    """Parse the canonical text format produced by :meth:`LaurentPoly.to_text`."""
+    s = text.replace(" ", "")
+    if not s:
+        raise ValueError("empty polynomial text")
+    if s == "0":
+        return LaurentPoly.zero()
+    # Split into signed terms; '-' directly after '^' is an exponent sign.
+    boundaries = [0]
+    for idx in range(1, len(s)):
+        if s[idx] in "+-" and s[idx - 1] not in "^*+-":
+            boundaries.append(idx)
+    boundaries.append(len(s))
+    terms: list[tuple[Monomial, int]] = []
+    for lo, hi in zip(boundaries, boundaries[1:]):
+        chunk = s[lo:hi]
+        sign = 1
+        if chunk and chunk[0] in "+-":
+            sign = -1 if chunk[0] == "-" else 1
+            chunk = chunk[1:]
+        if not chunk:
+            raise ValueError(f"dangling sign in {text!r}")
+        coeff = sign
+        exps: dict[str, int] = {}
+        for factor in chunk.split("*"):
+            match = _FACTOR_RE.match(factor)
+            if not match:
+                raise ValueError(f"bad factor {factor!r} in {text!r}")
+            digits, var, exp = match.groups()
+            if digits is not None:
+                coeff *= int(digits)
+            else:
+                exps[var] = exps.get(var, 0) + (int(exp) if exp is not None else 1)
+        terms.append((Monomial(exps), coeff))
+    return LaurentPoly(terms)

@@ -17,13 +17,12 @@ from schurbox.poly import (
     determinant,
     exact_div,
     expand_det,
-    parse_poly,
     signed_permutations,
     swap_images,
     unit_keys,
 )
 from schurbox.identity import eq6_rhs, eq6_sides
-from reference_poly import inversion_count, largest_exponent
+from reference_poly import inversion_count, largest_exponent, parse_poly
 
 P = LaurentPoly
 x1, x2, x3, q = P.variable("x1"), P.variable("x2"), P.variable("x3"), P.variable("q")

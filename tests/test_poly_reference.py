@@ -6,14 +6,13 @@ import pytest
 from hypothesis import given, settings
 
 import reference_poly as ref
-from reference_poly import largest_exponent
+from reference_poly import largest_exponent, parse_poly
 from schurbox.poly import (
     MAX_EXPONENT,
     ExponentRangeError,
     LaurentPoly,
     Monomial,
     from_powers,
-    parse_poly,
 )
 
 # Digit positions interleave t_i and x_i, and t10 sorts before t2 as a string,

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 
 from reference_alternant import bialternant_by_division
 from reference_dn import dn_checks_by_substitution
-from reference_poly import from_poly, largest_exponent, sorted_terms
+from reference_poly import from_poly, largest_exponent, parse_poly, sorted_terms
 from reference_q_ratio import gordon_by_whole_ratio, macmahon_by_whole_ratio, uncancelled_q_ratio
 from schurbox.combinat import Partition, generating_function, partitions_in_box, symmetric_plane_partitions
 from schurbox.poly import (
@@ -19,7 +19,6 @@ from schurbox.poly import (
     Monomial,
     NotDivisibleError,
     determinant,
-    parse_poly,
     times_binomials,
 )
 from schurbox.schur import (
